@@ -5,9 +5,8 @@ paths of the library: bit-level popcount/toggle kernels, pattern generation,
 switching-activity estimation (sequential and batched), a full harness run,
 cold-versus-warm sweep execution through the content-addressed result
 cache, the sweep runner's execution-backend axis (serial vs released-GIL
-threads vs shared-memory processes on a warm activity tier), the
-plan-cache axis (cold cross-seed sweeps planning once per distinct config
-vs once per point), and the thread-scaling of the nogil toggle kernel.
+threads vs shared-memory processes on a warm activity tier), and the
+thread-scaling of the nogil toggle kernel.
 They guard against regressions that would make the paper-scale (2048^2)
 reproduction impractically slow.
 
@@ -41,7 +40,6 @@ from repro.cache.store import (
 from repro.dtypes import get_dtype
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_experiment
-from repro.experiments.plan import PlanCache
 from repro.experiments.sweep import run_configs, sweep_configs
 from repro.kernels.gemm import GemmOperands, GemmProblem
 from repro.patterns.library import build_pattern
@@ -160,46 +158,6 @@ def bench_sweep_warm_cache(benchmark):
     results = benchmark(run_configs, configs, 1, cache)
     assert len(results) == 4
     assert cache.stats.hits >= 4
-
-
-# ------------------------------------------------------------ plan-cache axis
-#
-# A cold cross-seed sweep: eight points that differ only in ``base_seed``,
-# so they are distinct experiments (nothing is served from the result or
-# activity tiers — both are disabled here) but share one execution plan.
-# With the plan tier on, the device/pattern/launch/monitor bundle is built
-# once and reused seven times; with it off, every point rebuilds it.  The
-# ratio of the two benchmarks is the plan cache's contribution to cold
-# sweep latency (the estimation work is identical in both).
-
-
-def _cross_seed_sweep_configs():
-    return sweep_configs(
-        _quiet_config(matrix_size=max(SIZE // 8, 32), seeds=2),
-        "base_seed",
-        list(range(2024, 2032)),
-        target="config",
-    )
-
-
-def bench_sweep_cold_plan_cache(benchmark):
-    """Cold 8-point cross-seed sweep, planning once (fresh PlanCache per round)."""
-    configs = _cross_seed_sweep_configs()
-    results = benchmark(
-        lambda: run_configs(
-            configs, 1, None, activity_cache=None, plan_cache=PlanCache(max_entries=16)
-        )
-    )
-    assert len(results) == 8
-
-
-def bench_sweep_cold_no_plan_cache(benchmark):
-    """The same cold sweep rebuilding the plan at every point."""
-    configs = _cross_seed_sweep_configs()
-    results = benchmark(
-        lambda: run_configs(configs, 1, None, activity_cache=None, plan_cache=None)
-    )
-    assert len(results) == 8
 
 
 # --------------------------------------------------------------- backend axis

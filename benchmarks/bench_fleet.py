@@ -19,7 +19,6 @@ import os
 
 from repro.activity.sampler import SamplingConfig
 from repro.cache.store import ActivityCache, ExperimentCache
-from repro.experiments.plan import PlanCache
 from repro.experiments.sweep import RunStats
 from repro.fleet import FleetSpec, generate_trace
 from repro.fleet.simulator import simulate
@@ -48,7 +47,6 @@ def _fresh_caches():
     return {
         "cache": ExperimentCache(),
         "activity_cache": ActivityCache(),
-        "plan_cache": PlanCache(),
     }
 
 

@@ -16,7 +16,6 @@ timings for the artifact-diff step (``scripts/bench_compare.py``).
 from __future__ import annotations
 
 from repro.cache.store import ActivityCache, ExperimentCache
-from repro.experiments.plan import PlanCache
 from repro.optimize.engines import build_runner
 
 #: Quiet, small estimation settings: the benchmark times the optimization
@@ -45,7 +44,6 @@ def _fresh_caches():
     return {
         "cache": ExperimentCache(),
         "activity_cache": ActivityCache(),
-        "plan_cache": PlanCache(),
     }
 
 

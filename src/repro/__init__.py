@@ -43,7 +43,6 @@ from repro.cache import (
     ExperimentCache,
     activity_fingerprint,
     experiment_fingerprint,
-    plan_fingerprint,
 )
 from repro.dtypes import PAPER_DTYPES, get_dtype, list_dtypes
 from repro.errors import ReproError
@@ -52,7 +51,6 @@ from repro.experiments import (
     ExperimentPlan,
     ExperimentResult,
     FigureResult,
-    PlanCache,
     RunStats,
     SweepResult,
     build_plan,
@@ -77,11 +75,9 @@ __all__ = [
     "estimate_activity_batch",
     "ExperimentCache",
     "ActivityCache",
-    "PlanCache",
     "CacheStats",
     "experiment_fingerprint",
     "activity_fingerprint",
-    "plan_fingerprint",
     "get_dtype",
     "list_dtypes",
     "PAPER_DTYPES",
@@ -127,7 +123,11 @@ def __getattr__(name: str) -> object:
         import importlib
 
         return importlib.import_module(f"repro.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The plan tier's handles resolve here, with a DeprecationWarning, for
+    # one release (see repro._deprecated).
+    from repro._deprecated import removed_attribute
+
+    return removed_attribute(__name__, name)
 
 
 def __dir__() -> "list[str]":

@@ -1,0 +1,68 @@
+"""Deprecation shims for the removed plan cache tier (kept for one release).
+
+Plans used to live in a process-wide LRU keyed by a plan fingerprint.  No
+two points of the paper's sweeps share a plan, so the tier never hit, and
+:class:`~repro.core.EstimationPipeline` now builds one plan per
+configuration and shares it across that configuration's seeds.  Under the
+:mod:`repro.api` deprecation policy the old spellings keep working:
+
+* every public ``plan_cache=`` keyword (and ``build_plan(cache=)``) is
+  accepted and ignored via :func:`ignore_plan_cache` — a value other than
+  ``None`` warns, ``None`` is silent because it asks for what now always
+  happens;
+* ``PlanCache`` and ``get_default_plan_cache`` still resolve through the
+  façades' module ``__getattr__`` (:func:`removed_attribute`), with a
+  :class:`DeprecationWarning`: the class builds an inert object and the
+  accessor returns ``None``.
+"""
+
+from __future__ import annotations
+
+import warnings
+from typing import Any
+
+__all__ = ["ignore_plan_cache", "removed_attribute"]
+
+
+def ignore_plan_cache(value: object, keyword: str = "plan_cache") -> None:
+    """Accept a deprecated plan-cache argument; warn unless it is ``None``.
+
+    Call it first thing in the public function that takes the keyword, so
+    the warning points at that function's caller.
+    """
+    if value is not None:
+        warnings.warn(
+            f"{keyword}= is deprecated and ignored: the plan cache tier was "
+            "removed and each run builds its plan once; the keyword will be "
+            "removed in a future release",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+
+
+class PlanCache:
+    """Inert stand-in for the removed plan tier; takes its old arguments."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+
+def get_default_plan_cache() -> None:
+    """There is no default plan tier any more."""
+    return None
+
+
+_REMOVED = {"PlanCache": PlanCache, "get_default_plan_cache": get_default_plan_cache}
+
+
+def removed_attribute(module: str, name: str) -> Any:
+    """Module ``__getattr__`` body: serve a removed name with a warning."""
+    if name in _REMOVED:
+        warnings.warn(
+            f"{module}.{name} is deprecated: the plan cache tier was removed; "
+            "the name will be removed in a future release",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return _REMOVED[name]
+    raise AttributeError(f"module {module!r} has no attribute {name!r}")

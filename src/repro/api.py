@@ -10,7 +10,9 @@
 
 Everything exported here is covered by the deprecation policy: symbols
 move out of this module only after a release of ``DeprecationWarning``
-shims (see ``repro.experiments.harness`` for the pattern).  The façade
+shims (see ``repro.experiments.harness`` for the pattern; the removed
+plan tier's keyword and handles are in that release now, see
+``repro._deprecated``).  The façade
 functions mirror the underlying machinery with **keyword-only** tuning
 arguments — positional call sites can never silently change meaning when
 a knob is added — and are thin enough that going through them costs one
@@ -34,11 +36,11 @@ from repro.cache.store import (
     peek_default_caches,
 )
 from repro.core import estimate_experiment
+from repro._deprecated import ignore_plan_cache, removed_attribute
 from repro.errors import ReproError
 from repro.experiments import harness as _harness
 from repro.experiments import sweep as _sweep
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import PlanCache, get_default_plan_cache
 from repro.experiments.results import ExperimentResult, SweepResult
 from repro.experiments.sweep import RunStats
 from repro.fleet.scheduler import CapEvent, FleetSpec
@@ -78,11 +80,9 @@ __all__ = [
     "DEFAULT_CACHE",
     "ExperimentCache",
     "ActivityCache",
-    "PlanCache",
     "default_caches",
     "get_default_cache",
     "get_default_activity_cache",
-    "get_default_plan_cache",
 ]
 
 
@@ -91,7 +91,7 @@ def run_experiment(
     *,
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
 ) -> ExperimentResult:
     """Measure one configuration, serving repeats from the result cache.
 
@@ -99,9 +99,8 @@ def run_experiment(
     cache knobs keyword-only; see there for cache-argument semantics
     (explicit instance / ``None`` / default sentinel).
     """
-    return _harness.run_experiment(
-        config, cache=cache, activity_cache=activity_cache, plan_cache=plan_cache
-    )
+    ignore_plan_cache(plan_cache)
+    return _harness.run_experiment(config, cache=cache, activity_cache=activity_cache)
 
 
 def run_configs(
@@ -110,7 +109,7 @@ def run_configs(
     workers: int = 1,
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     dedupe: bool = True,
     chunksize: "int | None" = None,
     progress: "Any | None" = None,
@@ -122,12 +121,12 @@ def run_configs(
     Façade over :func:`repro.experiments.sweep.run_configs` with every
     tuning argument keyword-only.
     """
+    ignore_plan_cache(plan_cache)
     return _sweep.run_configs(
         configs,
         workers=workers,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         dedupe=dedupe,
         chunksize=chunksize,
         progress=progress,
@@ -146,7 +145,7 @@ def run_sweep(
     workers: int = 1,
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     progress: "Any | None" = None,
     stats: "RunStats | None" = None,
     backend: str = "auto",
@@ -156,6 +155,7 @@ def run_sweep(
     Façade over :func:`repro.experiments.sweep.run_sweep` with every
     tuning argument keyword-only.
     """
+    ignore_plan_cache(plan_cache)
     return _sweep.run_sweep(
         base,
         parameter,
@@ -165,7 +165,6 @@ def run_sweep(
         workers=workers,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         progress=progress,
         stats=stats,
         backend=backend,
@@ -180,7 +179,7 @@ def simulate_fleet(
     backend: str = "auto",
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     stats: "RunStats | None" = None,
     estimation_overrides: "dict[str, Any] | None" = None,
 ) -> FleetResult:
@@ -191,6 +190,7 @@ def simulate_fleet(
     so a warm simulation touches the engine zero times regardless of how
     many kernels the trace schedules.
     """
+    ignore_plan_cache(plan_cache)
     return _fleet_simulate(
         trace,
         fleet,
@@ -198,7 +198,6 @@ def simulate_fleet(
         backend=backend,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         stats=stats,
         estimation_overrides=estimation_overrides,
     )
@@ -211,7 +210,7 @@ def optimize(
     backend: str = "auto",
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     max_evaluations: "int | None" = None,
     checkpoint_path: "Any | None" = None,
 ) -> OptimizationResult:
@@ -225,13 +224,13 @@ def optimize(
     ``python -m repro.optimize`` for the CLI and ``--expect`` replay
     checks).
     """
+    ignore_plan_cache(plan_cache)
     return _run_study(
         study,
         workers=workers,
         backend=backend,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         max_evaluations=max_evaluations,
         checkpoint_path=checkpoint_path,
     )
@@ -245,3 +244,9 @@ def default_caches() -> "dict[str, Any]":
     ``get_default_*`` accessors.
     """
     return peek_default_caches()
+
+
+def __getattr__(name: str) -> Any:
+    # The plan tier's handles left __all__ with the tier; they resolve
+    # here, with a DeprecationWarning, for one release.
+    return removed_attribute(__name__, name)

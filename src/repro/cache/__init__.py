@@ -10,10 +10,7 @@ package exploits that with two cache tiers:
 * :mod:`repro.cache.fingerprint` — canonical SHA-256 keys:
   :func:`experiment_fingerprint` over config + code version for whole
   results, :func:`activity_fingerprint` over the workload subset + seed
-  for per-seed :class:`~repro.activity.report.ActivityReport` objects, and
-  :func:`plan_fingerprint` over the plan subset (workload geometry +
-  device + telemetry) for the memory-only plan tier hosted by
-  :mod:`repro.experiments.plan`.
+  for per-seed :class:`~repro.activity.report.ActivityReport` objects.
 * :mod:`repro.cache.store` — bounded in-memory LRUs with optional on-disk
   JSON backends (:class:`ExperimentCache` and :class:`ActivityCache`), plus
   the process-wide default instances that :func:`repro.run_experiment`, the
@@ -51,7 +48,6 @@ from repro.cache.fingerprint import (
     code_fingerprint,
     experiment_fingerprint,
     fingerprint_payload,
-    plan_fingerprint,
 )
 from repro.cache.lifecycle import (
     CacheEntry,
@@ -80,7 +76,6 @@ __all__ = [
     "code_fingerprint",
     "experiment_fingerprint",
     "activity_fingerprint",
-    "plan_fingerprint",
     "fingerprint_payload",
     "CacheStats",
     "ExperimentCache",

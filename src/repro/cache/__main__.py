@@ -7,9 +7,7 @@ Subcommands operate on a cache root directory (``--dir`` or the
 * ``stats`` — entry counts, byte totals and age range per tier.  When
   :func:`main` is invoked from a process that already holds default cache
   instances (rather than via a fresh subprocess), the report also includes
-  each live cache's in-memory LRU occupancy and hit/miss counters —
-  including the memory-only plan tier (:mod:`repro.experiments.plan`)
-  when the process has created one.
+  each live cache's in-memory LRU occupancy and hit/miss counters.
 * ``ls``    — list entries (key, tier, size, age), oldest first.
 * ``prune`` — garbage-collect by total size and/or age.  Size pruning
   evicts by cost-weighted age (cheap-to-rebuild activity entries first; see
@@ -172,9 +170,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"({info['hit_rate']:.0%} hit rate), {info['puts']} puts, "
             f"{info['evictions']} evictions"
         )
-        resilience = info.get("resilience")
-        if resilience is None:
-            continue  # the plan tier has no disk backend to absorb faults
+        resilience = info["resilience"]
         line = (
             f"         {'':<10} {resilience['retries']} retries "
             f"({resilience['backoff_s']:.3f}s backoff), "

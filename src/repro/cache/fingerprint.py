@@ -36,7 +36,6 @@ __all__ = [
     "fingerprint_payload",
     "experiment_fingerprint",
     "activity_fingerprint",
-    "plan_fingerprint",
 ]
 
 #: Bump when the serialized result layout (or the meaning of any estimator
@@ -114,37 +113,6 @@ def experiment_fingerprint(
     }
     if seed is not None:
         payload["seed"] = int(seed)
-    return fingerprint_payload(payload)
-
-
-def plan_fingerprint(
-    config: "ExperimentConfig",
-    code_version: str | None = None,
-) -> str:
-    """Content-addressed key for one configuration's *execution plan*.
-
-    An :class:`~repro.experiments.plan.ExperimentPlan` — the pattern,
-    device, kernel-launch plan and telemetry monitor a run derives before
-    touching any seed — depends only on the workload geometry (pattern,
-    dtype, matrix size, transposition), the device (GPU model + instance)
-    and the telemetry knobs.  The seed loop (``seeds``, ``base_seed``),
-    iteration counts, warmup trimming, estimator sampling and the
-    process-variation switch are all deliberately excluded: sweeps that
-    vary only the measurement procedure share one plan per device/workload.
-
-    Like the other fingerprints this mixes in the *resolved* dtype and GPU
-    specs (re-registering a name under a different definition must never
-    serve a stale plan) and the code version, so any package upgrade
-    invalidates every cached plan.
-    """
-    payload: dict[str, Any] = {
-        "kind": "plan",
-        "plan": config.describe_plan(),
-        "dtype_spec": _dtype_spec_payload(config.dtype),
-        "gpu_spec": asdict(get_gpu_spec(config.gpu)),
-        "telemetry": asdict(config.telemetry),
-        "code": code_version if code_version is not None else code_fingerprint(),
-    }
     return fingerprint_payload(payload)
 
 

@@ -26,12 +26,6 @@ Two cache classes share that machinery:
   bit-level estimate, reusable across every experiment that shares the
   workload (GPU model, clocks and telemetry knobs do not matter).
 
-(A third, memory-only tier — the plan cache of
-:mod:`repro.experiments.plan` — lives outside this module because it holds
-live objects rather than JSON documents, but it follows the same
-fingerprint discipline and appears alongside these tiers in the CLI's live
-stats.)
-
 Cache-tier invariants
 ---------------------
 
@@ -650,21 +644,12 @@ def peek_default_caches() -> "dict[str, Any]":
     Unlike the ``get_default_*`` accessors this never instantiates anything:
     it is how the ``python -m repro.cache stats`` CLI reports live in-memory
     counters when invoked from a running process, without a fresh subprocess
-    invocation fabricating empty caches just to describe them.  The
-    memory-only plan tier (:mod:`repro.experiments.plan`) is included under
-    ``"plan"`` when that module has been imported and its default created;
-    every value answers ``describe_memory()``.
+    invocation fabricating empty caches just to describe them.  Every value
+    answers ``describe_memory()``.
     """
-    import sys
-
     live: dict[str, Any] = {}
     if _default_initialized and _default_cache is not None:
         live["experiment"] = _default_cache
     if _default_activity_initialized and _default_activity_cache is not None:
         live["activity"] = _default_activity_cache
-    # Looked up through sys.modules (not imported) so peeking can neither
-    # trigger the experiments package import nor create the plan tier.
-    plan_module = sys.modules.get("repro.experiments.plan")
-    if plan_module is not None:
-        live.update(plan_module.peek_default_plan_cache())
     return live

@@ -3,7 +3,7 @@
 ``repro.core`` is the seam between *estimation* and *orchestration*.  The
 pipeline here (:class:`EstimationPipeline`, :func:`estimate_experiment`)
 computes one configuration's measured result deterministically, touching
-only the injectable activity/plan cache tiers; everything stateful —
+only the injectable activity cache tier; everything stateful —
 result caching (:mod:`repro.experiments.harness`), sweeps and execution
 backends (:mod:`repro.experiments.sweep`), and the long-running serving
 layer with its request coalescing (:mod:`repro.serve`) — is layered on

@@ -3,10 +3,9 @@
 This module is the side-effect-free core the rest of the system is built
 around.  Given one :class:`~repro.experiments.config.ExperimentConfig` it
 
-1. resolves the configuration's :class:`~repro.experiments.plan.
+1. builds the configuration's :class:`~repro.experiments.plan.
    ExperimentPlan` — device, pattern, CUTLASS-style launch plan and
-   telemetry monitor — from the plan cache, building it only when no
-   physically identical configuration has planned before;
+   telemetry monitor — once, shared by every seed;
 2. for each seed, generates A and B from the plan's pattern (same pattern,
    different seeds; B stored transposed unless disabled) and estimates
    switching activity — all seeds go through the batched activity engine
@@ -17,8 +16,8 @@ around.  Given one :class:`~repro.experiments.config.ExperimentConfig` it
 5. aggregates across seeds into an :class:`ExperimentResult`.
 
 "Side-effect-free" means: no result-cache writes, no environment reads, no
-global state beyond the (optional, injectable) activity and plan cache
-tiers — everything observable is in the returned result, and the result is
+global state beyond the (optional, injectable) activity cache tier —
+everything observable is in the returned result, and the result is
 a deterministic function of the config.  Orchestration concerns — the
 content-addressed *result* cache, sweep deduplication, execution backends,
 and the serving layer's request coalescing — live above this module:
@@ -35,6 +34,7 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING
 
+from repro._deprecated import ignore_plan_cache
 from repro.activity.engine import (
     ActivityEngine,
     estimate_activity,
@@ -79,28 +79,27 @@ MIN_MEASUREMENT_DURATION_S = 3.0
 class EstimationPipeline:
     """The pure estimation path for one configuration.
 
-    Each pipeline resolves its configuration's
+    Each pipeline builds its configuration's
     :class:`~repro.experiments.plan.ExperimentPlan` (device, pattern,
-    launch plan, monitor) from the plan cache — so physically identical
-    configurations plan once per process, not once per pipeline — and
-    builds its own power/runtime models and activity engine on top.
-    Pipelines share nothing *mutable* with each other except the
-    thread-safe caches (plans are immutable and stateless, see
-    :mod:`repro.experiments.plan`), so the sweep runner and the serving
-    layer may drive many of them concurrently from thread workers.  The
-    expensive part of a run is switching-activity estimation, whose
-    kernels release the GIL inside NumPy (see :mod:`repro.util.bits`),
-    which is what makes those threads scale.
+    launch plan, monitor) once and shares it across all of the
+    configuration's seeds, with its own power/runtime models and activity
+    engine on top.  Pipelines share nothing *mutable* with each other
+    except the thread-safe activity cache, so the sweep runner and the
+    serving layer may drive many of them concurrently from thread
+    workers.  The expensive part of a run is switching-activity
+    estimation, whose kernels release the GIL inside NumPy (see
+    :mod:`repro.util.bits`), which is what makes those threads scale.
     """
 
     def __init__(
         self,
         config: "ExperimentConfig",
         activity_cache: "object | None" = DEFAULT_CACHE,
-        plan_cache: "object | None" = DEFAULT_CACHE,
+        plan_cache: object = None,
     ) -> None:
+        ignore_plan_cache(plan_cache)
         self.config = config
-        self.plan: ExperimentPlan = build_plan(config, cache=plan_cache)
+        self.plan: ExperimentPlan = build_plan(config)
         self.device = self.plan.device
         self.power_model = PowerModel(self.device)
         self.runtime_model = RuntimeModel()
@@ -114,9 +113,9 @@ class EstimationPipeline:
         """Run all seeds of the configuration through the batched pipeline.
 
         Problem, pattern, launch plan and telemetry monitor come from the
-        pipeline's (possibly cache-shared) :class:`ExperimentPlan` and are
-        shared by every seed; switching activity for the whole seed batch
-        goes through the :class:`ActivityEngine` in one call.  Each seed is
+        pipeline's :class:`ExperimentPlan` and are shared by every seed;
+        switching activity for the whole seed batch goes through the
+        :class:`ActivityEngine` in one call.  Each seed is
         keyed by :func:`~repro.cache.fingerprint.activity_fingerprint` and
         operands are passed as factories, so seeds already in the activity
         cache (e.g. the same workload measured on another GPU) skip operand
@@ -164,7 +163,7 @@ class EstimationPipeline:
         """Draw one seed's A/B operand pair from the workload pattern."""
         spec = get_dtype(self.config.dtype)
         if pattern is None:
-            pattern = build_workload_pattern(self.config)
+            pattern = self.plan.pattern
         rng_a = derive_rng(self.config.base_seed, "A", seed_index)
         rng_b = derive_rng(self.config.base_seed, "B", seed_index)
         a = pattern.generate(problem.a_shape, spec, rng_a)
@@ -174,13 +173,15 @@ class EstimationPipeline:
     def run_seed_reference(self, seed_index: int) -> SeedMeasurement:
         """Run a single seed end to end (the unbatched reference path).
 
-        Deliberately bypasses the plan: problem, launch and monitor are
-        rebuilt from scratch so this path stays an independent reference
-        for the plan-sharing equivalence tests.
+        Deliberately bypasses the plan: problem, pattern, launch and
+        monitor are rebuilt from scratch so this path stays an independent
+        reference for the plan-sharing equivalence tests.
         """
         config = self.config
         problem = build_problem(config)
-        operands = self.generate_operands(problem, seed_index)
+        operands = self.generate_operands(
+            problem, seed_index, pattern=build_workload_pattern(config)
+        )
         launch = plan_launch(problem, self.device)
         activity = estimate_activity(operands, sampling=config.sampling, seed=seed_index)
         monitor = DcgmMonitor(self.device, config=config.telemetry)
@@ -238,17 +239,17 @@ def estimate_experiment(
     config: "ExperimentConfig",
     *,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
 ) -> ExperimentResult:
     """Estimate one configuration through the pure pipeline.
 
     This is the canonical entry point for consumers that manage their own
     result caching and orchestration (the serving layer, custom batch
     drivers): it never consults or writes the content-addressed *result*
-    cache — only the injectable activity and plan tiers, which change when
-    the answer is computed, never what it is.  For the cache-consulting
-    one-shot call, use :func:`repro.run_experiment`.
+    cache — only the injectable activity tier, which changes when the
+    answer is computed, never what it is.  For the cache-consulting
+    one-shot call, use :func:`repro.run_experiment`.  ``plan_cache`` is
+    deprecated and ignored.
     """
-    return EstimationPipeline(
-        config, activity_cache=activity_cache, plan_cache=plan_cache
-    ).run()
+    ignore_plan_cache(plan_cache)
+    return EstimationPipeline(config, activity_cache=activity_cache).run()

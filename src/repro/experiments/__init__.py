@@ -8,7 +8,7 @@ A and B drawn from the same pattern but different seeds.
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import ExperimentRunner, run_experiment
-from repro.experiments.plan import ExperimentPlan, PlanCache, build_plan
+from repro.experiments.plan import ExperimentPlan, build_plan
 from repro.experiments.results import ExperimentResult, FigureResult, SeedMeasurement, SweepResult
 from repro.experiments.sweep import RunStats, run_configs, run_sweep
 
@@ -16,7 +16,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRunner",
     "ExperimentPlan",
-    "PlanCache",
     "build_plan",
     "run_experiment",
     "ExperimentResult",
@@ -27,3 +26,11 @@ __all__ = [
     "run_sweep",
     "run_configs",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # The plan tier's handles resolve here, with a DeprecationWarning, for
+    # one release (see repro._deprecated).
+    from repro._deprecated import removed_attribute
+
+    return removed_attribute(__name__, name)

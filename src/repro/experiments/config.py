@@ -146,29 +146,6 @@ class ExperimentConfig:
             "label": self.label or self.default_label(),
         }
 
-    def describe_plan(self) -> dict[str, Any]:
-        """The subset of :meth:`describe` that determines the *plan*.
-
-        A plan (:class:`~repro.experiments.plan.ExperimentPlan`) bundles
-        the pattern, device, launch geometry and telemetry monitor — state
-        that is independent of the seed loop and the measurement procedure.
-        ``seeds``, ``base_seed``, ``iterations``, ``warmup_trim_s``,
-        ``sampling``, ``include_process_variation`` and the label are
-        deliberately absent, which is what lets cross-seed and
-        cross-procedure sweep points share one cached plan.  (Telemetry
-        knobs are folded in by :func:`~repro.cache.fingerprint.
-        plan_fingerprint`, which also resolves the dtype/GPU specs.)
-        """
-        return {
-            "pattern_family": self.pattern_family,
-            "pattern_params": dict(self.pattern_params),
-            "dtype": self.dtype,
-            "matrix_size": self.matrix_size,
-            "transpose_b": self.transpose_b,
-            "gpu": self.gpu,
-            "instance_id": self.instance_id,
-        }
-
     def default_label(self) -> str:
         params = ",".join(f"{k}={v}" for k, v in sorted(self.pattern_params.items()))
         suffix = f"({params})" if params else ""

@@ -8,8 +8,7 @@ runtime; Figure 2 reports average iteration energy.
 The two figures run *identical* configurations, so with the default caches
 the second driver is served entirely from the experiment result tier; when
 results are recomputed (``cache=None`` benchmarking, code-version bumps),
-the plan cache (:mod:`repro.experiments.plan`) still deduplicates the
-device/pattern/launch/monitor builds across the two runs.
+the per-seed activity tier still serves the second run's estimates.
 """
 
 from __future__ import annotations

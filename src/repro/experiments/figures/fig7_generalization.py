@@ -10,11 +10,7 @@ This figure is the flagship consumer of the per-seed activity cache
 sweep point depends on the workload and seed but *not* on the GPU model, so
 every GPU after the first reuses the same per-seed estimates.  The sweeps
 run experiment-major (all GPUs of one experiment back to back) to keep
-those shared entries hot in the cache's LRU.  One tier below, the plan
-cache (:mod:`repro.experiments.plan`) deduplicates the per-point
-device/pattern/launch/monitor builds: a cold 4-experiment × 4-GPU run
-plans each distinct (workload, GPU) combination exactly once — per process
-and per persistent pool worker — instead of once per sweep point.
+those shared entries hot in the cache's LRU.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Experiment runner: orchestration over the pure estimation core.
 
-The measurement pipeline itself — plan resolution, per-seed operand
+The measurement pipeline itself — plan construction, per-seed operand
 generation, batched activity estimation, power/runtime modeling and the
 simulated DCGM trace — lives in :mod:`repro.core` and is side-effect-free.
 This module owns the *orchestration* concerns of a one-shot run:
@@ -23,6 +23,7 @@ from __future__ import annotations
 import warnings
 from typing import Any
 
+from repro._deprecated import ignore_plan_cache
 from repro.activity.report import ActivityReport
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_cache
@@ -74,11 +75,10 @@ class ExperimentRunner:
         self,
         config: ExperimentConfig,
         activity_cache: "object | None" = DEFAULT_CACHE,
-        plan_cache: "object | None" = DEFAULT_CACHE,
+        plan_cache: object = None,
     ) -> None:
-        self.pipeline = EstimationPipeline(
-            config, activity_cache=activity_cache, plan_cache=plan_cache
-        )
+        ignore_plan_cache(plan_cache)
+        self.pipeline = EstimationPipeline(config, activity_cache=activity_cache)
         self.config = config
         self.plan: ExperimentPlan = self.pipeline.plan
         self.device = self.pipeline.device
@@ -118,7 +118,7 @@ def run_experiment(
     config: ExperimentConfig,
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
 ) -> ExperimentResult:
     """Run a configuration, consulting the content-addressed result caches.
 
@@ -130,24 +130,18 @@ def run_experiment(
     :class:`~repro.cache.store.ActivityCache`) feeds the per-seed activity
     tier beneath the experiment cache: on an experiment-cache miss, seeds
     whose workload was already estimated — for any device or measurement
-    procedure — are reused instead of recomputed.  ``plan_cache`` (same
-    convention, with :class:`~repro.experiments.plan.PlanCache`) skips
-    rebuilding the pattern/launch/monitor plan when a physically identical
-    configuration already planned; it never changes results, only build
-    time.
+    procedure — are reused instead of recomputed.  ``plan_cache`` is
+    deprecated and ignored.
     """
+    ignore_plan_cache(plan_cache)
     resolved = resolve_cache(cache)
     if resolved is None:
-        return ExperimentRunner(
-            config, activity_cache=activity_cache, plan_cache=plan_cache
-        ).run()
+        return ExperimentRunner(config, activity_cache=activity_cache).run()
     key = experiment_fingerprint(config)
     hit = resolved.get(key)
     if hit is not None:
         hit.config["label"] = config.describe()["label"]
         return hit
-    result = ExperimentRunner(
-        config, activity_cache=activity_cache, plan_cache=plan_cache
-    ).run()
+    result = ExperimentRunner(config, activity_cache=activity_cache).run()
     resolved.put(key, result)
     return result

@@ -1,59 +1,31 @@
-"""Cacheable experiment plans: the per-configuration state a run reuses.
+"""Experiment plans: the per-configuration state a run shares across seeds.
 
 Running one :class:`~repro.experiments.config.ExperimentConfig` needs a
 bundle of derived objects before any seed is touched: the GEMM problem
 geometry, the input :class:`~repro.patterns.base.Pattern`, the simulated
 :class:`~repro.gpu.device.Device`, the CUTLASS-style
 :class:`~repro.kernels.launch.KernelLaunch` plan and the DCGM telemetry
-monitor.  None of those depend on the seed loop — only on the workload
-geometry, the device and the telemetry knobs — yet the harness historically
-rebuilt all of them for every sweep point, even when consecutive points
-differed only in ``base_seed``, seed count, iteration count or the
-measurement procedure.
+monitor.  None of those depend on the seed loop, so
+:class:`~repro.core.EstimationPipeline` builds one :class:`ExperimentPlan`
+per configuration and shares it across all of that configuration's seeds.
 
-:class:`ExperimentPlan` packages that bundle behind a content-addressed
-key (:func:`~repro.cache.fingerprint.plan_fingerprint`), and
-:class:`PlanCache` is the in-memory LRU tier that lets every consumer —
-:func:`repro.run_experiment`, the sweep runner, and each persistent
-process-pool worker — build each distinct plan exactly once and share it
-across points, chunks and repeated calls.
+Every object inside a plan is *stateless after construction* — patterns
+take their RNG as a ``generate()`` argument, the launch and problem are
+frozen dataclasses, and the device and monitor expose pure functions of
+their arguments — so the seeds of one run may use it concurrently.
 
-Why sharing is safe
--------------------
-
-Every object inside a plan is *stateless after construction*:
-
-* patterns take their RNG as a ``generate()`` argument and hold only
-  immutable parameters;
-* :class:`~repro.kernels.launch.KernelLaunch` and
-  :class:`~repro.kernels.gemm.GemmProblem` are frozen dataclasses;
-* the :class:`~repro.gpu.device.Device` and the telemetry monitor expose
-  pure functions of their arguments (traces are seeded explicitly).
-
-A cache hit therefore returns the *same* plan object to many runners (and
-to many threads of the ``threads`` backend) without copying, and the
-results are bit-for-bit identical to building a fresh plan per point.  The
-plan cache is a pure performance tier: unlike the experiment and activity
-tiers it can never serve a stale *result*, only a stale build — and builds
-are invalidated by the code-version-aware fingerprint anyway.
-
-Plans hold live objects, so this tier is memory-only (no disk backend);
-``REPRO_PLAN_CACHE_MAX_ENTRIES`` bounds the default instance (``0``
-disables it) and ``REPRO_NO_CACHE=1`` disables it along with the other
-tiers.
+Plans are not cached across configurations: every point of the paper's
+sweeps changes a pattern parameter, the dtype or the GPU, so no two points
+share a plan, and building one is cheaper than keying a cache for it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.cache.fingerprint import canonical_json, plan_fingerprint
-from repro.cache.store import DEFAULT_CACHE
+from repro._deprecated import ignore_plan_cache
 from repro.dtypes.registry import get_dtype
-from repro.errors import ExperimentError
 from repro.gpu.device import Device
 from repro.kernels.gemm import GemmProblem
 from repro.kernels.launch import KernelLaunch, plan_launch
@@ -66,23 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ExperimentPlan",
-    "PlanCache",
-    "PlanCacheStats",
     "build_plan",
     "build_problem",
     "build_workload_pattern",
-    "workload_pattern_key",
-    "clear_workload_pattern_memo",
-    "get_default_plan_cache",
-    "set_default_plan_cache",
-    "resolve_plan_cache",
-    "peek_default_plan_cache",
 ]
-
-#: LRU width of the process-wide default plan cache; overridden by the
-#: ``REPRO_PLAN_CACHE_MAX_ENTRIES`` environment variable (``0`` disables
-#: the default tier entirely).
-DEFAULT_PLAN_CACHE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -90,12 +49,9 @@ class ExperimentPlan:
     """Everything a run derives from its config before touching a seed.
 
     Plans are immutable and their members are stateless (see the module
-    docstring), so one plan may be shared by any number of concurrent
-    runners.  ``fingerprint`` is the content-addressed key the plan was
-    built under (:func:`~repro.cache.fingerprint.plan_fingerprint`).
+    docstring), so one plan may be shared by every seed of a run.
     """
 
-    fingerprint: str
     device: Device
     problem: GemmProblem
     pattern: Pattern
@@ -105,157 +61,10 @@ class ExperimentPlan:
     def describe(self) -> dict[str, Any]:
         """JSON-serializable summary (for logging and diagnostics)."""
         return {
-            "fingerprint": self.fingerprint,
             "device": self.device.describe(),
             "launch": self.launch.describe(),
             "pattern": type(self.pattern).__name__,
         }
-
-
-@dataclass
-class PlanCacheStats:
-    """Counters describing how a :class:`PlanCache` has been used.
-
-    ``builds`` counts actual plan constructions — the number the
-    build-once guarantees are asserted against: after a cold sweep,
-    ``builds`` equals the number of *distinct* plans, not sweep points.
-    ``puts`` counts every insertion, whether from a build or from the
-    public :meth:`PlanCache.put`.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    builds: int = 0
-    puts: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 with no lookups)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class PlanCache:
-    """Bounded, thread-safe, in-memory LRU of :class:`ExperimentPlan`s.
-
-    Unlike the JSON-backed experiment/activity tiers this cache hands out
-    the *stored instance itself* — plans are immutable, so defensive
-    copying would only burn the time the cache exists to save — and it has
-    no disk backend, because plans hold live objects (devices, monitors)
-    whose serialization would cost more than rebuilding them.
-
-    :meth:`get_or_build` holds the cache lock *across the build*, so when
-    many sweep threads request the same cold plan at once exactly one of
-    them constructs it and the rest wait for the entry.  Plan construction
-    is a few microseconds of dataclass assembly, so serializing builds is
-    cheaper than ever building twice.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_PLAN_CACHE_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ExperimentError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.stats = PlanCacheStats()
-        self._entries: "OrderedDict[str, ExperimentPlan]" = OrderedDict()
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------ API
-
-    def get(self, key: str) -> "ExperimentPlan | None":
-        """Return the cached plan for ``key``, or ``None``."""
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return plan
-
-    def put(self, key: str, plan: ExperimentPlan) -> None:
-        """Store ``plan`` under ``key`` (no copy; plans are immutable)."""
-        if not isinstance(plan, ExperimentPlan):
-            raise ExperimentError(
-                f"PlanCache stores ExperimentPlan, got {type(plan).__name__}"
-            )
-        with self._lock:
-            self._insert(key, plan)
-            self.stats.puts += 1
-
-    def get_or_build(
-        self, key: str, builder: "Callable[[], ExperimentPlan]"
-    ) -> ExperimentPlan:
-        """Return the plan for ``key``, building (and storing) it on a miss.
-
-        The build runs under the cache lock so each distinct plan is built
-        exactly once per cache, even when concurrent sweep threads race on
-        a cold key.
-        """
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return plan
-            self.stats.misses += 1
-            plan = builder()
-            self.stats.builds += 1
-            self._insert(key, plan)
-            self.stats.puts += 1
-            return plan
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def describe_memory(self) -> dict[str, Any]:
-        """Occupancy and usage counters, shaped like the JSON tiers'
-        :meth:`~repro.cache.store.JsonDiskCache.describe_memory` so the
-        ``python -m repro.cache stats`` live report can include this tier."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "disk_dir": None,
-                **self.stats.as_dict(),
-            }
-
-    # ------------------------------------------------------------- dunders
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # ------------------------------------------------------------ internals
-
-    def _insert(self, key: str, plan: ExperimentPlan) -> None:
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-
-# ------------------------------------------------------------------ builders
 
 
 def build_problem(config: "ExperimentConfig") -> GemmProblem:
@@ -265,143 +74,24 @@ def build_problem(config: "ExperimentConfig") -> GemmProblem:
     )
 
 
-def workload_pattern_key(config: "ExperimentConfig") -> str:
-    """Canonical key of the config subset that determines the pattern.
+def build_workload_pattern(config: "ExperimentConfig") -> Pattern:
+    """The input pattern of a configuration (stateless; RNG comes later)."""
+    spec = get_dtype(config.dtype)
+    return build_pattern(config.pattern_family, spec, **dict(config.pattern_params))
 
-    Patterns depend on the workload alone — family, parameters and
-    dtype — not on the device, matrix size or measurement procedure, so
-    this key is deliberately much coarser than the plan fingerprint.
+
+def build_plan(config: "ExperimentConfig", cache: object = None) -> ExperimentPlan:
+    """Build the :class:`ExperimentPlan` for a configuration.
+
+    ``cache`` is deprecated and ignored: plans are no longer cached.
     """
-    return canonical_json(
-        {
-            "family": config.pattern_family,
-            "params": dict(config.pattern_params),
-            "dtype": get_dtype(config.dtype).name,
-        }
-    )
-
-
-#: Workload-keyed pattern memo: plans that differ only in device (or any
-#: other non-workload field) share one pattern object instead of each
-#: rebuilding an identical one.  Sharing is safe because patterns are
-#: stateless after construction (see the module docstring); the memo is a
-#: small LRU because distinct workloads per process are few.
-_PATTERN_MEMO_MAX_ENTRIES = 256
-_pattern_memo: "OrderedDict[str, Pattern]" = OrderedDict()
-_pattern_memo_lock = threading.Lock()
-
-
-def clear_workload_pattern_memo() -> None:
-    """Drop every shared pattern (subsequent builds construct fresh ones)."""
-    with _pattern_memo_lock:
-        _pattern_memo.clear()
-
-
-def build_workload_pattern(config: "ExperimentConfig", shared: bool = True) -> Pattern:
-    """The input pattern of a configuration (stateless; RNG comes later).
-
-    With ``shared`` (the default), identical workloads — same family,
-    parameters and dtype, any device — get the *same* pattern object via a
-    process-wide memo; ``shared=False`` always constructs a private
-    instance.
-    """
-    if not shared:
-        spec = get_dtype(config.dtype)
-        return build_pattern(config.pattern_family, spec, **dict(config.pattern_params))
-    key = workload_pattern_key(config)
-    with _pattern_memo_lock:
-        pattern = _pattern_memo.get(key)
-        if pattern is not None:
-            _pattern_memo.move_to_end(key)
-            return pattern
-        spec = get_dtype(config.dtype)
-        pattern = build_pattern(config.pattern_family, spec, **dict(config.pattern_params))
-        _pattern_memo[key] = pattern
-        while len(_pattern_memo) > _PATTERN_MEMO_MAX_ENTRIES:
-            _pattern_memo.popitem(last=False)
-        return pattern
-
-
-def _construct_plan(config: "ExperimentConfig", fingerprint: str) -> ExperimentPlan:
+    ignore_plan_cache(cache, keyword="cache")
     device = Device.create(config.gpu, instance_id=config.instance_id)
     problem = build_problem(config)
     return ExperimentPlan(
-        fingerprint=fingerprint,
         device=device,
         problem=problem,
         pattern=build_workload_pattern(config),
         launch=plan_launch(problem, device),
         monitor=DcgmMonitor(device, config=config.telemetry),
     )
-
-
-def build_plan(
-    config: "ExperimentConfig", cache: "PlanCache | None | object" = DEFAULT_CACHE
-) -> ExperimentPlan:
-    """Build (or fetch) the :class:`ExperimentPlan` for a configuration.
-
-    ``cache`` accepts an explicit :class:`PlanCache`, ``None`` to always
-    construct a fresh plan, or the ``DEFAULT_CACHE`` sentinel for the
-    process-wide tier.  The returned plan is identical either way — the
-    cache only skips the rebuild.
-    """
-    resolved = resolve_plan_cache(cache)
-    key = plan_fingerprint(config)
-    if resolved is None:
-        return _construct_plan(config, key)
-    return resolved.get_or_build(key, lambda: _construct_plan(config, key))
-
-
-# --------------------------------------------------------- default instance
-
-_default_plan_cache: "PlanCache | None" = None
-_default_plan_initialized = False
-
-
-def get_default_plan_cache() -> "PlanCache | None":
-    """The lazily created process-wide plan cache (``None`` if disabled).
-
-    Disabled by ``REPRO_NO_CACHE=1`` (with the other tiers) or by
-    ``REPRO_PLAN_CACHE_MAX_ENTRIES=0``; the latter also sizes the LRU.
-    """
-    global _default_plan_cache, _default_plan_initialized
-    if not _default_plan_initialized:
-        _default_plan_initialized = True
-        from repro.cache.store import _caching_disabled, _env_int
-
-        entries = _env_int("REPRO_PLAN_CACHE_MAX_ENTRIES", DEFAULT_PLAN_CACHE_ENTRIES)
-        if _caching_disabled() or entries < 1:
-            _default_plan_cache = None
-        else:
-            _default_plan_cache = PlanCache(max_entries=entries)
-    return _default_plan_cache
-
-
-def set_default_plan_cache(cache: "PlanCache | None") -> None:
-    """Replace the process-wide plan cache (``None`` disables it)."""
-    global _default_plan_cache, _default_plan_initialized
-    _default_plan_cache = cache
-    _default_plan_initialized = True
-
-
-def resolve_plan_cache(cache: "PlanCache | None | object") -> "PlanCache | None":
-    """Resolve a ``plan_cache`` argument (sentinel → process default)."""
-    if cache is DEFAULT_CACHE:
-        return get_default_plan_cache()
-    if cache is None or isinstance(cache, PlanCache):
-        return cache
-    raise ExperimentError(
-        f"plan_cache must be a PlanCache, None or DEFAULT_CACHE, got {type(cache).__name__}"
-    )
-
-
-def peek_default_plan_cache() -> "dict[str, PlanCache]":
-    """The default plan cache if this process has *already* created one.
-
-    Mirrors :func:`repro.cache.store.peek_default_caches`: never
-    instantiates anything, so the cache CLI's live-stats report cannot
-    fabricate an empty tier just to describe it.
-    """
-    if _default_plan_initialized and _default_plan_cache is not None:
-        return {"plan": _default_plan_cache}
-    return {}

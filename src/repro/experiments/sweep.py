@@ -20,13 +20,7 @@ backend — in chunks for the process pool, to amortize start-up costs.
 Beneath the result cache sits the per-seed activity tier: points that
 differ only in GPU model, clocks or measurement procedure reuse one
 switching-activity estimate per seed, so a warm cross-device sweep skips
-estimation entirely.  Beneath *that* sits the plan tier
-(:mod:`repro.experiments.plan`): points sharing workload geometry, device
-and telemetry knobs reuse one pattern/launch/monitor plan, so cold
-cross-seed sweeps plan once per distinct configuration instead of once per
-point — in every backend, including each persistent process-pool worker,
-whose plan cache is seeded at worker start-up and stays warm across
-chunks.  A ``progress`` hook and a :class:`RunStats`
+estimation entirely.  A ``progress`` hook and a :class:`RunStats`
 out-parameter expose what happened; a failing point cancels the rest of
 the backend's queue and is re-raised with its config label attached.
 """
@@ -39,16 +33,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
+from repro._deprecated import ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_activity_cache, resolve_cache
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import ExperimentRunner
-from repro.experiments.plan import (
-    PlanCache,
-    resolve_plan_cache,
-    set_default_plan_cache,
-)
 from repro.experiments.results import ExperimentResult, SweepResult
 from repro.parallel import chunk_budget_bytes, get_executor, resolve_backend
 from repro.parallel.calibrate import seed_probed_budget
@@ -134,45 +124,13 @@ def sweep_configs(
 
 
 def _run_uncached(
-    config: ExperimentConfig,
-    activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    config: ExperimentConfig, activity_cache: "object | None" = DEFAULT_CACHE
 ) -> ExperimentResult:
     """Pool worker entry point: always compute the experiment (workers have
-    no shared result cache), but do consult the activity and plan tiers —
-    each worker process uses its own defaults (the activity tier shares
-    warm per-seed estimates through ``REPRO_CACHE_DIR`` when one is
-    configured; the plan tier is seeded by :func:`_process_worker_init` and
-    stays warm for the life of the worker, so a persistent worker plans
-    each distinct configuration at most once per sweep)."""
-    return ExperimentRunner(
-        config, activity_cache=activity_cache, plan_cache=plan_cache
-    ).run()
-
-
-def _process_worker_init(budget: int, plan_entries: int) -> None:
-    """Process-pool worker initializer: runs once per worker at start-up.
-
-    Pool workers are *persistent* — one OS process serves every chunk the
-    pool hands it for the whole sweep — so per-worker state seeded here is
-    warm across chunks, not just within one.  Two things are seeded:
-
-    * the parent's already-resolved batch chunk budget (see
-      :func:`repro.parallel.calibrate.seed_probed_budget`), so workers
-      never race to re-probe the cache hierarchy they are measuring; and
-    * the worker's default plan cache, mirroring the parent's plan-cache
-      decision (``plan_entries < 1`` forwards an explicit disable, since
-      a parent-side ``plan_cache=None`` must mean "really rebuild per
-      point" in every worker too).  In-memory plan instances cannot cross
-      the process boundary, so each worker keeps its own cache; with it, a
-      worker builds each distinct plan once and reuses it for every later
-      point and chunk it is handed.
-    """
-    seed_probed_budget(budget)
-    if plan_entries < 1:
-        set_default_plan_cache(None)
-    else:
-        set_default_plan_cache(PlanCache(max_entries=plan_entries))
+    no shared result cache), but do consult the activity tier — each worker
+    process uses its own default, which shares warm per-seed estimates
+    through ``REPRO_CACHE_DIR`` when one is configured."""
+    return ExperimentRunner(config, activity_cache=activity_cache).run()
 
 
 def _stamp_label(result: ExperimentResult, config: ExperimentConfig) -> ExperimentResult:
@@ -202,7 +160,7 @@ def run_configs(
     workers: int = 1,
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     dedupe: bool = True,
     chunksize: int | None = None,
     progress: ProgressHook | None = None,
@@ -231,15 +189,7 @@ def run_configs(
         their own process default (which still shares warm entries via
         ``REPRO_CACHE_DIR``).
     plan_cache:
-        Plan tier (:class:`~repro.experiments.plan.PlanCache`, ``None``, or
-        the default sentinel): sweep points sharing workload geometry,
-        device and telemetry knobs reuse one pattern/launch/monitor plan
-        instead of rebuilding it per point.  Purely a build-time saving —
-        results are bit-for-bit identical with the tier on or off.  Same
-        instance semantics as ``activity_cache``: explicit instances are
-        honoured in-process, while each (persistent) process-pool worker
-        keeps its own cache warm across chunks, seeded at worker start-up;
-        ``None`` forwards the disable into workers.
+        Deprecated and ignored (the plan tier was removed).
     dedupe:
         Compute physically identical configurations (same fingerprint,
         labels aside) only once and fan the result back out.
@@ -262,6 +212,7 @@ def run_configs(
         ``REPRO_PARALLEL_BACKEND`` to steer ``auto`` globally.  Results are
         bit-for-bit identical whatever the choice.
     """
+    ignore_plan_cache(plan_cache)
     config_list = list(configs)
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
@@ -288,7 +239,6 @@ def run_configs(
     resolved_activity = (
         resolve_activity_cache(activity_cache) if activity_cache is not None else None
     )
-    resolved_plan = resolve_plan_cache(plan_cache)
     results: list[ExperimentResult | None] = [None] * len(config_list)
 
     # Group indices by fingerprint (order-preserving).  Without deduplication
@@ -387,26 +337,19 @@ def run_configs(
             # workers never race to probe the same cache hierarchy they are
             # measuring — whatever the start method (spawn workers inherit
             # neither the parent's memo nor, without REPRO_CACHE_DIR, a
-            # persisted calibration file).  The same initializer seeds each
-            # persistent worker's plan cache (or its disable), which then
-            # stays warm across every chunk the worker serves.
-            plan_entries = 0 if resolved_plan is None else resolved_plan.max_entries
+            # persisted calibration file).
             executor = get_executor(
                 "processes",
                 workers,
                 chunksize=chunksize,
-                initializer=_process_worker_init,
-                initargs=(chunk_budget_bytes(), plan_entries),
+                initializer=seed_probed_budget,
+                initargs=(chunk_budget_bytes(),),
             )
         else:
-            # serial and threads run in-process: explicit activity/plan
-            # cache instances are honoured directly (threads share the
-            # parent's memory, so warm entries flow both ways).
-            worker = partial(
-                _run_uncached,
-                activity_cache=resolved_activity,
-                plan_cache=resolved_plan,
-            )
+            # serial and threads run in-process: an explicit activity cache
+            # instance is honoured directly (threads share the parent's
+            # memory, so warm entries flow both ways).
+            worker = partial(_run_uncached, activity_cache=resolved_activity)
             executor = get_executor(backend_name, workers)
         try:
             _consume(executor.map(worker, pending_configs), span=executor.chunk_span)
@@ -438,19 +381,21 @@ def run_sweep(
     workers: int = 1,
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     progress: ProgressHook | None = None,
     stats: RunStats | None = None,
     backend: str = "auto",
 ) -> SweepResult:
-    """Run a one-parameter sweep and collect it into a :class:`SweepResult`."""
+    """Run a one-parameter sweep and collect it into a :class:`SweepResult`.
+
+    ``plan_cache`` is deprecated and ignored."""
+    ignore_plan_cache(plan_cache)
     configs = sweep_configs(base, parameter, values, target=target)
     results = run_configs(
         configs,
         workers=workers,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         progress=progress,
         stats=stats,
         backend=backend,

@@ -6,8 +6,8 @@ strictly separated phases so every phase's determinism argument is local:
 1. **Estimate.**  The trace's used workloads × the fleet's distinct GPU
    models become :class:`~repro.experiments.config.ExperimentConfig`\\ s and
    resolve through :func:`~repro.experiments.sweep.run_configs` — the
-   cached estimation engine with all three tiers (result, per-seed
-   activity, plan) and all three execution backends.  However many million
+   cached estimation engine with both tiers (result and per-seed
+   activity) and all three execution backends.  However many million
    kernels the trace schedules, this phase issues at most one engine run
    per distinct fingerprint; a warm simulation issues none.
 2. **Schedule.**  :class:`~repro.fleet.scheduler.DiscreteTimeScheduler`
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro._deprecated import ignore_plan_cache
 from repro.cache.store import DEFAULT_CACHE
 from repro.errors import FleetError
 from repro.experiments.results import ExperimentResult
@@ -290,16 +291,18 @@ def build_estimates(
     backend: str = "auto",
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     stats: "RunStats | None" = None,
     estimation_overrides: "Mapping[str, Any] | None" = None,
 ) -> "dict[tuple[str, str], KernelEstimate]":
     """Resolve every (used workload, GPU model) pair through the engine.
 
     One :func:`run_configs` call covers the whole cross product, so the
-    result/activity/plan tiers and the chosen execution backend all apply;
-    the returned mapping is what :class:`DiscreteTimeScheduler` consumes.
+    result/activity tiers and the chosen execution backend all apply; the
+    returned mapping is what :class:`DiscreteTimeScheduler` consumes.
+    ``plan_cache`` is deprecated and ignored.
     """
+    ignore_plan_cache(plan_cache)
     used = trace.used_workloads()
     models = fleet.models()
     pairs = [(workload, model) for workload in used for model in models]
@@ -314,7 +317,6 @@ def build_estimates(
         backend=backend,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         stats=stats,
     )
     return {
@@ -331,7 +333,7 @@ def simulate(
     backend: str = "auto",
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     stats: "RunStats | None" = None,
     estimation_overrides: "Mapping[str, Any] | None" = None,
 ) -> FleetResult:
@@ -343,7 +345,9 @@ def simulate(
     (tests use it to pin quiet telemetry); ``stats`` lets callers keep the
     estimation-phase :class:`RunStats` accounting.  An empty trace produces
     a zero-length series without touching the engine at all.
+    ``plan_cache`` is deprecated and ignored.
     """
+    ignore_plan_cache(plan_cache)
     if stats is None:
         stats = RunStats()
     if trace.jobs:
@@ -354,7 +358,6 @@ def simulate(
             backend=backend,
             cache=cache,
             activity_cache=activity_cache,
-            plan_cache=plan_cache,
             stats=stats,
             estimation_overrides=estimation_overrides,
         )

@@ -4,9 +4,8 @@
 blocks_per_sm)`` and :class:`KernelLaunch` is a frozen dataclass — planning
 the same problem on the same device always produces an identical plan with
 no retained mutable state.  That purity is load-bearing: it is what lets
-the experiment plan cache (:mod:`repro.experiments.plan`) key a launch plan
-by configuration digest and hand one shared instance to any number of
-concurrent runners, bit-for-bit equivalent to replanning per point.
+an experiment plan (:mod:`repro.experiments.plan`) hand one shared launch
+to every seed of a run, bit-for-bit equivalent to replanning per seed.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def _check_expected(result: OptimizationResult, expect_path: Path) -> int:
 
 def _cache_kwargs(args: argparse.Namespace) -> "dict[str, object]":
     if args.no_cache:
-        return {"cache": None, "activity_cache": None, "plan_cache": None}
+        return {"cache": None, "activity_cache": None}
     return {}
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from repro._deprecated import ignore_plan_cache
 from repro.cache.store import DEFAULT_CACHE
 from repro.errors import OptimizationError
 from repro.experiments.config import ExperimentConfig
@@ -211,12 +212,13 @@ class OptimizationRunner:
         backend: str = "auto",
         cache: "object | None" = DEFAULT_CACHE,
         activity_cache: "object | None" = DEFAULT_CACHE,
-        plan_cache: "object | None" = DEFAULT_CACHE,
+        plan_cache: object = None,
         keep_results: bool = False,
         checkpoint_path: "str | Path | None" = None,
     ) -> None:
         if not isinstance(objective, ConfigObjective) and not callable(objective):
             raise OptimizationError("objective must be a ConfigObjective or a callable")
+        ignore_plan_cache(plan_cache)
         if (
             constraint is not None
             and not isinstance(objective, ConfigObjective)
@@ -233,7 +235,6 @@ class OptimizationRunner:
         self.backend = backend
         self.cache = cache
         self.activity_cache = activity_cache
-        self.plan_cache = plan_cache
         self.keep_results = keep_results
         self.checkpoint_path = None if checkpoint_path is None else Path(checkpoint_path)
         self.history: "list[IterationRecord]" = []
@@ -271,7 +272,6 @@ class OptimizationRunner:
             backend=self.backend,
             cache=self.cache,
             activity_cache=self.activity_cache,
-            plan_cache=self.plan_cache,
             stats=stats,
         )
         evaluations = []
@@ -429,7 +429,7 @@ class OptimizationRunner:
         backend: str = "auto",
         cache: "object | None" = DEFAULT_CACHE,
         activity_cache: "object | None" = DEFAULT_CACHE,
-        plan_cache: "object | None" = DEFAULT_CACHE,
+        plan_cache: object = None,
         keep_results: bool = False,
         checkpoint_path: "str | Path | None" = None,
     ) -> "OptimizationRunner":
@@ -437,8 +437,10 @@ class OptimizationRunner:
 
         Config objectives are self-contained; a checkpoint of a *callable*
         objective stores only the marker ``{"kind": "callable"}`` and the
-        caller must pass the callable back in.
+        caller must pass the callable back in.  ``plan_cache`` is deprecated
+        and ignored.
         """
+        ignore_plan_cache(plan_cache)
         if isinstance(source, Mapping):
             payload: "Mapping[str, Any]" = source
         else:
@@ -474,7 +476,6 @@ class OptimizationRunner:
             backend=backend,
             cache=cache,
             activity_cache=activity_cache,
-            plan_cache=plan_cache,
             keep_results=keep_results,
             checkpoint_path=checkpoint_path,
         )
@@ -562,7 +563,7 @@ def build_runner(
     backend: str = "auto",
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     keep_results: bool = False,
     checkpoint_path: "str | Path | None" = None,
 ) -> OptimizationRunner:
@@ -570,8 +571,10 @@ def build_runner(
 
     When the study's ``engine_params`` carry no ``seed``, seeded engines
     default to ``REPRO_OPT_SEED`` (default ``0``), so an entire study is
-    replayable from the environment alone.
+    replayable from the environment alone.  ``plan_cache`` is deprecated
+    and ignored.
     """
+    ignore_plan_cache(plan_cache)
     payload = load_study(study)
     space = ParameterSpace.from_dict(payload["space"])
     engine_cls = get_engine(str(payload["engine"]))
@@ -600,7 +603,6 @@ def build_runner(
         backend=backend,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         keep_results=keep_results,
         checkpoint_path=checkpoint_path,
     )
@@ -613,18 +615,20 @@ def run_study(
     backend: str = "auto",
     cache: "object | None" = DEFAULT_CACHE,
     activity_cache: "object | None" = DEFAULT_CACHE,
-    plan_cache: "object | None" = DEFAULT_CACHE,
+    plan_cache: object = None,
     max_evaluations: "int | None" = None,
     checkpoint_path: "str | Path | None" = None,
 ) -> OptimizationResult:
-    """Run a study document end to end and return its result."""
+    """Run a study document end to end and return its result.
+
+    ``plan_cache`` is deprecated and ignored."""
+    ignore_plan_cache(plan_cache)
     runner = build_runner(
         study,
         workers=workers,
         backend=backend,
         cache=cache,
         activity_cache=activity_cache,
-        plan_cache=plan_cache,
         checkpoint_path=checkpoint_path,
     )
     return runner.run(max_evaluations=max_evaluations)

@@ -53,10 +53,8 @@ things:
 4. **Worker persistence** — pool workers live for the executor's whole
    lifetime: one thread/process serves many items (and, for the process
    pool, many *chunks*).  Per-worker state installed by the ``initializer``
-   hook — the calibrated chunk budget and each worker's plan cache (see
-   :mod:`repro.experiments.plan`) — therefore stays warm across every
-   chunk a worker serves, which is what lets a cold sweep plan each
-   distinct configuration once per worker rather than once per point.
+   hook — the calibrated chunk budget — therefore stays warm across every
+   chunk a worker serves.
 """
 
 from __future__ import annotations
@@ -231,12 +229,13 @@ class ProcessExecutor(Executor):
     never recycles a worker process, so each one serves chunk after chunk
     for the pool's whole lifetime.  ``initializer``/``initargs`` run once
     per worker at start-up — the sweep runner uses the hook to seed the
-    calibrated chunk budget and each worker's plan cache, which then stays
-    warm across all of that worker's chunks.
+    calibrated chunk budget, which then stays warm across all of that
+    worker's chunks.
 
     A dying worker (OOM kill, segfault) breaks the whole
     :class:`~concurrent.futures.ProcessPoolExecutor` — every pending future
-    fails with :class:`BrokenProcessPool`.  Consumed results are already
+    fails with :class:`BrokenProcessPool`, and so does any ``submit`` made
+    after the breakage.  Consumed results are already
     safe, so this executor rebuilds the pool once and resubmits only the
     unconsumed chunks; if the rebuilt pool breaks too, the machine is
     telling us process workers do not survive here, and the remaining items
@@ -328,14 +327,28 @@ class ProcessExecutor(Executor):
     # ----------------------------------------------------------- resilience
 
     def _submit(self, chunks: "list[list[Any]]") -> "list[Future]":
-        if self._use_shm:
-            return [
-                self._pool.submit(_run_chunk, self._fn, self._encode, chunk)
-                for chunk in chunks
-            ]
-        return [
-            self._pool.submit(_run_pickled_chunk, self._fn, chunk) for chunk in chunks
-        ]
+        """One future per chunk, in order.
+
+        A worker can die while chunks are still being submitted; ``submit``
+        then raises :class:`BrokenProcessPool` itself.  Every chunk left
+        unsubmitted gets a future failed with that error instead, so the
+        result loop sends it through :meth:`_recover` exactly like a
+        breakage observed at result time.
+        """
+        futures: "list[Future]" = []
+        for chunk in chunks:
+            try:
+                if self._use_shm:
+                    future = self._pool.submit(_run_chunk, self._fn, self._encode, chunk)
+                else:
+                    future = self._pool.submit(_run_pickled_chunk, self._fn, chunk)
+            except BrokenProcessPool as exc:
+                failed: Future = Future()
+                failed.set_exception(exc)
+                futures.extend([failed] * (len(chunks) - len(futures)))
+                break
+            futures.append(future)
+        return futures
 
     def _discard_unconsumed(self) -> None:
         for future in self._futures[self._consumed :]:
@@ -345,8 +358,8 @@ class ProcessExecutor(Executor):
     def _recover(self, index: int) -> None:
         """React to pool breakage observed at chunk ``index``.
 
-        First breakage: rebuild the pool (same initializer, so worker plan
-        caches re-seed) and resubmit every unconsumed chunk.  Second
+        First breakage: rebuild the pool (same initializer, so workers
+        re-seed) and resubmit every unconsumed chunk.  Second
         breakage: mark the threads fallback; the caller reruns the
         remaining items in-process.  Either way the broken pool is torn
         down without waiting — its workers are already gone.

@@ -8,9 +8,9 @@ including the paper's default Gaussian scale per datatype.
 Built patterns are *stateless*: they hold only immutable parameters, and
 ``generate(shape, spec, rng)`` takes its RNG per call, so the same pattern
 object can serve any number of seeds — or any number of concurrent sweep
-threads — without coupling them.  The experiment plan cache
+threads — without coupling them.  An experiment plan
 (:mod:`repro.experiments.plan`) relies on this to share one pattern
-instance across every sweep point with the same workload geometry.
+instance across all of a configuration's seeds.
 """
 
 from __future__ import annotations

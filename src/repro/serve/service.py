@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping
 
+from repro._deprecated import ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, peek_default_caches
 from repro.errors import ServiceOverloadedError, ServiceTimeoutError, ServingError
@@ -177,7 +178,8 @@ class EstimationService:
 
     One instance serves one event loop.  ``compute`` is injectable for
     tests; it must accept the keyword arguments :meth:`_run_batch` passes
-    to :func:`~repro.experiments.sweep.run_configs`.
+    to :func:`~repro.experiments.sweep.run_configs`.  ``plan_cache`` is
+    deprecated and ignored.
     """
 
     def __init__(
@@ -186,14 +188,14 @@ class EstimationService:
         *,
         cache: "object | None" = DEFAULT_CACHE,
         activity_cache: "object | None" = DEFAULT_CACHE,
-        plan_cache: "object | None" = DEFAULT_CACHE,
+        plan_cache: object = None,
         compute: "Callable[..., list[ExperimentResult]] | None" = None,
     ) -> None:
+        ignore_plan_cache(plan_cache)
         self.config = config if config is not None else ServiceConfig()
         self.stats = ServiceStats()
         self._cache = cache
         self._activity_cache = activity_cache
-        self._plan_cache = plan_cache
         self._compute = compute if compute is not None else run_configs
         #: key -> future shared by every coalesced waiter of that key
         self._inflight: "dict[str, asyncio.Future[ExperimentResult]]" = {}
@@ -328,7 +330,6 @@ class EstimationService:
         for name, cache in (
             ("experiment", self._cache),
             ("activity", self._activity_cache),
-            ("plan", self._plan_cache),
         ):
             if cache is not None and cache is not DEFAULT_CACHE:
                 tiers[name] = cache
@@ -404,7 +405,6 @@ class EstimationService:
             workers=self.config.workers,
             cache=self._cache,
             activity_cache=self._activity_cache,
-            plan_cache=self._plan_cache,
             stats=run_stats,
             backend=self.config.backend,
         )

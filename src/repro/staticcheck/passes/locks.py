@@ -1,9 +1,9 @@
 """``lock-discipline``: thread-shared state mutates under its lock or not at all.
 
-The cache LRUs (:class:`~repro.cache.store.JsonDiskCache`), the plan tier
-(:class:`~repro.experiments.plan.PlanCache`) and the SQLite store all
-follow the same pattern: a class holds a ``threading.Lock``/``RLock`` and
-promises that its bookkeeping mutates only while holding it.  The pattern
+The cache LRUs (:class:`~repro.cache.store.JsonDiskCache`) and the SQLite
+store both follow the same pattern: a class holds a
+``threading.Lock``/``RLock`` and promises that its bookkeeping mutates
+only while holding it.  The pattern
 decays silently — a new method writes ``self._entries`` without the
 ``with`` block and nothing fails until a sweep races.
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+import warnings
+
 import pytest
 
 from repro import api
+from repro.core import EstimationPipeline
+from repro.experiments import ExperimentRunner
+from repro.parallel import BACKENDS
 
 
 class TestExports:
@@ -64,24 +70,16 @@ class TestFacadeEquivalence:
         from repro.experiments.harness import run_experiment as harness_run
 
         config = quiet_config()
-        facade = api.run_experiment(
-            config, cache=None, activity_cache=None, plan_cache=None
-        )
-        direct = harness_run(
-            config, cache=None, activity_cache=None, plan_cache=None
-        )
+        facade = api.run_experiment(config, cache=None, activity_cache=None)
+        direct = harness_run(config, cache=None, activity_cache=None)
         assert facade.as_dict() == direct.as_dict()
 
     def test_run_configs_matches_sweep(self, quiet_config):
         from repro.experiments.sweep import run_configs as sweep_run
 
         configs = [quiet_config(), quiet_config(matrix_size=160)]
-        facade = api.run_configs(
-            configs, cache=None, activity_cache=None, plan_cache=None
-        )
-        direct = sweep_run(
-            configs, cache=None, activity_cache=None, plan_cache=None
-        )
+        facade = api.run_configs(configs, cache=None, activity_cache=None)
+        direct = sweep_run(configs, cache=None, activity_cache=None)
         assert [r.as_dict() for r in facade] == [r.as_dict() for r in direct]
 
     def test_run_sweep_matches_sweep(self, quiet_config):
@@ -95,7 +93,6 @@ class TestFacadeEquivalence:
             target="config",
             cache=None,
             activity_cache=None,
-            plan_cache=None,
         )
         direct = sweep_run(
             base,
@@ -104,7 +101,6 @@ class TestFacadeEquivalence:
             target="config",
             cache=None,
             activity_cache=None,
-            plan_cache=None,
         )
         assert [r.as_dict() for r in facade.results] == [
             r.as_dict() for r in direct.results
@@ -155,3 +151,186 @@ class TestConfigWireFormat:
             ExperimentConfig.from_dict({"sampling": {"output_sample": 32}})
         with pytest.raises(ExperimentError):
             ExperimentConfig.from_dict({"matrix_size": "not-a-number"})
+
+
+# ------------------------------------------------------- plan tier shims
+
+
+def _study(config) -> dict:
+    return {
+        "format": "repro.optimize.study/v1",
+        "engine": "random",
+        "engine_params": {"seed": 0, "batch_size": 2, "rounds": 1},
+        "space": [{"name": "sparsity", "low": 0.0, "high": 0.9}],
+        "base_config": {
+            "pattern_family": "sparsity",
+            "matrix_size": config.matrix_size,
+            "seeds": 1,
+            "iterations": 200,
+            "sampling": {"output_samples": 64},
+            "telemetry": {"noise_std_watts": 0.0, "drift_watts": 0.0},
+        },
+        "objective": {"metric": "mean_power_watts", "mode": "min"},
+    }
+
+
+def _fleet(config, **kwargs):
+    from repro.fleet import FleetSpec, Trace, TraceJob, WorkloadSpec
+
+    trace = Trace(
+        name="shim",
+        tick_s=60.0,
+        workloads={"w": WorkloadSpec(matrix_size=config.matrix_size, iterations=200)},
+        jobs=(TraceJob(arrival_tick=0, tenant="a", workload="w", kernels=10),),
+    )
+    return api.simulate_fleet(
+        trace,
+        FleetSpec.from_counts({"a100": 1}),
+        cache=None,
+        activity_cache=None,
+        estimation_overrides={"telemetry": config.telemetry, "sampling": config.sampling},
+        **kwargs,
+    ).summary()
+
+
+#: Every public entry point that kept ``plan_cache=`` for its deprecation
+#: release, as ``config, **kwargs -> comparable output``.
+_PLAN_CACHE_ENTRY_POINTS = {
+    "api.run_experiment": lambda config, **kw: api.run_experiment(
+        config, cache=None, activity_cache=None, **kw
+    ).as_dict(),
+    "api.run_sweep": lambda config, **kw: [
+        r.as_dict()
+        for r in api.run_sweep(
+            config, "matrix_size", [128, 160], target="config",
+            cache=None, activity_cache=None, **kw,
+        ).results
+    ],
+    "api.simulate_fleet": _fleet,
+    "api.optimize": lambda config, **kw: api.optimize(
+        _study(config), cache=None, activity_cache=None, **kw
+    ).summary(),
+    "core.EstimationPipeline": lambda config, **kw: EstimationPipeline(
+        config, activity_cache=None, **kw
+    ).run().as_dict(),
+    "core.estimate_experiment": lambda config, **kw: api.estimate_experiment(
+        config, activity_cache=None, **kw
+    ).as_dict(),
+    "experiments.ExperimentRunner": lambda config, **kw: ExperimentRunner(
+        config, activity_cache=None, **kw
+    ).run().as_dict(),
+}
+
+
+class TestPlanCacheDeprecation:
+    """The plan tier is gone; its public spellings survive one release."""
+
+    @pytest.fixture
+    def legacy_plan_cache(self):
+        with pytest.warns(DeprecationWarning, match="PlanCache"):
+            return api.PlanCache(max_entries=8)
+
+    @pytest.fixture(params=BACKENDS)
+    def run_batch(self, request):
+        """Run a batch of configs on each backend and return its documents."""
+
+        def inner(configs, **kwargs):
+            results = api.run_configs(
+                configs,
+                workers=2,
+                backend=request.param,
+                cache=None,
+                activity_cache=None,
+                **kwargs,
+            )
+            return [result.as_dict() for result in results]
+
+        return inner
+
+    def test_run_configs_warns_and_is_bit_for_bit(
+        self, run_batch, quiet_config, legacy_plan_cache
+    ):
+        configs = [quiet_config(seeds=2), quiet_config(matrix_size=160)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            silent = run_batch(configs, plan_cache=None)
+        with pytest.warns(DeprecationWarning, match="plan_cache="):
+            warned = run_batch(configs, plan_cache=legacy_plan_cache)
+        assert warned == silent
+
+    @pytest.mark.parametrize("entry", sorted(_PLAN_CACHE_ENTRY_POINTS))
+    def test_entry_point_warns_and_is_bit_for_bit(
+        self, entry, quiet_config, legacy_plan_cache
+    ):
+        run = _PLAN_CACHE_ENTRY_POINTS[entry]
+        config = quiet_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            silent = run(config, plan_cache=None)
+        with pytest.warns(DeprecationWarning, match="plan_cache=") as caught:
+            warned = run(config, plan_cache=legacy_plan_cache)
+        assert warned == silent
+        # The warning names the caller's line, not the library internals.
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_build_plan_cache_keyword_warns(self, quiet_config, legacy_plan_cache):
+        from repro.experiments.plan import build_plan
+
+        config = quiet_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            silent = build_plan(config, cache=None).describe()
+        with pytest.warns(DeprecationWarning, match="cache="):
+            warned = build_plan(config, cache=legacy_plan_cache).describe()
+        assert warned == silent
+
+    def test_constructors_warn(self, legacy_plan_cache):
+        from repro.optimize.engines import OptimizationRunner, ParameterSpace, get_engine
+        from repro.serve import EstimationService
+
+        with pytest.warns(DeprecationWarning, match="plan_cache="):
+            EstimationService(plan_cache=legacy_plan_cache)
+        space = ParameterSpace.from_dict([{"name": "x", "low": 0.0, "high": 1.0}])
+        engine = get_engine("random")(space)
+        with pytest.warns(DeprecationWarning, match="plan_cache="):
+            OptimizationRunner(engine, lambda point: 0.0, plan_cache=legacy_plan_cache)
+
+    def test_every_public_plan_cache_keyword_defaults_to_none(self):
+        import importlib
+
+        for package in (
+            "repro",
+            "repro.api",
+            "repro.core",
+            "repro.experiments",
+            "repro.fleet",
+            "repro.optimize",
+            "repro.optimize.engines",
+            "repro.serve",
+        ):
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                target = getattr(module, name)
+                if not callable(target) or inspect.ismodule(target):
+                    continue
+                try:
+                    parameters = inspect.signature(target).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "plan_cache" in parameters:
+                    assert parameters["plan_cache"].default is None, f"{package}.{name}"
+
+    @pytest.mark.parametrize("module_name", ["repro", "repro.api", "repro.experiments"])
+    def test_removed_handles_warn_and_stay_inert(self, module_name):
+        import importlib
+
+        module = importlib.import_module(module_name)
+        assert "PlanCache" not in module.__all__
+        assert "get_default_plan_cache" not in module.__all__
+        with pytest.warns(DeprecationWarning, match="get_default_plan_cache"):
+            accessor = module.get_default_plan_cache
+        assert accessor() is None
+        with pytest.warns(DeprecationWarning, match="PlanCache"):
+            module.PlanCache(max_entries=4)
+        with pytest.raises(AttributeError):
+            module.NO_SUCH_NAME

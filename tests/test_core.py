@@ -19,33 +19,32 @@ from repro.core import (
     estimate_experiment,
 )
 from repro.experiments.harness import ExperimentRunner, run_experiment
+from repro.experiments.plan import (
+    ExperimentPlan,
+    build_plan,
+    build_problem,
+    build_workload_pattern,
+)
+from repro.kernels.launch import plan_launch
 
 
 class TestPipelineEquivalence:
     def test_all_entry_points_agree_bit_for_bit(self, quiet_config):
         config = quiet_config(seeds=2)
-        pipeline_doc = EstimationPipeline(
-            config, activity_cache=None, plan_cache=None
-        ).run().as_dict()
-        function_doc = estimate_experiment(
-            config, activity_cache=None, plan_cache=None
-        ).as_dict()
-        runner_doc = ExperimentRunner(
-            config, activity_cache=None, plan_cache=None
-        ).run().as_dict()
-        uncached_doc = run_experiment(
-            config, cache=None, activity_cache=None, plan_cache=None
-        ).as_dict()
+        pipeline_doc = EstimationPipeline(config, activity_cache=None).run().as_dict()
+        function_doc = estimate_experiment(config, activity_cache=None).as_dict()
+        runner_doc = ExperimentRunner(config, activity_cache=None).run().as_dict()
+        uncached_doc = run_experiment(config, cache=None, activity_cache=None).as_dict()
         assert pipeline_doc == function_doc == runner_doc == uncached_doc
 
     def test_pipeline_is_deterministic(self, quiet_config):
         config = quiet_config()
-        first = EstimationPipeline(config, activity_cache=None, plan_cache=None).run()
-        second = EstimationPipeline(config, activity_cache=None, plan_cache=None).run()
+        first = EstimationPipeline(config, activity_cache=None).run()
+        second = EstimationPipeline(config, activity_cache=None).run()
         assert first.as_dict() == second.as_dict()
 
     def test_runner_mirrors_pipeline_state(self, quiet_config):
-        runner = ExperimentRunner(quiet_config(), activity_cache=None, plan_cache=None)
+        runner = ExperimentRunner(quiet_config(), activity_cache=None)
         assert runner.plan is runner.pipeline.plan
         assert runner.device is runner.pipeline.device
         assert runner.power_model is runner.pipeline.power_model
@@ -56,7 +55,7 @@ class TestPipelineEquivalence:
         # The per-seed reference path (kept for the old _run_seed hook) must
         # agree with the batched pipeline the seeds normally go through.
         config = quiet_config(seeds=2)
-        pipeline = EstimationPipeline(config, activity_cache=None, plan_cache=None)
+        pipeline = EstimationPipeline(config, activity_cache=None)
         batched = pipeline.run()
         reference = [
             pipeline.run_seed_reference(index) for index in range(config.seeds)
@@ -64,6 +63,19 @@ class TestPipelineEquivalence:
         assert [m.as_dict() for m in batched.measurements] == [
             m.as_dict() for m in reference
         ]
+
+
+class TestPlan:
+    def test_plan_matches_scratch_construction(self, quiet_config):
+        config = quiet_config()
+        plan = build_plan(config)
+        assert isinstance(plan, ExperimentPlan)
+        problem = build_problem(config)
+        assert plan.problem == problem
+        assert plan.launch.describe() == plan_launch(problem, plan.device).describe()
+        assert type(plan.pattern) is type(build_workload_pattern(config))
+        assert plan.monitor.device is plan.device
+        assert plan.device.name == config.gpu
 
 
 class TestMinimumDuration:

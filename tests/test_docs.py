@@ -38,10 +38,6 @@ class TestRepositoryDocs:
         ):
             assert (REPO_ROOT / "docs" / page).is_file(), f"missing docs/{page}"
 
-    def test_configuration_documents_plan_cache_knob(self):
-        text = (REPO_ROOT / "docs" / "configuration.md").read_text()
-        assert "REPRO_PLAN_CACHE_MAX_ENTRIES" in text
-
 
 def _run_checker(root: Path):
     return subprocess.run(

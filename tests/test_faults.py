@@ -16,9 +16,12 @@ production path.  In-process tests install schedules directly.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -44,6 +47,7 @@ from repro.faults import (
     schedule_from_env,
     uninstall_schedule,
 )
+from repro.parallel import backends
 from repro.parallel.backends import ProcessExecutor
 from repro.serve.service import EstimationService, ServiceConfig
 
@@ -306,6 +310,21 @@ class TestMemoryOnlyDegradation:
 # ------------------------------------------------------------ pool resilience
 
 
+def _pool_failing_submit_at(nth: int) -> type:
+    """A pool whose ``nth`` submit, counted across every instance, raises
+    :class:`BrokenProcessPool` — what ``submit`` does once a worker has died
+    while chunks are still being handed out."""
+    calls = itertools.count(1)
+
+    class FlakySubmitPool(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            if next(calls) == nth:
+                raise BrokenProcessPool("a worker died during submission")
+            return super().submit(*args, **kwargs)
+
+    return FlakySubmitPool
+
+
 class TestPoolResilience:
     def _executor(self) -> ProcessExecutor:
         return ProcessExecutor(
@@ -347,6 +366,49 @@ class TestPoolResilience:
         assert executor.resilience.pool_rebuilds == 1
         assert executor.resilience.fallback_backend == "threads"
         assert executor.resilience.chunks_resubmitted == 6  # 3 + 3
+
+    @pytest.mark.parametrize("nth, resubmitted", [(1, 3), (2, 2), (3, 1)])
+    def test_submit_time_breakage_rebuilds_and_resubmits(
+        self, monkeypatch, nth, resubmitted
+    ):
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", _pool_failing_submit_at(nth))
+        executor = self._executor()
+        try:
+            results = list(executor.map(_double, [1, 2, 3]))
+        finally:
+            executor.shutdown()
+        assert results == [_double(x) for x in [1, 2, 3]]
+        assert executor.resilience.pool_rebuilds == 1
+        assert executor.resilience.chunks_resubmitted == resubmitted
+        assert executor.resilience.fallback_backend == ""
+
+    def test_sweep_survives_submit_time_breakage(self, quiet_config, monkeypatch):
+        configs = sweep_configs(
+            quiet_config(pattern_family="sparsity", matrix_size=32),
+            "sparsity",
+            [0.0, 0.5, 1.0],
+        )
+        serial = [
+            r.as_dict()
+            for r in run_configs(configs, workers=1, cache=None, activity_cache=None)
+        ]
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", _pool_failing_submit_at(2))
+        stats = RunStats()
+        chaotic = [
+            r.as_dict()
+            for r in run_configs(
+                configs,
+                workers=2,
+                backend="processes",
+                chunksize=1,
+                cache=None,
+                activity_cache=None,
+                stats=stats,
+            )
+        ]
+        assert chaotic == serial
+        assert stats.pool_rebuilds == 1
+        assert stats.degraded_backend == ""
 
     def test_worker_raise_propagates_typed_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "pool.worker:raise@1")
@@ -398,7 +460,6 @@ def _service(config=None, compute=None) -> EstimationService:
         config if config is not None else ServiceConfig(batch_window_s=0.01),
         cache=None,
         activity_cache=None,
-        plan_cache=None,
         compute=compute,
     )
 

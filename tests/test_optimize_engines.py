@@ -23,7 +23,6 @@ from repro.activity import SamplingConfig
 from repro.cache.store import ActivityCache, ExperimentCache
 from repro.errors import OptimizationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import PlanCache
 from repro.optimize.engines import (
     BisectionEngine,
     Constraint,
@@ -99,7 +98,6 @@ def fresh_caches() -> dict:
     return {
         "cache": ExperimentCache(),
         "activity_cache": ActivityCache(),
-        "plan_cache": PlanCache(),
     }
 
 
@@ -554,9 +552,7 @@ class TestChaos:
     def test_engine_result_survives_cache_faults(self, tmp_path, monkeypatch, faults_seed):
         import repro.faults as faults
 
-        reference = run_study(
-            quiet_study(), cache=None, activity_cache=None, plan_cache=None
-        )
+        reference = run_study(quiet_study(), cache=None, activity_cache=None)
         cache = ExperimentCache(disk_dir=tmp_path / "exp")
         activity_cache = ActivityCache(disk_dir=tmp_path / "act")
         monkeypatch.setenv(
@@ -567,8 +563,7 @@ class TestChaos:
         faults.reset()
         try:
             survived = run_study(
-                quiet_study(), cache=cache, activity_cache=activity_cache,
-                plan_cache=PlanCache(),
+                quiet_study(), cache=cache, activity_cache=activity_cache
             )
         finally:
             monkeypatch.delenv("REPRO_FAULTS")

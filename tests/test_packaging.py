@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import shutil
+import subprocess
 import tomllib
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -53,3 +57,21 @@ class TestWorkflow:
         assert "upload-artifact" in text
         assert "ruff check" in text
         assert "examples/quickstart.py" in text
+        assert "perfbench/test_perfbench.py" in text
+
+
+class TestRepositoryHygiene:
+    def test_no_bytecode_is_tracked(self):
+        if shutil.which("git") is None or not (REPO_ROOT / ".git").exists():
+            pytest.skip("not a git checkout")
+        listed = subprocess.run(
+            ["git", "ls-files"], cwd=REPO_ROOT, capture_output=True, text=True
+        )
+        if listed.returncode != 0:
+            pytest.skip("not a git checkout")
+        tracked = [
+            path
+            for path in listed.stdout.splitlines()
+            if path.endswith(".pyc") or "__pycache__/" in path
+        ]
+        assert tracked == []

@@ -48,7 +48,6 @@ def nocache_service(compute=None, config=None) -> EstimationService:
         config if config is not None else ServiceConfig(batch_window_s=0.01),
         cache=None,
         activity_cache=None,
-        plan_cache=None,
         compute=compute,
     )
 
@@ -276,7 +275,6 @@ class TestDescribe:
             ServiceConfig(batch_window_s=0.01),
             cache=cache,
             activity_cache=activity_cache,
-            plan_cache=None,
         )
 
         async def scenario():

@@ -1,15 +1,10 @@
-"""Unit tests for repro.util.tables and repro.util.validation and logging."""
+"""Unit tests for repro.util.tables."""
 
 from __future__ import annotations
 
-import logging
-
-import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.util import tables, validation
-from repro.util.logging import enable_console_logging, get_logger
+from repro.util import tables
 
 
 class TestFormatTable:
@@ -68,58 +63,3 @@ class TestFormatKv:
 
     def test_empty_returns_title(self):
         assert tables.format_kv({}, title="hello") == "hello"
-
-
-class TestValidation:
-    def test_require_positive(self):
-        assert validation.require_positive(1.5, "x") == 1.5
-        with pytest.raises(ConfigurationError):
-            validation.require_positive(0, "x")
-
-    def test_require_non_negative(self):
-        assert validation.require_non_negative(0, "x") == 0
-        with pytest.raises(ConfigurationError):
-            validation.require_non_negative(-1, "x")
-
-    def test_require_in_range(self):
-        assert validation.require_in_range(5, 0, 10, "x") == 5
-        with pytest.raises(ConfigurationError):
-            validation.require_in_range(11, 0, 10, "x")
-
-    def test_require_fraction(self):
-        assert validation.require_fraction(0.5, "x") == 0.5
-        with pytest.raises(ConfigurationError):
-            validation.require_fraction(1.5, "x")
-
-    def test_require_one_of(self):
-        assert validation.require_one_of("a", ["a", "b"], "x") == "a"
-        with pytest.raises(ConfigurationError):
-            validation.require_one_of("c", ["a", "b"], "x")
-
-    def test_require_matrix(self):
-        mat = validation.require_matrix(np.ones((2, 3)), "m")
-        assert mat.shape == (2, 3)
-        with pytest.raises(ConfigurationError):
-            validation.require_matrix(np.ones(3), "m")
-        with pytest.raises(ConfigurationError):
-            validation.require_matrix(np.ones((0, 3)), "m")
-
-    def test_require_power_of_two(self):
-        assert validation.require_power_of_two(64, "n") == 64
-        with pytest.raises(ConfigurationError):
-            validation.require_power_of_two(48, "n")
-        with pytest.raises(ConfigurationError):
-            validation.require_power_of_two(0, "n")
-
-
-class TestLogging:
-    def test_get_logger_namespacing(self):
-        assert get_logger().name == "repro"
-        assert get_logger("activity").name == "repro.activity"
-        assert get_logger("repro.power").name == "repro.power"
-
-    def test_enable_console_logging_idempotent(self):
-        logger = enable_console_logging(logging.WARNING)
-        handler_count = len(logger.handlers)
-        enable_console_logging(logging.WARNING)
-        assert len(logger.handlers) == handler_count
