@@ -53,12 +53,12 @@ def estimate_datapath_activity(
     rows, cols = streams.sample_output_positions(rng, config.output_samples)
     k = config.effective_k(streams.k)
 
-    # Gather the operand sequences of each sampled output: (S, K).
-    a_rows = streams.a_used[rows, :k]
-    b_cols = streams.b_used[:k, cols].T
+    # Gather the operand words of each sampled output: (S, K).
+    a_rows = streams.a_words[rows, :k]
+    b_cols = streams.b_words[:k, cols].T
 
     with np.errstate(over="ignore", invalid="ignore"):
-        products = a_rows * b_cols
+        products = streams.dtype.decode(a_rows) * streams.dtype.decode(b_cols)
         partial_sums = np.cumsum(products, axis=1)
 
     product_words = encode_for_accumulator(products, streams.dtype)
@@ -69,10 +69,7 @@ def estimate_datapath_activity(
 
     # Bit alignment between the operand pairs actually multiplied together
     # (Figure 8's alignment metric), measured on the same sample.
-    a_pair_words = streams.dtype.encode(a_rows)
-    b_pair_words = streams.dtype.encode(b_cols)
-    xor = np.bitwise_xor(a_pair_words, b_pair_words)
-    mean_distance = float(popcount(xor).mean())
+    mean_distance = float(popcount(np.bitwise_xor(a_rows, b_cols)).mean())
     bit_alignment = 1.0 - mean_distance / streams.dtype.bits
 
     activity = 0.5 * (product_toggle + accumulator_toggle) / RANDOM_TOGGLE_FRACTION
@@ -93,9 +90,10 @@ def estimate_datapath_activity_batch(
     """Stacked fast path: datapath activity for a whole batch.
 
     Output positions are sampled per invocation with the same derived RNGs
-    as the scalar path; the product/partial-sum streams, accumulator
-    encoding and toggle counting then run in single vectorized passes over
-    the ``(S, samples, K)`` stack.  Each entry matches
+    as the scalar path; decoding the gathered operand words, the
+    product/partial-sum streams, accumulator encoding and toggle counting
+    then run in single vectorized passes over the ``(S, samples, K)``
+    stack.  Each entry matches
     :func:`estimate_datapath_activity` with the corresponding seed bit for
     bit.
     """
@@ -117,15 +115,15 @@ def estimate_datapath_activity_batch(
         rng = derive_rng(config.seed, "datapath", seed)
         view = streams.slice(index)
         rows, cols = view.sample_output_positions(rng, config.output_samples)
-        a_rows_parts.append(view.a_used[rows, :k])
-        b_cols_parts.append(view.b_used[:k, cols].T)
+        a_rows_parts.append(view.a_words[rows, :k])
+        b_cols_parts.append(view.b_words[:k, cols].T)
         sample_counts.append(int(rows.size))
 
-    a_rows = np.stack(a_rows_parts)  # (S, samples, k)
-    b_cols = np.stack(b_cols_parts)  # (S, samples, k)
+    a_rows = np.stack(a_rows_parts)  # (S, samples, k) words
+    b_cols = np.stack(b_cols_parts)  # (S, samples, k) words
 
     with np.errstate(over="ignore", invalid="ignore"):
-        products = a_rows * b_cols
+        products = streams.dtype.decode(a_rows) * streams.dtype.decode(b_cols)
         partial_sums = np.cumsum(products, axis=2)
 
     product_words = encode_for_accumulator(products, streams.dtype)
@@ -134,9 +132,7 @@ def estimate_datapath_activity_batch(
     product_toggles = toggle_fraction_per_slice(product_words, axis=2)
     accumulator_toggles = toggle_fraction_per_slice(sum_words, axis=2)
 
-    a_pair_words = streams.dtype.encode(a_rows)
-    b_pair_words = streams.dtype.encode(b_cols)
-    pair_distances = popcount(np.bitwise_xor(a_pair_words, b_pair_words))
+    pair_distances = popcount(np.bitwise_xor(a_rows, b_cols))
 
     out = []
     for index in range(streams.batch):

@@ -23,18 +23,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.activity.accumulator import (
+    DatapathActivity,
     estimate_datapath_activity,
     estimate_datapath_activity_batch,
 )
 from repro.activity.memory_traffic import (
+    MemoryActivity,
     estimate_memory_activity,
     estimate_memory_activity_batch,
 )
 from repro.activity.multiplier import (
+    MultiplierActivity,
     estimate_multiplier_activity,
     estimate_multiplier_activity_batch,
 )
 from repro.activity.operand_bus import (
+    OperandActivity,
     estimate_operand_activity,
     estimate_operand_activity_batch,
 )
@@ -48,7 +52,7 @@ from repro.kernels.schedule import (
     build_streams,
     build_streams_stacked,
 )
-from repro.parallel.calibrate import DEFAULT_CHUNK_BUDGET_BYTES, chunk_budget_bytes
+from repro.parallel.calibrate import chunk_budget_bytes
 
 __all__ = [
     "ActivityEngine",
@@ -63,32 +67,21 @@ OperandSource = (
     "GemmOperands | OperandStreams | Callable[[], GemmOperands | OperandStreams]"
 )
 
-#: Historical (uncalibrated) per-chunk budget for the batched engine, in
-#: bytes of stacked A-operand data.  The activity estimators are
-#: memory-bandwidth bound: stacking more invocations than fit in cache makes
-#: every pass stream from DRAM and is *slower* than processing seeds one at
-#: a time, so the batch is processed in chunks whose working set stays
-#: cache-resident.  Stacking therefore only engages for small problems,
-#: where per-call overhead (not bandwidth) dominates.  The live budget now
-#: comes from :func:`repro.parallel.calibrate.chunk_budget_bytes` — a
-#: per-machine probe with a ``REPRO_BATCH_CHUNK_BUDGET`` override — and this
-#: name remains as a back-compat alias of that module's fallback default
-#: (one source of truth: ``repro.parallel.calibrate``).
-BATCH_CHUNK_BUDGET_BYTES = DEFAULT_CHUNK_BUDGET_BYTES
-
 
 def recommended_chunk(per_invocation_values: int) -> int:
     """How many invocations of ``per_invocation_values`` float64 operand
     values to stack per pass.
 
-    The per-chunk working-set budget is machine-calibrated (see
-    :mod:`repro.parallel.calibrate`; ``REPRO_BATCH_CHUNK_BUDGET`` overrides,
-    :data:`BATCH_CHUNK_BUDGET_BYTES` is the fallback).  Callers that
-    generate operands on the fly (e.g. the experiment harness) use this to
-    size their generation chunks so peak memory stays bounded by the chunk,
-    not the whole batch.  Chunking never changes results — chunked
-    estimation is bit-for-bit identical at any chunk size — so the budget
-    only affects speed.
+    The activity estimators are memory-bandwidth bound: stacking more
+    invocations than fit in cache makes every pass stream from DRAM, so a
+    batch is processed in chunks whose working set stays cache-resident.
+    The per-chunk budget is machine-calibrated (see
+    :mod:`repro.parallel.calibrate`; ``REPRO_BATCH_CHUNK_BUDGET``
+    overrides).  Callers that generate operands on the fly (e.g. the
+    experiment harness) use this to size their generation chunks so peak
+    memory stays bounded by the chunk, not the whole batch.  Chunking never
+    changes results — chunked estimation is bit-for-bit identical at any
+    chunk size — so the budget only affects speed.
     """
     per_invocation_bytes = per_invocation_values * 8
     return max(1, chunk_budget_bytes() // max(per_invocation_bytes, 1))
@@ -121,12 +114,23 @@ def estimate_activity(
             f"estimate_activity expects GemmOperands or OperandStreams, got {type(operands).__name__}"
         )
     sampling = sampling or SamplingConfig()
+    return _report(
+        streams,
+        estimate_operand_activity(streams),
+        estimate_multiplier_activity(streams),
+        estimate_datapath_activity(streams, sampling, seed=seed),
+        estimate_memory_activity(streams),
+    )
 
-    operand = estimate_operand_activity(streams)
-    multiplier = estimate_multiplier_activity(streams)
-    datapath = estimate_datapath_activity(streams, sampling, seed=seed)
-    memory = estimate_memory_activity(streams)
 
+def _report(
+    streams: "OperandStreams | StackedOperandStreams",
+    operand: OperandActivity,
+    multiplier: MultiplierActivity,
+    datapath: DatapathActivity,
+    memory: MemoryActivity,
+) -> ActivityReport:
+    """Combine one invocation's component estimates into a report."""
     return ActivityReport(
         operand_activity=operand.activity,
         multiplier_activity=multiplier.activity,
@@ -164,7 +168,7 @@ def _materialize(item: "object") -> "GemmOperands | OperandStreams":
 def _per_invocation_values(item: "GemmOperands | OperandStreams") -> int:
     if isinstance(item, GemmOperands):
         return item.a.size + item.b_stored.size
-    return item.a_used.size + item.b_stored.size
+    return item.a_words.size + item.b_stored_words.size
 
 
 def estimate_activity_batch(
@@ -178,10 +182,9 @@ def estimate_activity_batch(
     """Estimate switching activity for a batch of same-shape GEMM invocations.
 
     This is the vectorized counterpart of calling :func:`estimate_activity`
-    once per invocation: the operand streams are quantized and bit-encoded in
-    one pass per stacked chunk and every component estimator runs its
-    stacked fast path.  The returned reports are bit-for-bit identical to
-    the sequential ones.
+    once per invocation: each operand is encoded once, the words of a chunk
+    are stacked and every component estimator runs its stacked fast path.
+    The returned reports are bit-for-bit identical to the sequential ones.
 
     Parameters
     ----------
@@ -345,37 +348,15 @@ def _estimate_stacked(
     """Run every component estimator's stacked fast path over one chunk."""
     if stacked.batch == 0:
         return []
-    operand_list = estimate_operand_activity_batch(stacked)
-    multiplier_list = estimate_multiplier_activity_batch(stacked)
-    datapath_list = estimate_datapath_activity_batch(stacked, sampling, seeds=seeds)
-    memory_list = estimate_memory_activity_batch(stacked)
-
-    reports = []
-    for operand, multiplier, datapath, memory in zip(
-        operand_list, multiplier_list, datapath_list, memory_list
-    ):
-        reports.append(
-            ActivityReport(
-                operand_activity=operand.activity,
-                multiplier_activity=multiplier.activity,
-                datapath_activity=datapath.activity,
-                memory_activity=memory.activity,
-                operand_toggle_a=operand.toggle_a,
-                operand_toggle_b=operand.toggle_b,
-                multiplier_hw_product=multiplier.hw_product,
-                zero_mac_fraction=multiplier.zero_mac_fraction,
-                product_toggle=datapath.product_toggle,
-                accumulator_toggle=datapath.accumulator_toggle,
-                memory_toggle=memory.toggle,
-                a_hamming_fraction=multiplier.a_hamming_fraction,
-                b_hamming_fraction=multiplier.b_hamming_fraction,
-                bit_alignment=datapath.bit_alignment,
-                dtype=stacked.dtype.name,
-                shape=(stacked.n, stacked.m, stacked.k),
-                output_samples=datapath.output_samples,
-            )
+    return [
+        _report(stacked, *components)
+        for components in zip(
+            estimate_operand_activity_batch(stacked),
+            estimate_multiplier_activity_batch(stacked),
+            estimate_datapath_activity_batch(stacked, sampling, seeds=seeds),
+            estimate_memory_activity_batch(stacked),
         )
-    return reports
+    ]
 
 
 def activity_from_matrices(

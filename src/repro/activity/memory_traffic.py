@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, stream_toggle_fraction
+from repro.activity.toggles import RANDOM_TOGGLE_FRACTION
 from repro.kernels.schedule import OperandStreams, StackedOperandStreams
-from repro.util.bits import toggle_fraction_per_slice
+from repro.util.bits import toggle_fraction_along_axis, toggle_fraction_per_slice
 
 __all__ = ["MemoryActivity", "estimate_memory_activity", "estimate_memory_activity_batch"]
 
@@ -31,9 +31,9 @@ class MemoryActivity:
 def estimate_memory_activity(streams: OperandStreams) -> MemoryActivity:
     """Estimate memory-bus switching activity from storage-order adjacency."""
     # A is stored row-major: consecutive words on the bus are row neighbours.
-    toggle_a = stream_toggle_fraction(streams.a_words, axis=1)
+    toggle_a = toggle_fraction_along_axis(streams.a_words, axis=1)
     # B uses its *stored* layout (before any logical transpose).
-    toggle_b = stream_toggle_fraction(streams.b_stored_words, axis=1)
+    toggle_b = toggle_fraction_along_axis(streams.b_stored_words, axis=1)
     toggle = 0.5 * (toggle_a + toggle_b)
     activity = toggle / RANDOM_TOGGLE_FRACTION
     return MemoryActivity(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.activity.toggles import RANDOM_HAMMING_FRACTION
+from repro.dtypes.base import DTypeSpec
 from repro.kernels.schedule import OperandStreams, StackedOperandStreams
 from repro.util.bits import popcount
 
@@ -50,8 +51,8 @@ def estimate_multiplier_activity(streams: OperandStreams) -> MultiplierActivity:
     return _from_counts(
         pc_a=popcount(streams.a_words),
         pc_b=popcount(streams.b_words),
-        a_used=streams.a_used,
-        b_used=streams.b_used,
+        zero_a=_zero_words(streams.a_words, streams.dtype),
+        zero_b=_zero_words(streams.b_words, streams.dtype),
         width=streams.dtype.bits,
     )
 
@@ -61,7 +62,7 @@ def estimate_multiplier_activity_batch(
 ) -> list[MultiplierActivity]:
     """Stacked fast path: multiplier activity for a whole batch.
 
-    The popcount table lookups (the expensive part) run once over the 3-D
+    The popcount and zero tests (the expensive part) run once over the 3-D
     word stacks; the cheap per-slice statistics then reuse the exact scalar
     reduction code, so each entry matches
     :func:`estimate_multiplier_activity` on the corresponding slice bit for
@@ -69,27 +70,42 @@ def estimate_multiplier_activity_batch(
     """
     pc_a = popcount(streams.a_words)  # (S, N, K)
     pc_b = popcount(streams.b_words)  # (S, K, M)
+    zero_a = _zero_words(streams.a_words, streams.dtype)
+    zero_b = _zero_words(streams.b_words, streams.dtype)
     width = streams.dtype.bits
     return [
         _from_counts(
             pc_a=pc_a[index],
             pc_b=pc_b[index],
-            a_used=streams.a_used[index],
-            b_used=streams.b_used[index],
+            zero_a=zero_a[index],
+            zero_b=zero_b[index],
             width=width,
         )
         for index in range(streams.batch)
     ]
 
 
+def _zero_words(words: np.ndarray, dtype: DTypeSpec) -> np.ndarray:
+    """Which words encode an exact zero.
+
+    A float zero keeps its sign bit, so ``-0.0`` (for example fp16's
+    encoding of ``-1e-30``) is found by masking the sign off; an integer
+    zero is the all-zero word.
+    """
+    if dtype.is_float:
+        magnitude = dtype.word_dtype.type((1 << (dtype.bits - 1)) - 1)
+        return (words & magnitude) == 0
+    return words == 0
+
+
 def _from_counts(
     pc_a: np.ndarray,
     pc_b: np.ndarray,
-    a_used: np.ndarray,
-    b_used: np.ndarray,
+    zero_a: np.ndarray,
+    zero_b: np.ndarray,
     width: int,
 ) -> MultiplierActivity:
-    """Shared reduction core operating on precomputed per-word popcounts."""
+    """Shared reduction core on precomputed per-word popcounts and zero masks."""
     hw_a = pc_a.astype(np.float64) / width  # (N, K)
     hw_b = pc_b.astype(np.float64) / width  # (K, M)
 
@@ -102,8 +118,8 @@ def _from_counts(
     hw_product = float((mean_hw_a_per_k * mean_hw_b_per_k).mean())
 
     # Exact fraction of MACs with at least one zero operand.
-    zero_a_per_k = (a_used == 0.0).mean(axis=0)  # (K,)
-    zero_b_per_k = (b_used == 0.0).mean(axis=1)  # (K,)
+    zero_a_per_k = zero_a.mean(axis=0)  # (K,)
+    zero_b_per_k = zero_b.mean(axis=1)  # (K,)
     nonzero_pair_per_k = (1.0 - zero_a_per_k) * (1.0 - zero_b_per_k)
     zero_mac_fraction = float(1.0 - nonzero_pair_per_k.mean())
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, stream_toggle_fraction
+from repro.activity.toggles import RANDOM_TOGGLE_FRACTION
 from repro.kernels.schedule import OperandStreams, StackedOperandStreams
-from repro.util.bits import toggle_fraction_per_slice
+from repro.util.bits import toggle_fraction_along_axis, toggle_fraction_per_slice
 
 __all__ = ["OperandActivity", "estimate_operand_activity", "estimate_operand_activity_batch"]
 
@@ -32,10 +32,10 @@ class OperandActivity:
 def estimate_operand_activity(streams: OperandStreams) -> OperandActivity:
     """Estimate operand-delivery switching activity for one GEMM."""
     # A operands stream along the reduction dimension, i.e. along each row.
-    toggle_a = stream_toggle_fraction(streams.a_words, axis=1)
+    toggle_a = toggle_fraction_along_axis(streams.a_words, axis=1)
     # B operands (as consumed, shape (K, M)) stream along the reduction
     # dimension too, i.e. down each column.
-    toggle_b = stream_toggle_fraction(streams.b_words, axis=0)
+    toggle_b = toggle_fraction_along_axis(streams.b_words, axis=0)
     activity = 0.5 * (toggle_a + toggle_b) / RANDOM_TOGGLE_FRACTION
     return OperandActivity(toggle_a=toggle_a, toggle_b=toggle_b, activity=activity)
 

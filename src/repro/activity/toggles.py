@@ -1,27 +1,13 @@
-"""Shared helpers for the activity estimators.
-
-Like :mod:`repro.util.bits`, the helpers here are thin Python shells around
-NumPy ufunc/reduction loops (XOR + popcount sums, comparison means, dtype
-casts and views) that release the GIL inside their C inner loops and touch
-no shared mutable state.  Concurrent invocations from the sweep runner's
-``threads`` backend therefore execute in parallel; the Python-side
-bookkeeping that does hold the GIL is a few microseconds per call against
-milliseconds-to-seconds of kernel time at sweep scales.
-"""
+"""Constants and the accumulator encoding shared by the activity estimators."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.dtypes.base import DTypeSpec
-from repro.util.bits import popcount, toggle_fraction_along_axis
+from repro.dtypes.registry import get_dtype
 
-__all__ = [
-    "stream_toggle_fraction",
-    "mean_hamming_fraction",
-    "zero_fraction_per_slice",
-    "encode_for_accumulator",
-]
+__all__ = ["encode_for_accumulator"]
 
 #: Expected toggle fraction between successive i.i.d.-random words; used to
 #: normalize stream activities so "random data" maps to activity ~1.0.
@@ -31,25 +17,6 @@ RANDOM_TOGGLE_FRACTION = 0.5
 RANDOM_HAMMING_FRACTION = 0.5
 
 
-def stream_toggle_fraction(words: np.ndarray, axis: int) -> float:
-    """Toggle fraction between successive words along ``axis`` (raw, in [0, 1])."""
-    return toggle_fraction_along_axis(words, axis)
-
-
-def mean_hamming_fraction(words: np.ndarray) -> float:
-    """Mean fraction of set bits per word."""
-    if words.size == 0:
-        return 0.0
-    width = words.dtype.itemsize * 8
-    return float(popcount(words).mean()) / width
-
-
-def zero_fraction_per_slice(values: np.ndarray, axis: int) -> np.ndarray:
-    """Fraction of exactly-zero elements along ``axis`` (one entry per slice)."""
-    arr = np.asarray(values)
-    return (arr == 0.0).mean(axis=axis)
-
-
 def encode_for_accumulator(values: np.ndarray, dtype: DTypeSpec) -> np.ndarray:
     """Encode intermediate products / partial sums in the accumulator format.
 
@@ -57,12 +24,6 @@ def encode_for_accumulator(values: np.ndarray, dtype: DTypeSpec) -> np.ndarray:
     and INT8 products in INT32; FP32/FP64 accumulate at their own width.
     The returned words are what the accumulator register bits would hold.
     """
-    arr = np.asarray(values, dtype=np.float64)
     if dtype.is_integer:
-        clipped = np.clip(np.rint(arr), np.iinfo(np.int32).min, np.iinfo(np.int32).max)
-        return np.ascontiguousarray(clipped.astype(np.int32)).view(np.uint32)
-    if dtype.bits >= 64:
-        return np.ascontiguousarray(arr.astype(np.float64)).view(np.uint64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        as_fp32 = arr.astype(np.float32)
-    return np.ascontiguousarray(as_fp32).view(np.uint32)
+        return get_dtype("int32").encode(values)
+    return get_dtype("fp64" if dtype.bits >= 64 else "fp32").encode(values)

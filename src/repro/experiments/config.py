@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -65,8 +67,14 @@ class ExperimentConfig:
             raise ExperimentError(f"seeds must be >= 1, got {self.seeds}")
         if self.iterations < 1:
             raise ExperimentError(f"iterations must be >= 1, got {self.iterations}")
-        if self.warmup_trim_s < 0:
-            raise ExperimentError(f"warmup_trim_s must be >= 0, got {self.warmup_trim_s}")
+        if not 0 <= self.warmup_trim_s < math.inf:  # NaN fails every comparison
+            raise ExperimentError(
+                f"warmup_trim_s must be finite and >= 0, got {self.warmup_trim_s}"
+            )
+        if _has_non_finite(self.pattern_params):
+            raise ExperimentError(
+                f"pattern_params must be finite, got {dict(self.pattern_params)}"
+            )
         # Freeze the mapping so the config is hashable-ish and safe to share.
         object.__setattr__(self, "pattern_params", dict(self.pattern_params))
 
@@ -150,3 +158,16 @@ class ExperimentConfig:
         params = ",".join(f"{k}={v}" for k, v in sorted(self.pattern_params.items()))
         suffix = f"({params})" if params else ""
         return f"{self.pattern_family}{suffix}/{self.dtype}/{self.gpu}/{self.matrix_size}"
+
+
+def _has_non_finite(value: Any) -> bool:
+    """Whether ``value`` is, or nests in lists/mappings, a NaN or infinity."""
+    if isinstance(value, Mapping):
+        return any(_has_non_finite(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_has_non_finite(item) for item in value)
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, numbers.Integral)
+        and not math.isfinite(value)
+    )

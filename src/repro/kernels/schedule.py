@@ -7,12 +7,15 @@ accumulator sees the running partial sums.  The DRAM/L2 interface, by
 contrast, sees operands in *storage* order (row-major of the stored
 matrices).  Both orders are needed by the switching-activity engine and are
 captured here.
+
+Streams hold the operands' encoded words only: each operand is encoded
+exactly once (encoding already rounds to the datatype), and B in
+consumption order is a transposed view of B in storage order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,42 +35,34 @@ __all__ = [
 
 @dataclass
 class OperandStreams:
-    """Bit-level views of the operands in streaming and storage order."""
+    """Bit patterns of the operands in streaming and storage order."""
 
     dtype: DTypeSpec
-    #: A as consumed, shape (N, K); the k-stream runs along axis 1
-    a_used: np.ndarray
-    #: B as consumed, shape (K, M); the k-stream runs along axis 0
-    b_used: np.ndarray
-    #: B as stored in memory (row-major), shape (M, K) or (K, M)
-    b_stored: np.ndarray
+    #: Bit patterns of A in consumption order, shape (N, K); the k-stream
+    #: runs along axis 1
+    a_words: np.ndarray
+    #: Bit patterns of B as stored in memory (row-major), shape (M, K) when
+    #: ``transpose_b`` else (K, M)
+    b_stored_words: np.ndarray
+    #: Whether the kernel consumes the transpose of the stored B
+    transpose_b: bool
 
-    @cached_property
-    def a_words(self) -> np.ndarray:
-        """Bit patterns of A in consumption order (N, K)."""
-        return self.dtype.encode(self.a_used)
-
-    @cached_property
+    @property
     def b_words(self) -> np.ndarray:
-        """Bit patterns of B in consumption order (K, M)."""
-        return self.dtype.encode(self.b_used)
-
-    @cached_property
-    def b_stored_words(self) -> np.ndarray:
-        """Bit patterns of B in storage order."""
-        return self.dtype.encode(self.b_stored)
+        """Bit patterns of B in consumption order (K, M); a view, never a copy."""
+        return self.b_stored_words.T if self.transpose_b else self.b_stored_words
 
     @property
     def n(self) -> int:
-        return self.a_used.shape[0]
+        return self.a_words.shape[0]
 
     @property
     def k(self) -> int:
-        return self.a_used.shape[1]
+        return self.a_words.shape[1]
 
     @property
     def m(self) -> int:
-        return self.b_used.shape[1]
+        return self.b_words.shape[1]
 
     def sample_output_positions(
         self, rng: np.random.Generator, count: int
@@ -89,83 +84,66 @@ class OperandStreams:
 def build_streams(operands: GemmOperands) -> OperandStreams:
     """Build :class:`OperandStreams` for a concrete GEMM invocation."""
     spec = operands.problem.dtype_spec
-    a_used = spec.quantize(operands.a)
-    # Quantization is elementwise, so the consumed operand is exactly the
-    # quantized stored matrix (transposed when the kernel transposes B);
-    # quantizing once saves a full encode/decode pass over B.
-    b_stored = spec.quantize(operands.b_stored)
-    b_used = b_stored.T if operands.problem.transpose_b else b_stored
-    return OperandStreams(dtype=spec, a_used=a_used, b_used=b_used, b_stored=b_stored)
+    return OperandStreams(
+        dtype=spec,
+        a_words=spec.encode(operands.a),
+        b_stored_words=spec.encode(operands.b_stored),
+        transpose_b=operands.problem.transpose_b,
+    )
 
 
 @dataclass
 class StackedOperandStreams:
     """Operand streams of a whole batch of same-shape GEMM invocations.
 
-    The batch (seed) axis is axis 0 of every array: ``a_used`` has shape
-    ``(S, N, K)``, ``b_used`` has shape ``(S, K, M)`` and ``b_stored`` keeps
-    the storage layout per slice.  Quantization and bit-pattern encoding run
-    once over the full stack, which is the expensive part of building
-    per-invocation streams; the per-slice values (and therefore any activity
-    statistics derived from them) are bit-for-bit identical to building
-    :class:`OperandStreams` one invocation at a time.
+    The batch (seed) axis is axis 0 of every array: ``a_words`` has shape
+    ``(S, N, K)``, ``b_words`` has shape ``(S, K, M)`` and
+    ``b_stored_words`` keeps the storage layout per slice.  Each slice holds
+    exactly the words :func:`build_streams` produces for that invocation, so
+    any activity statistic derived from a slice is bit-for-bit identical to
+    the one-invocation-at-a-time result.
     """
 
     dtype: DTypeSpec
-    #: A operands as consumed, shape (S, N, K)
-    a_used: np.ndarray
-    #: B operands as consumed, shape (S, K, M)
-    b_used: np.ndarray
-    #: B operands as stored in memory, shape (S, M, K) or (S, K, M)
-    b_stored: np.ndarray
+    #: Bit patterns of A in consumption order, shape (S, N, K)
+    a_words: np.ndarray
+    #: Bit patterns of B in storage order, shape (S, M, K) or (S, K, M)
+    b_stored_words: np.ndarray
+    #: Whether the kernel consumes the transpose of the stored B
+    transpose_b: bool
 
-    @cached_property
-    def a_words(self) -> np.ndarray:
-        """Bit patterns of A in consumption order, shape (S, N, K)."""
-        return self.dtype.encode(self.a_used)
-
-    @cached_property
+    @property
     def b_words(self) -> np.ndarray:
-        """Bit patterns of B in consumption order, shape (S, K, M)."""
-        return self.dtype.encode(self.b_used)
-
-    @cached_property
-    def b_stored_words(self) -> np.ndarray:
-        """Bit patterns of B in storage order, shape (S, *, *)."""
-        return self.dtype.encode(self.b_stored)
+        """Bit patterns of B in consumption order, shape (S, K, M); a view."""
+        if self.transpose_b:
+            return self.b_stored_words.transpose(0, 2, 1)
+        return self.b_stored_words
 
     @property
     def batch(self) -> int:
-        return self.a_used.shape[0]
+        return self.a_words.shape[0]
 
     @property
     def n(self) -> int:
-        return self.a_used.shape[1]
+        return self.a_words.shape[1]
 
     @property
     def k(self) -> int:
-        return self.a_used.shape[2]
+        return self.a_words.shape[2]
 
     @property
     def m(self) -> int:
-        return self.b_used.shape[2]
+        return self.b_words.shape[2]
 
     def slice(self, index: int) -> OperandStreams:
-        """Return one invocation of the batch as plain :class:`OperandStreams`.
-
-        The already-encoded word stacks are shared with the returned view, so
-        slicing never re-encodes.
-        """
-        streams = OperandStreams(
+        """Return one invocation of the batch as plain :class:`OperandStreams`
+        (views of the stacked words; nothing is re-encoded)."""
+        return OperandStreams(
             dtype=self.dtype,
-            a_used=self.a_used[index],
-            b_used=self.b_used[index],
-            b_stored=self.b_stored[index],
+            a_words=self.a_words[index],
+            b_stored_words=self.b_stored_words[index],
+            transpose_b=self.transpose_b,
         )
-        for name in ("a_words", "b_words", "b_stored_words"):
-            if name in self.__dict__:  # only forward what is already encoded
-                streams.__dict__[name] = self.__dict__[name][index]
-        return streams
 
 
 def build_streams_stacked(
@@ -173,8 +151,9 @@ def build_streams_stacked(
 ) -> StackedOperandStreams:
     """Stack a batch of same-shape GEMM invocations into one stream object.
 
-    All invocations must share shape, datatype and B-transposition; they are
-    quantized in a single vectorized pass.
+    All invocations must share shape, datatype and B-transposition.  Each
+    operand is encoded once (by :func:`build_streams`) and only its words
+    are stacked.
     """
     items = list(operands)
     if not items:
@@ -184,43 +163,26 @@ def build_streams_stacked(
             f"build_streams_stacked expects GemmOperands or OperandStreams, "
             f"got {type(items[0]).__name__}"
         )
-    if isinstance(items[0], OperandStreams):
-        first = items[0]
-        for other in items[1:]:
-            if not isinstance(other, OperandStreams):
-                raise KernelError("cannot mix OperandStreams with other operand types")
-            if other.dtype.name != first.dtype.name or (
-                (other.n, other.k, other.m) != (first.n, first.k, first.m)
-            ):
-                raise KernelError("stacked streams must share shape and dtype")
-        return StackedOperandStreams(
-            dtype=first.dtype,
-            a_used=np.stack([s.a_used for s in items]),
-            b_used=np.stack([s.b_used for s in items]),
-            b_stored=np.stack([s.b_stored for s in items]),
-        )
-    first_problem = items[0].problem
-    signature = (
-        first_problem.n,
-        first_problem.m,
-        first_problem.k,
-        first_problem.dtype,
-        first_problem.transpose_b,
-    )
-    for op in items[1:]:
-        if not isinstance(op, GemmOperands):
-            raise KernelError("cannot mix GemmOperands with other operand types")
-        problem = op.problem
-        if (problem.n, problem.m, problem.k, problem.dtype, problem.transpose_b) != signature:
+    kind = OperandStreams if isinstance(items[0], OperandStreams) else GemmOperands
+    streams = []
+    for item in items:
+        if not isinstance(item, kind):
+            raise KernelError(f"cannot mix {kind.__name__} with other operand types")
+        streams.append(item if kind is OperandStreams else build_streams(item))
+    signature = _signature(streams[0])
+    for other in streams[1:]:
+        if _signature(other) != signature:
             raise KernelError(
-                "stacked operands must share shape, dtype and transposition; got "
-                f"{signature} vs {(problem.n, problem.m, problem.k, problem.dtype, problem.transpose_b)}"
+                "stacked invocations must share shape, dtype and transposition; "
+                f"got {signature} vs {_signature(other)}"
             )
-    spec = first_problem.dtype_spec
-    a_used = spec.quantize(np.stack([op.a for op in items]))
-    b_stored = spec.quantize(np.stack([op.b_stored for op in items]))
-    if first_problem.transpose_b:
-        b_used = b_stored.transpose(0, 2, 1)
-    else:
-        b_used = b_stored
-    return StackedOperandStreams(dtype=spec, a_used=a_used, b_used=b_used, b_stored=b_stored)
+    return StackedOperandStreams(
+        dtype=streams[0].dtype,
+        a_words=np.stack([s.a_words for s in streams]),
+        b_stored_words=np.stack([s.b_stored_words for s in streams]),
+        transpose_b=streams[0].transpose_b,
+    )
+
+
+def _signature(streams: OperandStreams) -> tuple:
+    return (streams.dtype.name, streams.n, streams.m, streams.k, streams.transpose_b)

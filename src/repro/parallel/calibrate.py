@@ -53,9 +53,8 @@ __all__ = [
     "calibration_path",
 ]
 
-#: Fallback budget when nothing else is available — the historical constant
-#: (half a typical per-core L2) that :mod:`repro.activity.engine` used to
-#: hard-code as ``BATCH_CHUNK_BUDGET_BYTES``.
+#: Fallback budget when nothing else is available: half a typical per-core
+#: L2, the constant :mod:`repro.activity.engine` used before calibration.
 DEFAULT_CHUNK_BUDGET_BYTES = 1 << 20
 
 #: Environment variable overriding the calibrated budget (human sizes OK).

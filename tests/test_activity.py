@@ -8,13 +8,16 @@ import pytest
 from repro.activity.accumulator import estimate_datapath_activity
 from repro.activity.engine import activity_from_matrices, estimate_activity
 from repro.activity.memory_traffic import estimate_memory_activity
-from repro.activity.multiplier import estimate_multiplier_activity
+from repro.activity.multiplier import (
+    estimate_multiplier_activity,
+    estimate_multiplier_activity_batch,
+)
 from repro.activity.operand_bus import estimate_operand_activity
 from repro.activity.report import ActivityReport, COMPONENT_NAMES
 from repro.activity.sampler import SamplingConfig
 from repro.errors import ActivityError
 from repro.kernels.gemm import GemmOperands, GemmProblem
-from repro.kernels.schedule import build_streams
+from repro.kernels.schedule import build_streams, build_streams_stacked
 
 
 def _streams(a, b, dtype="fp16", transpose_b=True):
@@ -85,8 +88,8 @@ class TestMultiplierActivity:
         activity = estimate_multiplier_activity(streams)
 
         spec = get_dtype("fp16")
-        hw_a = popcount(spec.encode(streams.a_used)) / 16.0
-        hw_b = popcount(spec.encode(streams.b_used)) / 16.0
+        hw_a = popcount(streams.a_words) / spec.bits
+        hw_b = popcount(streams.b_words) / spec.bits
         brute = np.mean(
             [
                 hw_a[i, kk] * hw_b[kk, j]
@@ -104,6 +107,27 @@ class TestMultiplierActivity:
         streams = _streams(a, b, dtype="fp16")
         activity = estimate_multiplier_activity(streams)
         assert activity.zero_mac_fraction == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("dtype", ["fp16", "fp16_t", "bf16", "fp32", "fp64"])
+    def test_negative_zero_counts_as_zero(self, rng, dtype):
+        # -0.0 keeps its sign bit in the words; it still gates the multiply.
+        a = rng.normal(0, 210, size=(4, 8))
+        b = rng.normal(0, 210, size=(4, 8))
+        a[:, :4] = -0.0
+        streams = _streams(a, b, dtype=dtype)
+        assert np.all(streams.dtype.sign_field(streams.a_words[:, :4]) == 1)
+        scalar = estimate_multiplier_activity(streams)
+        assert scalar.zero_mac_fraction == 0.5
+        stacked = build_streams_stacked([streams, streams])
+        assert estimate_multiplier_activity_batch(stacked) == [scalar, scalar]
+
+    def test_underflow_to_negative_zero_counts_as_zero(self, rng):
+        # fp16 rounds -1e-30 to -0.0 (word 0x8000).
+        a = rng.normal(0, 210, size=(4, 8))
+        a[:, :2] = -1e-30
+        streams = _streams(a, rng.normal(0, 210, size=(4, 8)), dtype="fp16")
+        assert np.all(streams.a_words[:, :2] == 0x8000)
+        assert estimate_multiplier_activity(streams).zero_mac_fraction == 0.25
 
     def test_hamming_fractions_reported(self, gaussian_matrices):
         streams = _streams(*gaussian_matrices)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.kernels.schedule import (
     build_streams_stacked,
 )
 from repro.patterns.library import build_pattern
+from repro.dtypes.base import DTypeSpec
 from repro.dtypes.registry import get_dtype
 from repro.util import bits
 from repro.util.rng import derive_rng
@@ -135,14 +138,61 @@ class TestStackedStreams:
     def test_slice_matches_scalar_build(self):
         operands = make_operands(count=2)
         stacked = build_streams_stacked(operands)
+        spec = stacked.dtype
         for index, op in enumerate(operands):
             view = stacked.slice(index)
             scalar = build_streams(op)
-            assert np.array_equal(view.a_used, scalar.a_used)
-            assert np.array_equal(view.b_used, scalar.b_used)
-            assert np.array_equal(view.b_stored, scalar.b_stored)
+            assert np.array_equal(spec.decode(view.a_words), spec.quantize(op.a))
+            assert np.array_equal(spec.decode(view.b_words), spec.quantize(op.b_used))
+            assert np.array_equal(view.b_stored_words, scalar.b_stored_words)
             assert np.array_equal(view.a_words, scalar.a_words)
             assert np.array_equal(view.b_words, scalar.b_words)
+
+    def test_streams_hold_words_only(self):
+        operands = make_operands(count=2)
+        stacked = build_streams_stacked(operands)
+        for streams in (stacked, stacked.slice(0), build_streams(operands[0])):
+            names = {field.name for field in dataclasses.fields(streams)}
+            assert names == {"dtype", "a_words", "b_stored_words", "transpose_b"}
+            for words in (streams.a_words, streams.b_words, streams.b_stored_words):
+                assert words.dtype == streams.dtype.word_dtype
+
+    def test_b_words_is_a_view_of_stored_words(self):
+        for transpose_b in (True, False):
+            stacked = build_streams_stacked(make_operands(count=2, transpose_b=transpose_b))
+            assert np.shares_memory(stacked.b_words, stacked.b_stored_words)
+            assert np.shares_memory(stacked.slice(1).b_words, stacked.b_stored_words)
+
+    def test_each_operand_encoded_once(self, monkeypatch):
+        operands = make_operands(count=3)
+        spec = get_dtype("fp16_t")
+        calls = []
+        encode = spec.encode
+
+        def counting_encode(values):
+            calls.append(values.shape)
+            return encode(values)
+
+        monkeypatch.setattr(spec, "encode", counting_encode)
+        stacked = build_streams_stacked(operands)
+        # Reading the words, sliced or not, encodes nothing more.
+        stacked.a_words, stacked.b_words, stacked.b_stored_words
+        stacked.slice(0).b_words
+        assert len(calls) == 2 * len(operands)
+
+    @pytest.mark.parametrize("dtype", ["fp16_t", "bf16", "fp64", "int8"])
+    def test_estimation_never_quantizes(self, monkeypatch, dtype):
+        operands = make_operands(dtype=dtype, count=3)
+        sampling = SamplingConfig(output_samples=64)
+        expected = estimate_activity_batch(operands, sampling=sampling)
+
+        def no_quantize(self, values):
+            raise AssertionError("estimation must not quantize")
+
+        monkeypatch.setattr(DTypeSpec, "quantize", no_quantize)
+        assert_reports_identical(
+            estimate_activity_batch(operands, sampling=sampling), expected
+        )
 
     def test_dimensions(self):
         stacked = build_streams_stacked(make_operands(size=64, count=3))

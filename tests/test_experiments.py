@@ -41,6 +41,20 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentError):
             ExperimentConfig(warmup_trim_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"pattern_params": {"std": float("nan")}},
+            {"pattern_params": {"std": float("inf")}},
+            {"pattern_params": {"values": [1.0, float("-inf")]}},
+            {"warmup_trim_s": float("nan")},
+            {"warmup_trim_s": float("inf")},
+        ],
+    )
+    def test_non_finite_values_rejected(self, overrides):
+        with pytest.raises(ExperimentError, match="finite"):
+            ExperimentConfig(**overrides)
+
     def test_with_overrides_does_not_mutate(self):
         base = ExperimentConfig()
         other = base.with_overrides(dtype="fp32")

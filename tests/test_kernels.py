@@ -160,7 +160,9 @@ class TestSchedule:
             problem=problem, a=rng.normal(0, 300, size=(8, 8)), b_stored=rng.normal(size=(8, 8))
         )
         streams = build_streams(operands)
-        assert streams.a_used.max() <= 127 and streams.a_used.min() >= -128
+        a_values = streams.dtype.decode(streams.a_words)
+        assert a_values.max() <= 127 and a_values.min() >= -128
+        np.testing.assert_array_equal(a_values, np.rint(a_values))
 
     def test_sample_output_positions(self, rng):
         problem = GemmProblem(n=10, m=12, k=8, dtype="fp16")

@@ -58,6 +58,7 @@ class TestWorkflow:
         assert "ruff check" in text
         assert "examples/quickstart.py" in text
         assert "perfbench/test_perfbench.py" in text
+        assert "perfbench/run.py --workload paper_cold" in text
 
 
 class TestRepositoryHygiene:

@@ -486,6 +486,21 @@ class TestEstimationServer:
 
         run_with_server(scenario)
 
+    def test_non_finite_config_rejected(self):
+        # json.dumps writes NaN/Infinity literals, which json.loads accepts.
+        bodies = [
+            {"matrix_size": 64, "pattern_params": {"std": float("nan")}},
+            {"matrix_size": 64, "pattern_params": {"std": float("inf")}},
+            {"matrix_size": 64, "warmup_trim_s": float("nan")},
+        ]
+
+        async def scenario(base, server):
+            for body in bodies:
+                status, payload = await _client(_http_post, base, "/estimate", body)
+                assert status == 400 and "finite" in payload["error"], body
+
+        run_with_server(scenario)
+
     def test_estimate_and_stats_roundtrip(self, quiet_config):
         service = nocache_service(CountingCompute())
         # The wire document carries the estimator/telemetry knobs as nested
