@@ -6,21 +6,24 @@ Runs the serving contract end to end, twice:
 **Healthy phase** — boots ``python -m repro.serve`` on a free port, then:
 
 1. ``GET /healthz`` answers ``ok`` once the banner is printed;
-2. ``POST /estimate`` returns a result document for one configuration
-   (plus a few variant configurations recorded for the fault phase);
-3. a concurrent duplicate pair reports a coalesced hit on ``/stats``
-   (the batch window makes the overlap deterministic in practice, but the
-   pair is retried a few times so a pathologically slow runner cannot
-   flake the build);
+2. ``POST /estimate`` returns a result document for one configuration;
+3. a slow "blocker" configuration is posted, and once ``/stats`` shows
+   it in flight, a concurrent burst follows: a duplicate pair of one
+   configuration plus two distinct ones, none computed yet in this
+   phase.  The service has no batch timer, so the burst queues behind
+   the blocker's computation and drains as one batch: the duplicate
+   coalesces (a hit must show on ``/stats``), its two responses must be
+   identical, and they must equal a later single request for the same
+   configuration;
 4. ``POST /shutdown`` stops the server, which must exit 0.
 
 **Fault-injected phase** — the same flow under a deterministic
 ``REPRO_FAULTS`` schedule (a busy sqlite cache write plus killed pool
-workers) with a disk cache and the ``processes`` backend.  Two distinct
-configurations posted concurrently land in one drained batch, which is
-what sends the batch through the process pool (a single pending
-configuration deliberately collapses to serial); the killed workers then
-force a pool rebuild and the threads fallback.  Every response must be
+workers) with a disk cache and the ``processes`` backend.  The burst's
+queued batch of three distinct configurations is what goes through the
+process pool (a single pending configuration deliberately collapses to
+serial); the killed workers then force a pool rebuild and the threads
+fallback.  Every response must be
 **bit-for-bit identical** to the healthy phase's, the resilience
 counters must be visible on ``/stats``, and ``/healthz`` must flip to
 ``degraded`` — the resilience layer's whole contract: absorb the fault,
@@ -53,8 +56,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: pipe read, and the failure path prints the captured server log.
 WATCHDOG_SECONDS = 300
 
-#: Small enough to finish in well under a second, large enough that the
-#: request does not complete before its duplicate arrives.
+#: Small enough to finish in well under a second.
 SMOKE_CONFIG = {
     "pattern_family": "gaussian",
     "dtype": "fp16_t",
@@ -64,12 +66,9 @@ SMOKE_CONFIG = {
     "sampling": {"output_samples": 32},
 }
 
-COALESCE_ATTEMPTS = 3
-
-#: Concurrent distinct-config pairs tried per phase.  Each attempt uses a
-#: fresh pair (cached configs would drain as hits and bypass the pool);
-#: one landing in a shared batch is enough for the fault phase.
-BATCH_ATTEMPTS = 3
+#: Computes for about half a second, far longer than the client needs to
+#: post a burst, so the whole burst queues behind it.
+BLOCKER_CONFIG = dict(SMOKE_CONFIG, matrix_size=1024, seeds=4)
 
 #: The fault-phase schedule: the first sqlite cache write comes back
 #: busy (absorbed by retry), and every pool worker dies on its first
@@ -83,9 +82,8 @@ def _variant(iterations: int) -> dict:
     return config
 
 
-def _pair(attempt: int) -> "list[dict]":
-    base = 60 + 2 * attempt
-    return [_variant(base), _variant(base + 1)]
+#: A duplicate pair of one configuration, then two distinct ones.
+BURST = [_variant(60), _variant(60), _variant(61), _variant(62)]
 
 
 def post(base: str, path: str, body: dict, timeout: float = 120.0) -> dict:
@@ -134,9 +132,6 @@ def run_phase(
         os.environ,
         PYTHONPATH=str(REPO_ROOT / "src"),
         PYTHONUNBUFFERED="1",
-        # A wide batch window keeps the first request of a concurrent pair
-        # in flight long enough that its duplicate always coalesces.
-        REPRO_SERVE_BATCH_WINDOW_MS="100",
         **extra_env,
     )
     log_file = tempfile.NamedTemporaryFile(
@@ -207,55 +202,32 @@ def run_phase(
             f"fingerprint {single['fingerprint'][:12]}"
         )
 
-        for attempt in range(1, COALESCE_ATTEMPTS + 1):
-            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-                pair = list(
-                    pool.map(lambda _: post(base, "/estimate", SMOKE_CONFIG), range(2))
-                )
-            assert pair[0] == pair[1], "duplicate responses must be bit-for-bit identical"
-            assert pair[0] == single, "coalesced responses must match the original"
-            stats = get(base, "/stats")
-            coalesced = stats["service"]["coalesced"]
-            print(f"[{phase}] attempt {attempt}: coalesced={coalesced}")
-            if coalesced >= 1:
-                break
-        else:
-            print(
-                f"error [{phase}]: no coalesced hit after "
-                f"{COALESCE_ATTEMPTS} duplicate pairs",
-                file=sys.stderr,
-            )
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1 + len(BURST)) as pool:
+            blocker = pool.submit(post, base, "/estimate", BLOCKER_CONFIG)
+            deadline = time.monotonic() + 30
+            while get(base, "/stats")["pending"] < 1:
+                assert time.monotonic() < deadline, "the blocker never went in flight"
+                time.sleep(0.01)
+            docs = list(pool.map(lambda cfg: post(base, "/estimate", cfg), BURST))
+            record("blocker", blocker.result())
+        assert docs[0] == docs[1], "duplicate responses must be bit-for-bit identical"
+        later = post(base, "/estimate", BURST[0])
+        assert later == docs[0], "coalesced responses must match a later single request"
+        for config, doc in zip(BURST[1:], docs[1:]):
+            record(f"burst-{config['iterations']}", doc)
+        stats = get(base, "/stats")
+        if stats["service"]["coalesced"] < 1:
+            print(f"error [{phase}]: the duplicate pair did not coalesce", file=sys.stderr)
             print(json.dumps(stats, indent=2), file=sys.stderr)
             _dump_server_log(log_path)
             raise SmokeFailure(phase)
         print(f"[{phase}] stats:", json.dumps(stats["service"]))
 
-        # Distinct-config pairs.  Healthy: recorded as the reference.
-        # Fault-injected: posted concurrently so one pair lands in a
-        # shared batch, which routes through the (sabotaged) process
-        # pool; responses must still match the healthy documents.
-        for attempt in range(BATCH_ATTEMPTS):
-            configs = _pair(attempt)
-            if reference is None:
-                docs = [post(base, "/estimate", config) for config in configs]
-            else:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-                    docs = list(
-                        pool.map(lambda cfg: post(base, "/estimate", cfg), configs)
-                    )
-            for config, doc in zip(configs, docs):
-                record(f"pair-{config['iterations']}", doc)
-            if reference is not None:
-                run = get(base, "/stats")["service"]["run"]
-                if run["pool_rebuilds"] >= 1:
-                    break
         if reference is not None:
-            stats = get(base, "/stats")
             run = stats["service"]["run"]
             if run["pool_rebuilds"] < 1:
                 print(
-                    f"error [{phase}]: no batch reached the process pool in "
-                    f"{BATCH_ATTEMPTS} attempts",
+                    f"error [{phase}]: the queued batch never reached the process pool",
                     file=sys.stderr,
                 )
                 print(json.dumps(stats, indent=2), file=sys.stderr)

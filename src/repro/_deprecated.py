@@ -1,4 +1,4 @@
-"""Deprecation shims for the removed plan cache tier (kept for one release).
+"""Deprecation shims for removed knobs, each kept for one release.
 
 Plans used to live in a process-wide LRU keyed by a plan fingerprint.  No
 two points of the paper's sweeps share a plan, so the tier never hit, and
@@ -14,6 +14,9 @@ configuration and shares it across that configuration's seeds.  Under the
   façades' module ``__getattr__`` (:func:`removed_attribute`), with a
   :class:`DeprecationWarning`: the class builds an inert object and the
   accessor returns ``None``.
+
+``ServiceConfig(batch_window_s=)`` follows the same rule through
+:func:`ignore_batch_window`: the estimation service has no batch timer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import warnings
 from typing import Any
 
-__all__ = ["ignore_plan_cache", "removed_attribute"]
+__all__ = ["ignore_batch_window", "ignore_plan_cache", "removed_attribute"]
 
 
 def ignore_plan_cache(value: object, keyword: str = "plan_cache") -> None:
@@ -30,13 +33,21 @@ def ignore_plan_cache(value: object, keyword: str = "plan_cache") -> None:
     Call it first thing in the public function that takes the keyword, so
     the warning points at that function's caller.
     """
+    _ignore(value, keyword, "the plan cache tier was removed and each run builds its plan once")
+
+
+def ignore_batch_window(value: object) -> None:
+    """Accept ``ServiceConfig(batch_window_s=)``; called from its ``__post_init__``."""
+    _ignore(value, "batch_window_s", "batches no longer wait on a timer", stacklevel=4)
+
+
+def _ignore(value: object, keyword: str, reason: str, stacklevel: int = 3) -> None:
     if value is not None:
         warnings.warn(
-            f"{keyword}= is deprecated and ignored: the plan cache tier was "
-            "removed and each run builds its plan once; the keyword will be "
+            f"{keyword}= is deprecated and ignored: {reason}; the keyword will be "
             "removed in a future release",
             DeprecationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
 
 

@@ -9,9 +9,9 @@ from typing import Any, Mapping
 
 from repro.activity.sampler import SamplingConfig
 from repro.dtypes.registry import get_dtype
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, PatternError
 from repro.gpu.specs import get_gpu_spec
-from repro.patterns.library import PATTERN_FAMILIES
+from repro.patterns.library import PATTERN_FAMILIES, build_pattern
 from repro.telemetry.sampler import TelemetryConfig
 
 __all__ = ["ExperimentConfig", "PAPER_MATRIX_SIZE", "PAPER_SEEDS", "PAPER_ITERATIONS"]
@@ -77,6 +77,12 @@ class ExperimentConfig:
             )
         # Freeze the mapping so the config is hashable-ish and safe to share.
         object.__setattr__(self, "pattern_params", dict(self.pattern_params))
+        # Building the pattern is cheap and checks the family's parameters,
+        # so a bad one is rejected here rather than partway through a run.
+        try:
+            build_pattern(self.pattern_family, self.dtype, **self.pattern_params)
+        except (PatternError, ValueError) as exc:
+            raise ExperimentError(f"invalid pattern_params: {exc}") from exc
 
     # ------------------------------------------------------------- builders
 

@@ -24,7 +24,6 @@ import warnings
 from typing import Any
 
 from repro._deprecated import ignore_plan_cache
-from repro.activity.report import ActivityReport
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_cache
 from repro.core.pipeline import EstimationPipeline
@@ -32,9 +31,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.results import ExperimentResult, SeedMeasurement
 from repro.kernels.gemm import GemmOperands, GemmProblem
-from repro.kernels.launch import KernelLaunch
 from repro.patterns.base import Pattern
-from repro.telemetry.dcgm import DcgmMonitor
 
 __all__ = ["ExperimentRunner", "run_experiment"]
 
@@ -103,15 +100,6 @@ class ExperimentRunner:
 
     def _run_seed(self, seed_index: int) -> SeedMeasurement:
         return self.pipeline.run_seed_reference(seed_index)
-
-    def _measure_seed(
-        self,
-        seed_index: int,
-        launch: KernelLaunch,
-        activity: ActivityReport,
-        monitor: DcgmMonitor,
-    ) -> SeedMeasurement:
-        return self.pipeline.measure_seed(seed_index, launch, activity, monitor)
 
 
 def run_experiment(

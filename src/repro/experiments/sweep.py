@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
@@ -80,17 +80,7 @@ class RunStats:
     degraded_backend: str = ""
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "unique": self.unique,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "duration_s": self.duration_s,
-            "backend": self.backend,
-            "pool_rebuilds": self.pool_rebuilds,
-            "chunks_resubmitted": self.chunks_resubmitted,
-            "degraded_backend": self.degraded_backend,
-        }
+        return asdict(self)
 
 
 def sweep_configs(

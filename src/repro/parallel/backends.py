@@ -177,6 +177,26 @@ class ThreadExecutor(Executor):
         self._pool.shutdown(wait=True, cancel_futures=cancel)
 
 
+#: Signals :func:`_worker_init` re-homes in each process-pool worker.
+_WORKER_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+@contextlib.contextmanager
+def _signals_held() -> Iterator[None]:
+    """Block :data:`_WORKER_SIGNALS` in this thread while workers start.
+
+    Pool workers fork inside ``submit`` and inherit the blocked mask, so a
+    SIGTERM that reaches one before :func:`_worker_init` ran (the pool
+    terminating a just-forked worker after a sibling died) waits instead
+    of being reported through the parent's signal wakeup fd.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def _worker_init(
     user_initializer: "Callable[..., None] | None", user_initargs: tuple
 ) -> None:
@@ -192,7 +212,9 @@ def _worker_init(
     request.  Detach the wakeup fd and restore default dispositions so a
     worker's signals stay the worker's problem: SIGTERM default-kills it,
     SIGINT is ignored (Ctrl-C interrupts the parent, which then tears the
-    pool down deliberately).
+    pool down deliberately).  Only then are the signals unblocked: the
+    worker was started with them blocked (see :func:`_signals_held`), so
+    one that arrived earlier has waited for this point.
     """
     with contextlib.suppress(ValueError, OSError):
         signal.set_wakeup_fd(-1)
@@ -200,6 +222,7 @@ def _worker_init(
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     if user_initializer is not None:
         user_initializer(*user_initargs)
 
@@ -336,18 +359,19 @@ class ProcessExecutor(Executor):
         breakage observed at result time.
         """
         futures: "list[Future]" = []
-        for chunk in chunks:
-            try:
-                if self._use_shm:
-                    future = self._pool.submit(_run_chunk, self._fn, self._encode, chunk)
-                else:
-                    future = self._pool.submit(_run_pickled_chunk, self._fn, chunk)
-            except BrokenProcessPool as exc:
-                failed: Future = Future()
-                failed.set_exception(exc)
-                futures.extend([failed] * (len(chunks) - len(futures)))
-                break
-            futures.append(future)
+        with _signals_held():
+            for chunk in chunks:
+                try:
+                    if self._use_shm:
+                        future = self._pool.submit(_run_chunk, self._fn, self._encode, chunk)
+                    else:
+                        future = self._pool.submit(_run_pickled_chunk, self._fn, chunk)
+                except BrokenProcessPool as exc:
+                    failed: Future = Future()
+                    failed.set_exception(exc)
+                    futures.extend([failed] * (len(chunks) - len(futures)))
+                    break
+                futures.append(future)
         return futures
 
     def _discard_unconsumed(self) -> None:

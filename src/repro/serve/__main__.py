@@ -3,9 +3,9 @@
 Flags beat the environment (``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT``),
 which beats the built-in defaults, matching the library-wide precedence
 rules in ``docs/configuration.md``.  The remaining service knobs
-(``REPRO_SERVE_MAX_PENDING``, ``REPRO_SERVE_BATCH_WINDOW_MS``,
-``REPRO_SERVE_MAX_BATCH``, ``REPRO_SERVE_WORKERS``,
-``REPRO_SERVE_BACKEND``) are environment-only.
+(``REPRO_SERVE_MAX_PENDING``, ``REPRO_SERVE_MAX_BATCH``,
+``REPRO_SERVE_WORKERS``, ``REPRO_SERVE_BACKEND``,
+``REPRO_SERVE_TIMEOUT_S``) are environment-only.
 """
 
 from __future__ import annotations

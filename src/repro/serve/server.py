@@ -54,8 +54,8 @@ __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "EstimationServer", "serve"]
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8035
 
-#: ``Retry-After`` seconds suggested on 429 — long enough for the current
-#: batch window to drain whatever is wedging admission, short enough that
+#: ``Retry-After`` seconds suggested on 429 — long enough for the batches
+#: in flight to drain whatever is wedging admission, short enough that
 #: well-behaved clients retry before giving up.
 RETRY_AFTER_S = 1
 

@@ -15,12 +15,16 @@ work; every concurrent duplicate awaits that same future and never touches
 the queue.  The estimation core is deterministic, so a coalesced response
 is bit-for-bit the response a dedicated computation would have produced.
 
-**Batching.**  Admitted requests sit in a queue for a short collection
-window (``batch_window_s``), then drain through one
-:func:`~repro.experiments.sweep.run_configs` call per batch — inheriting
-its deduplication, caching and execution backends.  A batch computes in a
-single worker thread (``run_configs`` manages its own pool), keeping the
-event loop free to accept, coalesce and reject while estimation runs.
+**Natural batching.**  There is no timer.  A request admitted while the
+compute thread is idle dispatches at once; requests admitted while a
+batch computes queue up and drain together, at most ``max_batch`` at a
+time, through one :func:`~repro.experiments.sweep.run_configs` call per
+batch — inheriting its deduplication, caching and execution backends.
+Submits already scheduled on the loop (an ``asyncio.gather`` burst) queue
+before the drain task first runs, so they share one batch.  A batch
+computes in a single worker thread (``run_configs`` manages its own pool),
+keeping the event loop free to accept, coalesce and reject while
+estimation runs.
 Batch failures are *isolated*: when a batch raises, every configuration in
 it is re-run individually, so one poisoned configuration fails only its own
 future instead of rejecting every request drained into the batch.
@@ -47,11 +51,11 @@ from __future__ import annotations
 import asyncio
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping
 
-from repro._deprecated import ignore_plan_cache
+from repro._deprecated import ignore_batch_window, ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, peek_default_caches
 from repro.errors import ServiceOverloadedError, ServiceTimeoutError, ServingError
@@ -63,24 +67,15 @@ from repro.faults import fault_point
 __all__ = ["ServiceConfig", "ServiceStats", "EstimationService"]
 
 
-def _env_int(name: str, fallback: int, environ: Mapping[str, str]) -> int:
+def _env_number(name: str, fallback: float, environ: Mapping[str, str], kind: type = int) -> Any:
     raw = environ.get(name, "").strip()
     if not raw:
         return fallback
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ServingError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def _env_float(name: str, fallback: float, environ: Mapping[str, str]) -> float:
-    raw = environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ServingError(f"{name} must be a number, got {raw!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ServingError(f"{name} must be {noun}, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -90,9 +85,9 @@ class ServiceConfig:
     #: distinct in-flight requests admitted before 429s (coalesced
     #: duplicates ride along for free)
     max_pending: int = 64
-    #: how long an admitted request waits for companions before its batch
-    #: drains, seconds
-    batch_window_s: float = 0.010
+    #: deprecated and ignored (kept in its old place for positional
+    #: callers): batches drain as soon as the compute thread is idle
+    batch_window_s: InitVar["float | None"] = None
     #: most configurations handed to one ``run_configs`` call
     max_batch: int = 16
     #: ``workers=`` for each batch (1 = inline in the compute thread)
@@ -104,13 +99,10 @@ class ServiceConfig:
     #: the shared computation keeps running for any later duplicate
     timeout_s: float = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, batch_window_s: "float | None") -> None:
+        ignore_batch_window(batch_window_s)
         if self.max_pending < 1:
             raise ServingError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.batch_window_s < 0:
-            raise ServingError(
-                f"batch_window_s must be >= 0, got {self.batch_window_s}"
-            )
         if self.max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.workers < 1:
@@ -121,18 +113,12 @@ class ServiceConfig:
     @classmethod
     def from_env(cls, environ: "Mapping[str, str] | None" = None) -> "ServiceConfig":
         env = os.environ if environ is None else environ
-        window_ms = _env_int("REPRO_SERVE_BATCH_WINDOW_MS", 10, env)
-        if window_ms < 0:
-            raise ServingError(
-                f"REPRO_SERVE_BATCH_WINDOW_MS must be >= 0, got {window_ms}"
-            )
         return cls(
-            max_pending=_env_int("REPRO_SERVE_MAX_PENDING", 64, env),
-            batch_window_s=window_ms / 1000.0,
-            max_batch=_env_int("REPRO_SERVE_MAX_BATCH", 16, env),
-            workers=_env_int("REPRO_SERVE_WORKERS", 1, env),
+            max_pending=_env_number("REPRO_SERVE_MAX_PENDING", 64, env),
+            max_batch=_env_number("REPRO_SERVE_MAX_BATCH", 16, env),
+            workers=_env_number("REPRO_SERVE_WORKERS", 1, env),
             backend=env.get("REPRO_SERVE_BACKEND", "auto"),
-            timeout_s=_env_float("REPRO_SERVE_TIMEOUT_S", 0, env),
+            timeout_s=_env_number("REPRO_SERVE_TIMEOUT_S", 0, env, float),
         )
 
 
@@ -161,16 +147,7 @@ class ServiceStats:
     run: RunStats = field(default_factory=RunStats)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "coalesced": self.coalesced,
-            "rejected": self.rejected,
-            "errors": self.errors,
-            "batches": self.batches,
-            "isolated_retries": self.isolated_retries,
-            "timeouts": self.timeouts,
-            "run": self.run.as_dict(),
-        }
+        return asdict(self)
 
 
 class EstimationService:
@@ -209,10 +186,6 @@ class EstimationService:
             max_workers=1, thread_name_prefix="repro-serve-compute"
         )
         self._closed = False
-        # Sticky record of a sweep-runner backend degradation (e.g. the
-        # process pool broke twice and fell back to threads); reported by
-        # health() until the process restarts.
-        self._degraded_backend = ""
 
     # ------------------------------------------------------------------ API
 
@@ -289,7 +262,6 @@ class EstimationService:
             "pending": len(self._inflight),
             "config": {
                 "max_pending": self.config.max_pending,
-                "batch_window_s": self.config.batch_window_s,
                 "max_batch": self.config.max_batch,
                 "workers": self.config.workers,
                 "backend": self.config.backend,
@@ -316,9 +288,12 @@ class EstimationService:
             resilience = getattr(cache, "resilience", None)
             if resilience is not None and resilience.degraded:
                 reasons.append(f"cache.{name}: {resilience.degraded_reason}")
-        if self._degraded_backend:
+        # Sticky: _accumulate sets it on the first degraded batch and
+        # never clears it, so it is reported until the process restarts.
+        degraded_backend = self.stats.run.degraded_backend
+        if degraded_backend:
             reasons.append(
-                f"pool: fell back to the {self._degraded_backend} backend "
+                f"pool: fell back to the {degraded_backend} backend "
                 "after repeated process-pool breakage"
             )
         return {"status": "degraded" if reasons else "ok", "reasons": reasons}
@@ -356,14 +331,13 @@ class EstimationService:
     # ------------------------------------------------------------ internals
 
     async def _drain(self) -> None:
-        """Batcher: collect for one window, compute, publish, repeat."""
+        """Batcher: take what has queued, compute it, publish, repeat.
+
+        Whatever queues while a batch computes forms the next batch.
+        """
         while self._queue:
-            if self.config.batch_window_s > 0:
-                await asyncio.sleep(self.config.batch_window_s)
             batch = self._queue[: self.config.max_batch]
             del self._queue[: len(batch)]
-            if not batch:
-                continue
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: "list[tuple[str, ExperimentConfig]]") -> None:
@@ -457,4 +431,3 @@ class EstimationService:
         total.chunks_resubmitted += run_stats.chunks_resubmitted
         if run_stats.degraded_backend:
             total.degraded_backend = run_stats.degraded_backend
-            self._degraded_backend = run_stats.degraded_backend

@@ -516,11 +516,12 @@ class TestDefaultCacheWiring:
 
 class TestSweepRobustness:
     def _failing_config(self, quiet_config):
-        # Valid at construction time, fails inside the harness (and thus
-        # inside pool workers) when the pattern is built.
-        return quiet_config(
-            pattern_params={"bogus_param": 1.0}, label="the bad point"
-        )
+        # Configs reject unknown pattern params when built, so the bad one
+        # goes in afterwards: the point then fails inside the harness (and
+        # thus inside pool workers) when the pattern is built.
+        config = quiet_config(label="the bad point")
+        object.__setattr__(config, "pattern_params", {"bogus_param": 1.0})
+        return config
 
     def test_inline_failure_attaches_label(self, quiet_config):
         configs = [quiet_config(), self._failing_config(quiet_config)]

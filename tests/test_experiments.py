@@ -55,6 +55,19 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentError, match="finite"):
             ExperimentConfig(**overrides)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("sparsity", {"sparsity": 1.5}),
+            ("gaussian", {"std": -1.0}),
+            ("gaussian", {"bogus": 1}),
+        ],
+    )
+    def test_invalid_pattern_params_rejected(self, family, params):
+        # Rejected when the config is built, not partway through a run.
+        with pytest.raises(ExperimentError):
+            ExperimentConfig(pattern_family=family, pattern_params=params)
+
     def test_with_overrides_does_not_mutate(self):
         base = ExperimentConfig()
         other = base.with_overrides(dtype="fp32")

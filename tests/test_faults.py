@@ -457,7 +457,7 @@ class TestPoolResilience:
 
 def _service(config=None, compute=None) -> EstimationService:
     return EstimationService(
-        config if config is not None else ServiceConfig(batch_window_s=0.01),
+        config,
         cache=None,
         activity_cache=None,
         compute=compute,
@@ -471,7 +471,7 @@ class TestServeResilience:
             return run_configs(configs, **kwargs)
 
         service = _service(
-            ServiceConfig(batch_window_s=0.0, timeout_s=0.05), compute=slow_compute
+            ServiceConfig(timeout_s=0.05), compute=slow_compute
         )
 
         async def scenario():
@@ -492,7 +492,7 @@ class TestServeResilience:
         # isolation re-runs each config alone and both succeed.
         _install("serve.batch:error@1")
         config_a, config_b = quiet_config(), quiet_config(seeds=2)
-        service = _service(ServiceConfig(batch_window_s=0.05))
+        service = _service()
 
         async def scenario():
             try:

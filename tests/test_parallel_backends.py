@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -85,13 +87,19 @@ def sweep(quiet_config):
 
 @pytest.fixture
 def failing_sweep(quiet_config):
-    """Six points where the fifth fails at *run* time (pattern params are
-    validated inside the worker, not at config construction)."""
+    """Six points where the fifth fails at *run* time.
+
+    Configs reject an out-of-range sparsity when built, so the fifth
+    point's ``sparsity=3.0`` goes in afterwards; it then fails inside the
+    runner (and inside pool workers) when the pattern is built.
+    """
     configs = sweep_configs(
         quiet_config(pattern_family="sparsity", matrix_size=32),
         "sparsity",
-        [0.0, 0.2, 0.4, 0.6, 3.0, 0.8],
+        [0.0, 0.2, 0.4, 0.6, 1.0, 0.8],
     )
+    object.__setattr__(configs[4], "pattern_params", {"sparsity": 3.0})
+    object.__setattr__(configs[4], "label", configs[4].label.replace("=1.0", "=3.0"))
     return configs
 
 
@@ -372,6 +380,57 @@ class TestExecutors:
         )
         with executor:
             assert list(executor.map(_read_init_sentinel, [0])) == [42]
+
+
+#: Workers of a pool whose parent runs an asyncio loop with signal
+#: handlers, each sent SIGTERM the moment it forks (an at-fork hook that
+#: runs before anything of the worker's own) — as a pool terminates a
+#: just-forked worker after a sibling died.  Prints the results, the
+#: fallback backend, and the signals the parent's loop saw.
+EARLY_SIGTERM_SCRIPT = """
+import asyncio, json, os, signal
+from repro.parallel.backends import ProcessExecutor
+
+os.register_at_fork(after_in_child=lambda: os.kill(os.getpid(), signal.SIGTERM))
+
+async def main():
+    loop = asyncio.get_running_loop()
+    seen = []
+    loop.add_signal_handler(signal.SIGTERM, seen.append, int(signal.SIGTERM))
+    executor = ProcessExecutor(2, transfer="pickle")
+    try:
+        results = await loop.run_in_executor(
+            None, lambda: list(executor.map(abs, [-1, -2, -3]))
+        )
+    finally:
+        executor.shutdown()
+    for _ in range(5):  # let the loop read anything a worker reported
+        await asyncio.sleep(0)
+    fallback = executor.resilience.fallback_backend
+    print(json.dumps({"results": results, "fallback": fallback, "seen": seen}))
+
+asyncio.run(main())
+"""
+
+
+def test_worker_signalled_before_init_does_not_signal_the_parent():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", EARLY_SIGTERM_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    # The SIGTERM killed each worker (so the pool fell back to threads)
+    # instead of reaching the parent's event loop.
+    assert json.loads(completed.stdout) == {
+        "results": [1, 2, 3],
+        "fallback": "threads",
+        "seen": [],
+    }
 
 
 class TestBackendResolution:

@@ -2,15 +2,19 @@
 
 The HTTP client calls in the server tests run in an executor thread —
 blocking ``urlopen`` on the event-loop thread would deadlock against a
-server running on the same loop.
+server running on the same loop.  Tests that need work held in flight
+gate their ``compute`` on a :class:`threading.Event` instead of racing a
+timer.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -27,25 +31,52 @@ from repro.serve.service import EstimationService, ServiceConfig
 
 
 class CountingCompute:
-    """``run_configs`` stand-in that counts invocations and configurations."""
+    """``run_configs`` stand-in that records every batch it is handed.
 
-    def __init__(self, fn=None):
+    With ``gated=True`` each batch blocks on a :class:`threading.Event`
+    until the test calls :meth:`release`, so "a batch is computing" is a
+    state the test holds deterministically; :meth:`started` waits for it.
+    """
+
+    def __init__(self, fn=None, gated=False):
         from repro.experiments.sweep import run_configs
 
         self.fn = fn if fn is not None else run_configs
-        self.calls = 0
-        self.configs_seen = 0
+        #: configurations of each call, in call order
+        self.batches: "list[list]" = []
+        self._entered = threading.Event()
+        self._gate = threading.Event()
+        if not gated:
+            self._gate.set()
+
+    @property
+    def calls(self) -> int:
+        return len(self.batches)
+
+    @property
+    def configs_seen(self) -> int:
+        return sum(len(batch) for batch in self.batches)
 
     def __call__(self, configs, **kwargs):
-        self.calls += 1
-        self.configs_seen += len(configs)
+        self.batches.append(list(configs))
+        self._entered.set()
+        # The timeout only keeps a failing test from hanging the suite.
+        self._gate.wait(timeout=60)
         return self.fn(configs, **kwargs)
+
+    async def started(self) -> None:
+        """Return once a batch is blocked in (or past) this compute."""
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, self._entered.wait, 60)
+
+    def release(self) -> None:
+        self._gate.set()
 
 
 def nocache_service(compute=None, config=None) -> EstimationService:
     """A service with every cache tier disabled, so compute counts are real."""
     return EstimationService(
-        config if config is not None else ServiceConfig(batch_window_s=0.01),
+        config,
         cache=None,
         activity_cache=None,
         compute=compute,
@@ -125,18 +156,21 @@ class TestSingleFlight:
 
 class TestAdmission:
     def test_second_distinct_request_is_rejected(self, quiet_config):
-        service = nocache_service(
-            config=ServiceConfig(max_pending=1, batch_window_s=0.5)
-        )
+        compute = CountingCompute(gated=True)
+        service = nocache_service(compute, config=ServiceConfig(max_pending=1))
 
         async def scenario():
-            first = asyncio.ensure_future(service.submit(quiet_config()))
-            await asyncio.sleep(0)  # let it register in flight
-            with pytest.raises(ServiceOverloadedError):
-                await service.submit(quiet_config(matrix_size=160))
-            # A duplicate of the in-flight request still coalesces: joining
-            # an existing future consumes no admission capacity.
-            duplicate = asyncio.ensure_future(service.submit(quiet_config()))
+            try:
+                first = asyncio.ensure_future(service.submit(quiet_config()))
+                await compute.started()  # in flight, held at the gate
+                with pytest.raises(ServiceOverloadedError):
+                    await service.submit(quiet_config(matrix_size=160))
+                # A duplicate of the in-flight request still coalesces:
+                # joining an existing future consumes no admission capacity.
+                duplicate = asyncio.ensure_future(service.submit(quiet_config()))
+                await asyncio.sleep(0)  # let it join the flight
+            finally:
+                compute.release()
             results = await asyncio.gather(first, duplicate)
             await service.close()
             return results
@@ -147,16 +181,18 @@ class TestAdmission:
         assert service.stats.coalesced == 1
 
     def test_rejection_is_reported_in_stats_only(self, quiet_config):
-        service = nocache_service(
-            config=ServiceConfig(max_pending=1, batch_window_s=0.5)
-        )
+        compute = CountingCompute(gated=True)
+        service = nocache_service(compute, config=ServiceConfig(max_pending=1))
 
         async def scenario():
-            first = asyncio.ensure_future(service.submit(quiet_config()))
-            await asyncio.sleep(0)
-            for size in (160, 192):
-                with pytest.raises(ServiceOverloadedError):
-                    await service.submit(quiet_config(matrix_size=size))
+            try:
+                first = asyncio.ensure_future(service.submit(quiet_config()))
+                await compute.started()
+                for size in (160, 192):
+                    with pytest.raises(ServiceOverloadedError):
+                        await service.submit(quiet_config(matrix_size=size))
+            finally:
+                compute.release()
             await first
             await service.close()
 
@@ -164,6 +200,113 @@ class TestAdmission:
         assert service.stats.requests == 3
         assert service.stats.rejected == 2
         assert service.stats.errors == 0
+
+
+class TestNaturalBatching:
+    """No batch timer: an idle service dispatches at once, and whatever
+    queues while a batch computes drains together as the next batch."""
+
+    def test_lone_request_dispatches_without_a_timer(self, quiet_config, monkeypatch):
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+        config = quiet_config()
+        compute = CountingCompute()
+        service = nocache_service(compute)
+
+        async def scenario():
+            try:
+                return await service.submit(config)
+            finally:
+                await service.close()
+
+        result = asyncio.run(scenario())
+        assert sleeps == []
+        assert compute.batches == [[config]]
+        assert result.as_dict() == run_experiment(config, cache=None).as_dict()
+
+    def test_work_queued_behind_a_batch_drains_as_the_next_batch(self, quiet_config):
+        a, b, c = (quiet_config(matrix_size=size) for size in (128, 160, 192))
+        compute = CountingCompute(gated=True)
+        service = nocache_service(compute)
+
+        async def scenario():
+            try:
+                first = asyncio.ensure_future(service.submit(a))
+                await compute.started()
+                rest = [asyncio.ensure_future(service.submit(cfg)) for cfg in (b, c, b)]
+                await asyncio.sleep(0)  # b and c queue, the second b coalesces
+                assert compute.calls == 1
+            finally:
+                compute.release()
+            results = await asyncio.gather(first, *rest)
+            await service.close()
+            return results
+
+        _, result_b, result_c, result_b_again = asyncio.run(scenario())
+        assert compute.batches == [[a], [b, c]]
+        assert service.stats.batches == 2
+        assert service.stats.coalesced == 1
+        assert result_b_again is result_b
+        assert result_c.as_dict() == run_experiment(c, cache=None).as_dict()
+
+    def test_queue_drains_in_max_batch_slices(self, quiet_config):
+        configs = [quiet_config(base_seed=2024 + offset) for offset in range(4)]
+        compute = CountingCompute()
+        service = nocache_service(compute, config=ServiceConfig(max_batch=2))
+
+        async def scenario():
+            try:
+                return await asyncio.gather(*(service.submit(c) for c in configs))
+            finally:
+                await service.close()
+
+        asyncio.run(scenario())
+        assert compute.batches == [configs[:2], configs[2:]]
+        assert service.stats.batches == 2
+
+    def test_poisoned_config_in_queued_work_fails_alone(self, quiet_config):
+        from repro.cache.fingerprint import experiment_fingerprint
+        from repro.experiments.sweep import run_configs
+
+        head = quiet_config(label="head")
+        good = quiet_config(matrix_size=160, label="good")
+        poison = quiet_config(matrix_size=192, label="poison")
+        poison_key = experiment_fingerprint(poison)
+
+        def poisoned(configs, **kwargs):
+            if any(experiment_fingerprint(c) == poison_key for c in configs):
+                raise RuntimeError("poisoned configuration")
+            return run_configs(configs, **kwargs)
+
+        compute = CountingCompute(poisoned, gated=True)
+        service = nocache_service(compute)
+
+        async def scenario():
+            try:
+                first = asyncio.ensure_future(service.submit(head))
+                await compute.started()
+                queued = [asyncio.ensure_future(service.submit(c)) for c in (good, poison)]
+                await asyncio.sleep(0)
+            finally:
+                compute.release()
+            results = await asyncio.gather(first, *queued, return_exceptions=True)
+            await service.close()
+            return results
+
+        head_result, good_result, poison_result = asyncio.run(scenario())
+        assert compute.batches[:2] == [[head], [good, poison]]
+        assert isinstance(poison_result, RuntimeError)
+        assert head_result.as_dict() == run_experiment(head, cache=None).as_dict()
+        assert good_result.as_dict() == run_experiment(good, cache=None).as_dict()
+        assert service.stats.errors == 1
+        assert service.stats.isolated_retries == 2
+        assert not service._inflight
 
 
 class TestFailurePaths:
@@ -202,9 +345,7 @@ class TestFailurePaths:
                 raise RuntimeError("poisoned configuration")
             return run_configs(configs, **kwargs)
 
-        service = nocache_service(
-            compute, config=ServiceConfig(batch_window_s=0.05)
-        )
+        service = nocache_service(compute)
 
         async def scenario():
             results = await asyncio.gather(
@@ -251,18 +392,27 @@ class TestFailurePaths:
         asyncio.run(scenario())
 
     def test_close_fails_pending_futures(self, quiet_config):
-        service = nocache_service(
-            config=ServiceConfig(batch_window_s=5.0)  # never drains in time
-        )
+        compute = CountingCompute(gated=True)
+        service = nocache_service(compute)
 
         async def scenario():
-            pending = asyncio.ensure_future(service.submit(quiet_config()))
+            computing = asyncio.ensure_future(service.submit(quiet_config()))
+            await compute.started()
+            queued = asyncio.ensure_future(
+                service.submit(quiet_config(matrix_size=160))
+            )
             await asyncio.sleep(0)
+            # Released before close() so its executor shutdown can join the
+            # compute thread; close() cancels the batch before the loop
+            # sees that batch's result, so both futures are still pending.
+            compute.release()
             await service.close()
-            with pytest.raises(ServingError):
-                await pending
+            for pending in (computing, queued):
+                with pytest.raises(ServingError):
+                    await pending
 
         asyncio.run(scenario())
+        assert compute.calls == 1  # the queued config never reached compute
 
 
 class TestDescribe:
@@ -272,7 +422,7 @@ class TestDescribe:
         cache = ExperimentCache()
         activity_cache = ActivityCache()
         service = EstimationService(
-            ServiceConfig(batch_window_s=0.01),
+            ServiceConfig(),
             cache=cache,
             activity_cache=activity_cache,
         )
@@ -292,6 +442,7 @@ class TestDescribe:
         assert doc["service"]["requests"] == 2
         assert doc["service"]["batches"] >= 1
         assert doc["config"]["max_pending"] == 64
+        assert "batch_window_s" not in doc["config"]
         # Explicit (non-default) tiers are reported with live counters.
         assert doc["caches"]["experiment"]["disk_backend"] is None
         assert doc["caches"]["experiment"]["hits"] == 1  # second submit hit
@@ -304,8 +455,6 @@ class TestServiceConfig:
         with pytest.raises(ServingError):
             ServiceConfig(max_pending=0)
         with pytest.raises(ServingError):
-            ServiceConfig(batch_window_s=-0.1)
-        with pytest.raises(ServingError):
             ServiceConfig(max_batch=0)
         with pytest.raises(ServingError):
             ServiceConfig(workers=0)
@@ -313,26 +462,36 @@ class TestServiceConfig:
     def test_from_env_defaults_and_overrides(self):
         config = ServiceConfig.from_env({})
         assert (config.max_pending, config.max_batch) == (64, 16)
-        assert config.batch_window_s == pytest.approx(0.010)
         assert (config.workers, config.backend) == (1, "auto")
 
         config = ServiceConfig.from_env(
             {
                 "REPRO_SERVE_MAX_PENDING": "8",
-                "REPRO_SERVE_BATCH_WINDOW_MS": "250",
                 "REPRO_SERVE_MAX_BATCH": "4",
                 "REPRO_SERVE_WORKERS": "2",
                 "REPRO_SERVE_BACKEND": "serial",
             }
         )
         assert config.max_pending == 8
-        assert config.batch_window_s == pytest.approx(0.250)
         assert (config.max_batch, config.workers, config.backend) == (4, 2, "serial")
 
         with pytest.raises(ServingError):
             ServiceConfig.from_env({"REPRO_SERVE_MAX_PENDING": "many"})
-        with pytest.raises(ServingError):
-            ServiceConfig.from_env({"REPRO_SERVE_BATCH_WINDOW_MS": "-5"})
+
+    def test_from_env_ignores_the_removed_batch_window(self):
+        for raw in ("250", "-5", "soon"):
+            assert ServiceConfig.from_env(
+                {"REPRO_SERVE_BATCH_WINDOW_MS": raw}
+            ) == ServiceConfig()
+
+    def test_batch_window_keyword_warns_and_is_ignored(self):
+        with pytest.warns(DeprecationWarning, match="batch_window_s") as record:
+            config = ServiceConfig(batch_window_s=0.5)
+        assert record[0].filename == __file__  # points at the caller's line
+        assert config == ServiceConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ServiceConfig(batch_window_s=None) == ServiceConfig()
 
 
 # --------------------------------------------------------------------- HTTP
@@ -536,9 +695,8 @@ class TestEstimationServer:
         )
 
     def test_http_429_when_overloaded(self, quiet_config):
-        service = nocache_service(
-            config=ServiceConfig(max_pending=1, batch_window_s=0.5)
-        )
+        compute = CountingCompute(gated=True)
+        service = nocache_service(compute, config=ServiceConfig(max_pending=1))
         first_doc = quiet_config().describe()
         second_doc = quiet_config(matrix_size=160).describe()
 
@@ -546,18 +704,35 @@ class TestEstimationServer:
             first = asyncio.ensure_future(
                 _client(_http_post, base, "/estimate", first_doc)
             )
-            # Wait until the first request is registered in flight.
-            for _ in range(100):
-                if len(service._inflight) >= 1:
-                    break
-                await asyncio.sleep(0.01)
-            status, payload = await _client(_http_post, base, "/estimate", second_doc)
-            assert status == 429 and "error" in payload
+            try:
+                await compute.started()  # the first request holds the slot
+                status, payload = await _client(
+                    _http_post, base, "/estimate", second_doc
+                )
+                assert status == 429 and "error" in payload
+            finally:
+                compute.release()
             status, _ = await first
             assert status == 200
 
         run_with_server(scenario, service)
         assert service.stats.rejected == 1
+
+    def test_invalid_pattern_params_rejected_before_admission(self):
+        service = nocache_service(CountingCompute())
+        body = {
+            "matrix_size": 64,
+            "pattern_family": "sparsity",
+            "pattern_params": {"sparsity": 1.5},
+        }
+
+        async def scenario(base, server):
+            status, payload = await _client(_http_post, base, "/estimate", body)
+            assert status == 400 and "sparsity" in payload["error"]
+
+        run_with_server(scenario, service)
+        assert service.stats.requests == 0
+        assert service.stats.batches == 0
 
     def test_shutdown_endpoint_stops_server(self):
         async def scenario(base, server):
