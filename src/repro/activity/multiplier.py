@@ -105,16 +105,22 @@ def _from_counts(
     zero_b: np.ndarray,
     width: int,
 ) -> MultiplierActivity:
-    """Shared reduction core on precomputed per-word popcounts and zero masks."""
-    hw_a = pc_a.astype(np.float64) / width  # (N, K)
-    hw_b = pc_b.astype(np.float64) / width  # (K, M)
+    """Shared reduction core on precomputed per-word popcounts and zero masks.
 
-    a_hamming = float(hw_a.mean())
-    b_hamming = float(hw_b.mean())
+    The counts are summed as integers and divided by ``width`` and by the
+    element count only at the end.  Each per-word Hamming fraction is a
+    multiple of ``1 / width`` with ``width`` a power of two, so a float64
+    sum of the fractions is exact too, and both orders give the same bits.
+    """
+    n = pc_a.shape[0]
+    m = pc_b.shape[1]
+
+    a_hamming = float(pc_a.sum(dtype=np.int64) / width / pc_a.size)
+    b_hamming = float(pc_b.sum(dtype=np.int64) / width / pc_b.size)
 
     # Exact mean over MACs of hw(a)*hw(b): factorizes along the reduction dim.
-    mean_hw_a_per_k = hw_a.mean(axis=0)  # (K,)
-    mean_hw_b_per_k = hw_b.mean(axis=1)  # (K,)
+    mean_hw_a_per_k = pc_a.sum(axis=0, dtype=np.int64) / width / n  # (K,)
+    mean_hw_b_per_k = pc_b.sum(axis=1, dtype=np.int64) / width / m  # (K,)
     hw_product = float((mean_hw_a_per_k * mean_hw_b_per_k).mean())
 
     # Exact fraction of MACs with at least one zero operand.

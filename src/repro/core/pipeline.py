@@ -58,6 +58,7 @@ from repro.power.energy import EnergyEstimate
 from repro.power.model import PowerModel
 from repro.runtime.model import RuntimeModel
 from repro.telemetry.dcgm import DcgmMonitor
+from repro.telemetry.sampler import MIN_MEASUREMENT_DURATION_S
 from repro.util.rng import derive_rng, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,13 +69,6 @@ __all__ = [
     "EstimationPipeline",
     "estimate_experiment",
 ]
-
-#: Minimum simulated measurement window.  The paper sizes its iteration
-#: counts so each run spans many 100 ms samples; short configurations are
-#: padded up to this duration (by running more iterations) so warmup
-#: trimming and trace averaging stay meaningful.
-MIN_MEASUREMENT_DURATION_S = 3.0
-
 
 class EstimationPipeline:
     """The pure estimation path for one configuration.

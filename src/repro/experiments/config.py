@@ -12,7 +12,7 @@ from repro.dtypes.registry import get_dtype
 from repro.errors import ExperimentError, PatternError
 from repro.gpu.specs import get_gpu_spec
 from repro.patterns.library import PATTERN_FAMILIES, build_pattern
-from repro.telemetry.sampler import TelemetryConfig
+from repro.telemetry.sampler import TelemetryConfig, latest_warmup_trim_s
 
 __all__ = ["ExperimentConfig", "PAPER_MATRIX_SIZE", "PAPER_SEEDS", "PAPER_ITERATIONS"]
 
@@ -70,6 +70,12 @@ class ExperimentConfig:
         if not 0 <= self.warmup_trim_s < math.inf:  # NaN fails every comparison
             raise ExperimentError(
                 f"warmup_trim_s must be finite and >= 0, got {self.warmup_trim_s}"
+            )
+        latest_trim_s = latest_warmup_trim_s(self.telemetry)
+        if self.warmup_trim_s > latest_trim_s:
+            raise ExperimentError(
+                f"warmup_trim_s={self.warmup_trim_s} can leave no power sample; "
+                f"the shortest measurement's last sample is at {latest_trim_s} s"
             )
         if _has_non_finite(self.pattern_params):
             raise ExperimentError(

@@ -5,6 +5,16 @@ values are sorted (ascending) into the first n percent of indices in the
 traversal order (row-major for row sorting, column-major for column
 sorting); the remaining values keep their original relative order in the
 remaining indices.
+
+The sorts are exact: they return the bits a stable sort would, but run on
+NumPy's default (unstable, vectorized) sort.  Two floats that compare equal
+have the same bits unless they are zeros of either sign or NaNs with
+different payloads, so a stable order can only be observed in those two
+classes.  Both are contiguous blocks of the sorted output (zeros in the
+middle, NaNs at the end), and :func:`_stable_order` refills each block with
+the input's members in input order.  A partial sort takes the lowest ``k``
+values as a stable argsort would: every value below the ``k``-th smallest,
+then the earliest values tied with it in input order (NaN ties only NaN).
 """
 
 from __future__ import annotations
@@ -32,15 +42,37 @@ def _partial_sort_flat(flat: np.ndarray, fraction: float) -> np.ndarray:
     k = int(round(fraction * size))
     if k <= 0:
         return flat.copy()
+    ordered = np.sort(flat)
     if k >= size:
-        return np.sort(flat, kind="stable")
-    order = np.argsort(flat, kind="stable")
-    lowest_indices = order[:k]
-    lowest_sorted = flat[lowest_indices]  # argsort output is already ascending
-    keep_mask = np.ones(size, dtype=bool)
-    keep_mask[lowest_indices] = False
-    rest_in_original_order = flat[keep_mask]
-    return np.concatenate([lowest_sorted, rest_in_original_order])
+        return _stable_order(ordered, flat)
+    lowest = _lowest_k(flat, ordered[k - 1], k)
+    return np.concatenate([_stable_order(ordered[:k], flat[lowest]), flat[~lowest]])
+
+
+def _lowest_k(flat: np.ndarray, threshold: float, k: int) -> np.ndarray:
+    """Mask of the ``k`` elements a stable sort puts first, given the
+    ``k``-th smallest value ``threshold``."""
+    if np.isnan(threshold):
+        ties = np.isnan(flat)
+        lowest = ~ties
+    else:
+        lowest = flat < threshold
+        ties = flat == threshold
+    lowest[np.flatnonzero(ties)[: k - np.count_nonzero(lowest)]] = True
+    return lowest
+
+
+def _stable_order(ordered: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Refill the zero and NaN blocks of ``ordered`` (the sorted values of
+    ``source``) with ``source``'s zeros and NaNs in input order, in place."""
+    zeros_start = np.searchsorted(ordered, 0.0, side="left")
+    zeros_end = np.searchsorted(ordered, 0.0, side="right")
+    if zeros_end > zeros_start:
+        ordered[zeros_start:zeros_end] = source[source == 0.0]
+    nan_start = np.searchsorted(ordered, np.inf, side="right")
+    if nan_start < ordered.size:
+        ordered[nan_start:] = source[np.isnan(source)]
+    return ordered
 
 
 def sort_rows(matrix: np.ndarray, fraction: float) -> np.ndarray:

@@ -17,7 +17,18 @@ from repro.errors import TelemetryError
 from repro.telemetry.trace import PowerTrace
 from repro.util.rng import derive_rng
 
-__all__ = ["TelemetryConfig", "simulate_power_trace"]
+__all__ = [
+    "MIN_MEASUREMENT_DURATION_S",
+    "TelemetryConfig",
+    "latest_warmup_trim_s",
+    "simulate_power_trace",
+]
+
+#: Minimum simulated measurement window.  The paper sizes its iteration
+#: counts so each run spans many 100 ms samples; short configurations are
+#: padded up to this duration (by running more iterations) so warmup
+#: trimming and trace averaging stay meaningful.
+MIN_MEASUREMENT_DURATION_S = 3.0
 
 
 @lru_cache(maxsize=64)
@@ -58,6 +69,26 @@ class TelemetryConfig:
             raise TelemetryError("noise and drift amplitudes must be non-negative")
 
 
+def _sample_count(duration_s: float, sample_period_s: float) -> int:
+    return max(int(np.ceil(duration_s / sample_period_s)), 1)
+
+
+def latest_warmup_trim_s(config: TelemetryConfig) -> float:
+    """The longest warmup trim that leaves a sample in every measurement.
+
+    A measurement window is ``iterations * iteration_time`` with enough
+    iterations to reach :data:`MIN_MEASUREMENT_DURATION_S`; the division
+    and the product round, which can leave it a relative ``eps`` short of
+    that, so the bound is taken for a window of ``MIN * (1 - 2 eps)``.
+    Trimming keeps the samples at or after the trim, so the bound is the
+    last timestamp of that window's trace, computed as
+    :func:`_sample_time_grid` computes it.
+    """
+    shortest_s = MIN_MEASUREMENT_DURATION_S * (1.0 - 2.0 * np.finfo(np.float64).eps)
+    last_index = _sample_count(shortest_s, config.sample_period_s) - 1
+    return float(np.float64(last_index) * config.sample_period_s)
+
+
 def simulate_power_trace(
     steady_power_watts: float,
     duration_s: float,
@@ -77,7 +108,7 @@ def simulate_power_trace(
     config = config or TelemetryConfig()
     rng = derive_rng(seed, "telemetry", round(steady_power_watts, 3), round(duration_s, 6))
 
-    num_samples = max(int(np.ceil(duration_s / config.sample_period_s)), 1)
+    num_samples = _sample_count(duration_s, config.sample_period_s)
     times = _sample_time_grid(num_samples, config.sample_period_s)
 
     ramp = 1.0 - np.exp(-times / config.warmup_time_constant_s)

@@ -64,7 +64,10 @@ class PowerTrace:
     # ------------------------------------------------------------ transforms
 
     def trim_warmup(self, warmup_s: float = 0.5) -> "PowerTrace":
-        """Drop the first ``warmup_s`` seconds of samples (paper's procedure)."""
+        """Drop the first ``warmup_s`` seconds of samples (paper's procedure).
+
+        Raises :class:`TelemetryError` when no sample remains.
+        """
         if warmup_s < 0:
             raise TelemetryError(f"warmup must be non-negative, got {warmup_s}")
         if self.num_samples == 0:
@@ -72,9 +75,10 @@ class PowerTrace:
         cutoff = self.timestamps_s[0] + warmup_s
         keep = self.timestamps_s >= cutoff
         if not np.any(keep):
-            # Keep at least the final sample so the trace stays usable.
-            keep = np.zeros_like(keep)
-            keep[-1] = True
+            raise TelemetryError(
+                f"a {warmup_s} s warmup trim leaves no sample of a trace whose "
+                f"last sample is at {self.timestamps_s[-1] - self.timestamps_s[0]} s"
+            )
         return PowerTrace(
             timestamps_s=self.timestamps_s[keep],
             power_watts=self.power_watts[keep],

@@ -87,17 +87,17 @@ def popcount(words: np.ndarray) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        ``int64`` array with the same shape as ``words`` containing the
-        number of set bits in each element.
+        ``uint8`` array with the same shape as ``words`` containing the
+        number of set bits in each element (at most 64, so it fits).
+        Reduce it with an explicit wide ``dtype`` or a float mean; do not
+        subtract counts, which wraps around in ``uint8``.
     """
     arr = _require_unsigned(words)
-    if arr.size == 0:
-        return np.zeros(arr.shape, dtype=np.int64)
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(arr).astype(np.int64)
+        return np.bitwise_count(arr)
     flat = np.ascontiguousarray(arr)
     as_bytes = flat.view(np.uint8).reshape(*flat.shape, flat.dtype.itemsize)
-    return POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.int64)
+    return POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.uint8)
 
 
 def hamming_weight(words: np.ndarray) -> int:
@@ -207,7 +207,7 @@ def toggle_fraction_per_slice(words: np.ndarray, axis: int) -> np.ndarray:
         return np.zeros(batch, dtype=np.float64)
     lag, lead = _successive_views(arr, axis)
     distances = popcount(np.bitwise_xor(lag, lead))
-    per_slice = distances.reshape(batch, -1).sum(axis=1)
+    per_slice = distances.reshape(batch, -1).sum(axis=1, dtype=np.int64)
     total_bits = lag[0].size * bit_width(arr)
     return per_slice / total_bits
 

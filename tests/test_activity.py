@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from repro.activity.report import ActivityReport, COMPONENT_NAMES
 from repro.activity.sampler import SamplingConfig
 from repro.errors import ActivityError
 from repro.kernels.gemm import GemmOperands, GemmProblem
-from repro.kernels.schedule import build_streams, build_streams_stacked
+from repro.dtypes import get_dtype, list_dtypes
+from repro.kernels.schedule import (
+    OperandStreams,
+    StackedOperandStreams,
+    build_streams,
+    build_streams_stacked,
+)
+from repro.util.bits import toggle_fraction_per_slice
 
 
 def _streams(a, b, dtype="fp16", transpose_b=True):
@@ -270,3 +279,102 @@ class TestActivityTrends:
         different_fill = activity_from_matrices(np.full((32, 32), 13.5), np.full((32, 32), -97.0))
         assert same_fill.bit_alignment == pytest.approx(1.0)
         assert different_fill.bit_alignment < same_fill.bit_alignment
+
+
+def _reference_popcount(words):
+    """Popcount widened to int64, as the float reductions below consumed it."""
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    as_bytes = as_bytes.reshape(*words.shape, words.dtype.itemsize)
+    return np.unpackbits(as_bytes, axis=-1).sum(axis=-1, dtype=np.int64)
+
+
+def _reference_multiplier(a_words, b_words, spec):
+    """Multiplier statistics from per-word float64 Hamming fractions."""
+    from repro.activity.multiplier import ZERO_GATED_RESIDUAL
+    from repro.activity.toggles import RANDOM_HAMMING_FRACTION
+
+    width = spec.bits
+    hw_a = _reference_popcount(a_words).astype(np.float64) / width
+    hw_b = _reference_popcount(b_words).astype(np.float64) / width
+    magnitude = (1 << (width - 1)) - 1 if spec.is_float else (1 << width) - 1
+    zero_a = (a_words & spec.word_dtype.type(magnitude)) == 0
+    zero_b = (b_words & spec.word_dtype.type(magnitude)) == 0
+    hw_product = float((hw_a.mean(axis=0) * hw_b.mean(axis=1)).mean())
+    nonzero_pair = (1.0 - zero_a.mean(axis=0)) * (1.0 - zero_b.mean(axis=1))
+    zero_mac_fraction = float(1.0 - nonzero_pair.mean())
+    return {
+        "hw_product": hw_product,
+        "zero_mac_fraction": zero_mac_fraction,
+        "a_hamming_fraction": float(hw_a.mean()),
+        "b_hamming_fraction": float(hw_b.mean()),
+        "activity": hw_product / RANDOM_HAMMING_FRACTION**2
+        + ZERO_GATED_RESIDUAL * zero_mac_fraction,
+    }
+
+
+def _reference_toggle_fraction_per_slice(words, axis):
+    if words.shape[axis] < 2:
+        return np.zeros(words.shape[0])
+    lag = np.moveaxis(words, axis, -1)[..., :-1]
+    lead = np.moveaxis(words, axis, -1)[..., 1:]
+    per_slice = _reference_popcount(lag ^ lead).reshape(words.shape[0], -1).sum(axis=1)
+    return per_slice / (lag[0].size * words.dtype.itemsize * 8)
+
+
+def _tricky_words(rng, spec, shape):
+    """Random words with runs of all-ones, all-zero and sign-only (``-0.0``) words."""
+    width = spec.bits
+    words = rng.integers(0, 2**width, size=shape, dtype=np.uint64).astype(spec.word_dtype)
+    special = np.array([2**width - 1, 0, 1 << (width - 1)], dtype=np.uint64)
+    mask = rng.random(shape) < 0.3
+    words[mask] = rng.choice(special, size=int(mask.sum())).astype(spec.word_dtype)
+    return words
+
+
+class TestIntegerDomainReductions:
+    """Integer-count reductions equal the per-word float64 ones bit for bit."""
+
+    #: (N, K, M) for the multiplier, (S, N, K) for the toggles
+    SHAPES = [(1, 1, 1), (5, 9, 3), (67, 300, 41), (256, 256, 256)]
+    TOGGLE_SHAPES = [(1, 1, 1), (4, 5, 9), (3, 67, 300), (2, 256, 256)]
+
+    @pytest.mark.parametrize("dtype", list_dtypes())
+    @pytest.mark.parametrize("transpose_b", [True, False])
+    def test_multiplier_matches_float_reference(self, dtype, transpose_b, rng):
+        spec = get_dtype(dtype)
+        for n, k, m in self.SHAPES:
+            stored_shape = (3, m, k) if transpose_b else (3, k, m)
+            stacked = StackedOperandStreams(
+                dtype=spec,
+                a_words=_tricky_words(rng, spec, (3, n, k)),
+                b_stored_words=_tricky_words(rng, spec, stored_shape),
+                transpose_b=transpose_b,
+            )
+            batch = estimate_multiplier_activity_batch(stacked)
+            for index in range(stacked.batch):
+                view = stacked.slice(index)
+                expected = _reference_multiplier(view.a_words, view.b_words, spec)
+                single = estimate_multiplier_activity(view)
+                assert dataclasses.asdict(single) == expected
+                assert dataclasses.asdict(batch[index]) == expected
+
+    @pytest.mark.parametrize("dtype", list_dtypes())
+    def test_toggle_fraction_per_slice_matches_float_reference(self, dtype, rng):
+        spec = get_dtype(dtype)
+        for shape in self.TOGGLE_SHAPES:
+            words = _tricky_words(rng, spec, shape)
+            for axis in (1, 2):
+                got = toggle_fraction_per_slice(words, axis)
+                expected = _reference_toggle_fraction_per_slice(words, axis)
+                assert got.dtype == np.float64
+                assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("dtype", list_dtypes())
+    def test_uniform_words(self, dtype):
+        spec = get_dtype(dtype)
+        width = spec.bits
+        for fill in (0, 2**width - 1, 1 << (width - 1)):
+            a_words = np.full((8, 8), fill, dtype=np.uint64).astype(spec.word_dtype)
+            view = OperandStreams(spec, a_words, a_words.copy(), transpose_b=True)
+            expected = _reference_multiplier(view.a_words, view.b_words, spec)
+            assert dataclasses.asdict(estimate_multiplier_activity(view)) == expected

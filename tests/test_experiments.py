@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -11,6 +13,7 @@ from repro.experiments.config import PAPER_ITERATIONS, PAPER_MATRIX_SIZE, PAPER_
 from repro.experiments.harness import ExperimentRunner, run_experiment
 from repro.experiments.results import ExperimentResult, FigureResult, SweepResult
 from repro.experiments.sweep import run_configs, run_sweep, sweep_configs
+from repro.telemetry.sampler import TelemetryConfig, latest_warmup_trim_s
 
 
 class TestExperimentConfig:
@@ -67,6 +70,30 @@ class TestExperimentConfig:
         # Rejected when the config is built, not partway through a run.
         with pytest.raises(ExperimentError):
             ExperimentConfig(pattern_family=family, pattern_params=params)
+
+    @pytest.mark.parametrize("warmup_trim_s", [3.0, 10.0])
+    def test_warmup_trim_past_shortest_trace_rejected(self, warmup_trim_s):
+        with pytest.raises(ExperimentError, match="no power sample"):
+            ExperimentConfig(matrix_size=64, seeds=1, warmup_trim_s=warmup_trim_s)
+
+    @pytest.mark.parametrize("sample_period_s", [0.1, 0.05, 0.07, 0.3, 1.0, 7.0])
+    def test_warmup_trim_bound_is_the_shortest_trace_last_sample(self, sample_period_s):
+        # The 64² kernel is far shorter than the minimum window, so the run
+        # is padded to the shortest trace any config can produce.
+        telemetry = TelemetryConfig(sample_period_s=sample_period_s)
+        bound = latest_warmup_trim_s(telemetry)
+        with pytest.raises(ExperimentError, match="no power sample"):
+            ExperimentConfig(
+                matrix_size=64, seeds=1, telemetry=telemetry,
+                warmup_trim_s=float(np.nextafter(bound, np.inf)),
+            )
+        config = ExperimentConfig(
+            matrix_size=64, seeds=1, telemetry=telemetry, warmup_trim_s=bound
+        )
+        assert math.isfinite(run_experiment(config, cache=None).mean_power_watts)
+
+    def test_default_warmup_trim_bound(self):
+        assert latest_warmup_trim_s(TelemetryConfig()) == 29 * 0.1
 
     def test_with_overrides_does_not_mutate(self):
         base = ExperimentConfig()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dtypes import get_dtype
 from repro.errors import PatternError
@@ -115,3 +117,85 @@ class TestPartialSortTransform:
         original_diff = np.abs(np.diff(matrix.reshape(-1))).mean()
         sorted_diff = np.abs(np.diff(sort_rows(matrix, 1.0).reshape(-1))).mean()
         assert sorted_diff < original_diff
+
+
+def _reference_partial_sort_flat(flat, fraction):
+    """The stable-argsort partial sort the fast one must match bit for bit."""
+    size = flat.size
+    k = int(round(fraction * size))
+    if k <= 0:
+        return flat.copy()
+    if k >= size:
+        return np.sort(flat, kind="stable")
+    order = np.argsort(flat, kind="stable")
+    lowest_indices = order[:k]
+    lowest_sorted = flat[lowest_indices]
+    keep_mask = np.ones(size, dtype=bool)
+    keep_mask[lowest_indices] = False
+    return np.concatenate([lowest_sorted, flat[keep_mask]])
+
+
+def _reference_sort(matrix, fraction, mode):
+    if mode == "rows":
+        return _reference_partial_sort_flat(matrix.reshape(-1), fraction).reshape(matrix.shape)
+    if mode == "columns":
+        flat = matrix.reshape(-1, order="F")
+        return _reference_partial_sort_flat(flat, fraction).reshape(matrix.shape, order="F")
+    return np.stack([_reference_partial_sort_flat(row, fraction) for row in matrix])
+
+
+SORTS = {"rows": sort_rows, "columns": sort_columns, "within_rows": sort_within_rows}
+
+#: Bit patterns whose stable order a fast sort can get wrong: both zeros,
+#: quiet and signalling NaNs of either sign with several payloads, both
+#: infinities, and a few small values for heavy ties.
+TRICKY_BITS = [
+    0x0000000000000000, 0x8000000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+    0xFFF0000000000ABC, 0x7FF4000000000000, 0x7FFFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x3FF0000000000000, 0xBFF0000000000000, 0x4000000000000000,
+    0x0000000000000001, 0x8000000000000001,
+]
+
+
+@st.composite
+def tricky_matrices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 64 // rows))
+    bits = draw(
+        st.lists(
+            st.one_of(st.sampled_from(TRICKY_BITS), st.integers(0, 2**64 - 1)),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+
+
+class TestSortExactness:
+    """The fast sorts return the bits of the stable-argsort reference."""
+
+    @given(
+        tricky_matrices(),
+        st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+        st.sampled_from(sorted(SORTS)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_stable_reference(self, matrix, fraction, mode):
+        out = SORTS[mode](matrix, fraction)
+        expected = _reference_sort(matrix, fraction, mode)
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("mode", sorted(SORTS))
+    def test_fp16_transform_at_scale(self, mode, rng):
+        spec = get_dtype("fp16")
+        raw = rng.normal(0, 210, size=(512, 512))
+        # Tiny magnitudes quantize to zeros of both signs.
+        raw[rng.random(raw.shape) < 0.05] *= 1e-12
+        values = spec.quantize(raw)
+        assert np.signbit(values[values == 0]).any() and not np.signbit(values[values == 0]).all()
+        for fraction in (1.0, 0.37):
+            out = PartialSortTransform(fraction, mode=mode).apply(values, spec, rng)
+            expected = _reference_sort(values, fraction, mode)
+            np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))

@@ -734,6 +734,18 @@ class TestEstimationServer:
         assert service.stats.requests == 0
         assert service.stats.batches == 0
 
+    def test_warmup_trim_past_shortest_trace_rejected_before_admission(self):
+        service = nocache_service(CountingCompute())
+        body = {"matrix_size": 64, "seeds": 1, "warmup_trim_s": 3.0}
+
+        async def scenario(base, server):
+            status, payload = await _client(_http_post, base, "/estimate", body)
+            assert status == 400 and "warmup_trim_s" in payload["error"]
+
+        run_with_server(scenario, service)
+        assert service.stats.requests == 0
+        assert service.stats.batches == 0
+
     def test_shutdown_endpoint_stops_server(self):
         async def scenario(base, server):
             status, payload = await _client(_http_post, base, "/shutdown", {})

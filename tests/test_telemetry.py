@@ -41,10 +41,11 @@ class TestPowerTrace:
         assert trimmed.num_samples == 10
         assert trimmed.mean_power_watts() == pytest.approx(100.0)
 
-    def test_trim_never_empties(self):
+    def test_trim_past_last_sample_raises(self):
         trace = self._trace([10.0, 20.0])
-        trimmed = trace.trim_warmup(100.0)
-        assert trimmed.num_samples == 1
+        assert trace.trim_warmup(0.1).power_watts.tolist() == [20.0]
+        with pytest.raises(TelemetryError, match="no sample"):
+            trace.trim_warmup(100.0)
 
     def test_trim_negative_rejected(self):
         with pytest.raises(TelemetryError):

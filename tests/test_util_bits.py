@@ -52,6 +52,24 @@ class TestPopcount:
         expected = [bin(int(v)).count("1") for v in arr]
         assert bits.popcount(arr).tolist() == expected
 
+    @pytest.mark.parametrize("word_dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_counts_are_uint8(self, word_dtype, rng):
+        arr = rng.integers(0, 2**63, size=(5, 7), dtype=np.uint64).astype(word_dtype)
+        arr[0, 0] = np.iinfo(word_dtype).max
+        counts = bits.popcount(arr)
+        assert counts.dtype == np.uint8
+        assert counts.tolist() == [[bin(int(v)).count("1") for v in row] for row in arr]
+        assert bits.popcount(arr[:0]).dtype == np.uint8
+
+
+class TestPopcountTableFallback(TestPopcount):
+    """Every popcount test again, on the byte-table path NumPy < 2 takes."""
+
+    @pytest.fixture(autouse=True)
+    def _table_path(self, monkeypatch):
+        monkeypatch.setattr(bits, "_HAS_BITWISE_COUNT", False)
+        monkeypatch.setattr(np, "bitwise_count", None, raising=False)
+
 
 class TestHammingWeight:
     def test_total_weight(self):
