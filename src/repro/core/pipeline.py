@@ -7,9 +7,9 @@ around.  Given one :class:`~repro.experiments.config.ExperimentConfig` it
    ExperimentPlan` — device, pattern, CUTLASS-style launch plan and
    telemetry monitor — once, shared by every seed;
 2. for each seed, generates A and B from the plan's pattern (same pattern,
-   different seeds; B stored transposed unless disabled) and estimates
-   switching activity — all seeds go through the batched activity engine
-   in a single call;
+   different seeds; B stored transposed unless disabled) as the words the
+   estimators read, and estimates switching activity — all seeds go
+   through the batched activity engine in a single call;
 3. runs the power model (with TDP throttling) and the runtime model;
 4. simulates the DCGM 100 ms power trace for the full iteration loop,
    trims the first 500 ms of samples, and averages the rest;
@@ -53,6 +53,7 @@ from repro.experiments.plan import (
 from repro.experiments.results import ExperimentResult, SeedMeasurement
 from repro.kernels.gemm import GemmOperands, GemmProblem
 from repro.kernels.launch import KernelLaunch, plan_launch
+from repro.kernels.schedule import OperandStreams
 from repro.patterns.base import Pattern
 from repro.power.energy import EnergyEstimate
 from repro.power.model import PowerModel
@@ -131,7 +132,7 @@ class EstimationPipeline:
         per_invocation = problem.n * problem.k + problem.m * problem.k
         chunk = recommended_chunk(per_invocation)
         factories = [
-            partial(self.generate_operands, problem, index, pattern=pattern)
+            partial(self.generate_streams, problem, index, pattern=pattern)
             for index in range(config.seeds)
         ]
         keys = None
@@ -151,18 +152,35 @@ class EstimationPipeline:
         description["device"] = self.device.describe()
         return ExperimentResult(config=description, measurements=measurements)
 
-    def generate_operands(
+    def generate_streams(
         self, problem: GemmProblem, seed_index: int, pattern: Pattern | None = None
-    ) -> GemmOperands:
-        """Draw one seed's A/B operand pair from the workload pattern."""
+    ) -> OperandStreams:
+        """Draw one seed's A/B operand pair from the workload pattern, as
+        the words the estimators read (each operand encoded once)."""
         spec = get_dtype(self.config.dtype)
         if pattern is None:
             pattern = self.plan.pattern
         rng_a = derive_rng(self.config.base_seed, "A", seed_index)
         rng_b = derive_rng(self.config.base_seed, "B", seed_index)
-        a = pattern.generate(problem.a_shape, spec, rng_a)
-        b_stored = pattern.generate(problem.b_storage_shape, spec, rng_b)
-        return GemmOperands(problem=problem, a=a, b_stored=b_stored)
+        return OperandStreams(
+            dtype=spec,
+            a_words=pattern.generate_words(problem.a_shape, spec, rng_a),
+            b_stored_words=pattern.generate_words(problem.b_storage_shape, spec, rng_b),
+            transpose_b=problem.transpose_b,
+        )
+
+    def generate_operands(
+        self, problem: GemmProblem, seed_index: int, pattern: Pattern | None = None
+    ) -> GemmOperands:
+        """One seed's A/B operand pair as float values: the decode of
+        :meth:`generate_streams`'s words."""
+        streams = self.generate_streams(problem, seed_index, pattern=pattern)
+        spec = streams.dtype
+        return GemmOperands(
+            problem=problem,
+            a=spec.decode(streams.a_words),
+            b_stored=spec.decode(streams.b_stored_words),
+        )
 
     def run_seed_reference(self, seed_index: int) -> SeedMeasurement:
         """Run a single seed end to end (the unbatched reference path).

@@ -104,6 +104,25 @@ class DTypeSpec:
         """Round ``values`` to the nearest representable value (as ``float64``)."""
         return self.decode(self.encode(values))
 
+    def canonical(self, words: np.ndarray) -> np.ndarray:
+        """Return ``words`` as ``encode(decode(words))`` would, in place.
+
+        That round trip is the identity on every word except NaNs, which
+        may come back with another payload (fp32 quiets a signalling NaN,
+        bf16 maps every NaN to ``0x7fc0``).  So only NaN words are sent
+        through it, after an integer-domain check for any.  Bit transforms
+        call this to emit exactly the words a float64-staged chain would.
+        """
+        fmt = self.float_format
+        if fmt is None:
+            return words
+        magnitude = self.word_dtype.type((1 << (fmt.total_bits - 1)) - 1)
+        infinity = self.word_dtype.type(fmt.max_exponent << fmt.mantissa_bits)
+        nan = (words & magnitude) > infinity
+        if nan.any():
+            words[nan] = self.encode(self.decode(words[nan]))
+        return words
+
     # -------------------------------------------------------------- helpers
 
     def _check_words(self, words: np.ndarray) -> np.ndarray:
@@ -210,7 +229,9 @@ class NativeFloatSpec(DTypeSpec):
 
     def decode(self, words: np.ndarray) -> np.ndarray:
         arr = np.ascontiguousarray(self._check_words(words))
-        return arr.view(self.value_dtype).astype(np.float64)
+        # Widening a signalling NaN quiets it and raises "invalid".
+        with np.errstate(invalid="ignore"):
+            return arr.view(self.value_dtype).astype(np.float64)
 
 
 class NativeIntSpec(DTypeSpec):

@@ -47,7 +47,9 @@ class BFloat16Spec(DTypeSpec):
     def decode(self, words: np.ndarray) -> np.ndarray:
         arr = np.ascontiguousarray(self._check_words(words)).astype(np.uint32)
         bits32 = arr << np.uint32(16)
-        return bits32.view(np.float32).astype(np.float64)
+        # Widening a signalling NaN quiets it and raises "invalid".
+        with np.errstate(invalid="ignore"):
+            return bits32.view(np.float32).astype(np.float64)
 
 
 BF16 = BFloat16Spec()

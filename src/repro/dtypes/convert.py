@@ -32,20 +32,26 @@ def paper_distribution_scale(dtype: "str | DTypeSpec") -> float:
     return PAPER_INT8_STD if spec.is_integer else PAPER_FP_STD
 
 
-def clip_to_range(values: np.ndarray, dtype: "str | DTypeSpec", margin: float = 0.0) -> np.ndarray:
+def clip_to_range(
+    values: np.ndarray,
+    dtype: "str | DTypeSpec",
+    margin: float = 0.0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Clip values into the representable range of ``dtype``.
 
     ``margin`` shrinks the range by a relative amount (e.g. ``0.01`` keeps
     values 1% away from the extremes), mirroring the paper's practice of
     choosing parameters so that values "practically fall within each
-    datatype's representation range".
+    datatype's representation range".  ``out`` (for example ``values``
+    itself, to clip in place) receives the result, as in :func:`numpy.clip`.
     """
     spec = get_dtype(dtype)
     low, high = spec.representable_range
     if margin:
         span = (high - low) * margin / 2.0
         low, high = low + span, high - span
-    return np.clip(np.asarray(values, dtype=np.float64), low, high)
+    return np.clip(np.asarray(values, dtype=np.float64), low, high, out=out)
 
 
 def quantize_matrix(values: np.ndarray, dtype: "str | DTypeSpec") -> np.ndarray:

@@ -14,8 +14,11 @@ face forever and the simplex is stuck one dimension short.  Instead it
 is damped to the midpoint between the violated bound and the move's
 interior anchor (the centroid, or the best vertex for shrink steps):
 candidates stay strictly interior whenever the anchor is, while a
-boundary optimum is still approached geometrically.  The initial
-simplex is derived from
+boundary optimum is still approached geometrically.  Damping shrinks
+only the violating coordinate, so near a bound the simplex can still
+flatten into a needle or onto a face; a flat simplex is rebuilt around
+its best vertex while that keeps improving the best value by more than
+``ftol``.  The initial simplex is derived from
 ``seed`` alone, so a fixed seed pins the entire trajectory; all state is
 JSON-scalar (Python floats round-trip exactly through ``json``), so a
 checkpointed engine resumes bit for bit.
@@ -42,6 +45,9 @@ _ALPHA = 1.0   # reflection
 _GAMMA = 2.0   # expansion
 _RHO = 0.5     # contraction
 _SIGMA = 0.5   # shrink
+#: a simplex whose shortest axis extent (relative to the box) is below this
+#: fraction of its longest is flat
+_FLAT_RATIO = 1e-2
 
 _PHASES = ("init", "reflect", "expand", "contract", "shrink", "done")
 
@@ -84,6 +90,8 @@ class NelderMeadEngine(OptimizationEngine):
         self._reflection: "list[float] | None" = None
         self._reflection_value: "float | None" = None
         self._contract_kind = ""
+        #: best value when the simplex was last rebuilt (see _start_iteration)
+        self._restart_value = float("inf")
 
     # --------------------------------------------------------------- set-up
 
@@ -96,10 +104,14 @@ class NelderMeadEngine(OptimizationEngine):
             lows = np.array([d.low for d in dims])
             spans = np.array([d.span for d in dims])
             x0 = lows + rng.uniform(0.0, 1.0, size=len(dims)) * spans
+        return self._simplex_around(x0, [self.step * dim.span for dim in dims])
+
+    def _simplex_around(self, x0: np.ndarray, offsets: "list[float]") -> "list[list[float]]":
+        """``x0`` plus one vertex per dimension, offset along that axis
+        (away from the upper bound when the step would cross it)."""
         vertices = [self.space.vector(self.space.point(x0))]
-        for index, dim in enumerate(dims):
+        for index, (dim, offset) in enumerate(zip(self.space.dimensions, offsets)):
             vertex = x0.copy()
-            offset = self.step * dim.span
             vertex[index] = vertex[index] + offset
             if vertex[index] > dim.high:
                 vertex[index] = x0[index] - offset
@@ -145,9 +157,39 @@ class NelderMeadEngine(OptimizationEngine):
         f_spread = self._values[-1] - self._values[0]
         return x_spread, f_spread
 
+    def _is_flat(self) -> bool:
+        """Whether the simplex has (nearly) lost a dimension.
+
+        Damping a move that leaves the box shrinks only the violating
+        coordinate, so near a bound the simplex can flatten into a needle
+        that crawls, or collapse exactly onto a face where its
+        "convergence" only certifies a minimum within that face.  A
+        one-dimensional simplex cannot flatten.
+        """
+        points = np.array(self._simplex, dtype=np.float64)
+        spans = np.array([dim.span for dim in self.space.dimensions])
+        extents = (points.max(axis=0) - points.min(axis=0)) / spans
+        return bool(extents.min() < _FLAT_RATIO * extents.max())
+
     def _start_iteration(self) -> None:
         """Sort, check convergence, and stage the next reflection."""
         self._sort_simplex()
+        if (
+            self._iteration < self.max_iterations
+            and self._is_flat()
+            and self._values[0] < self._restart_value - self.ftol
+        ):
+            # Rebuild a full simplex around the best vertex, as large as
+            # the flat one's longest extent; a flat simplex that brings no
+            # improvement since the last rebuild is left to converge.
+            self._restart_value = self._values[0]
+            points = np.array(self._simplex, dtype=np.float64)
+            size = float((points.max(axis=0) - points.min(axis=0)).max())
+            self._phase = "init"
+            self._pending = self._simplex_around(
+                points[0], [size] * len(self.space.dimensions)
+            )
+            return
         x_spread, f_spread = self._spread()
         if self._iteration >= self.max_iterations or (
             x_spread <= self.xtol and f_spread <= self.ftol
@@ -296,6 +338,7 @@ class NelderMeadEngine(OptimizationEngine):
             "reflection": None if self._reflection is None else list(self._reflection),
             "reflection_value": self._reflection_value,
             "contract_kind": self._contract_kind,
+            "restart_value": None if np.isinf(self._restart_value) else self._restart_value,
             "best": self._best_state(),
         }
 
@@ -322,5 +365,7 @@ class NelderMeadEngine(OptimizationEngine):
         value = state.get("reflection_value")
         engine._reflection_value = None if value is None else float(value)
         engine._contract_kind = str(state.get("contract_kind", ""))
+        restart_value = state.get("restart_value")
+        engine._restart_value = float("inf") if restart_value is None else float(restart_value)
         engine._restore_best(state)
         return engine

@@ -1,11 +1,25 @@
 """Pattern and transform abstractions.
 
-A :class:`Pattern` produces a matrix of values that are exactly
-representable in a target datatype.  A :class:`Transform` rewrites such a
-matrix (sorting it, sparsifying it, flipping bits, ...) while keeping it
-representable.  :class:`TransformedPattern` composes a base pattern with a
-sequence of transforms; that composition is how every experiment in the
-paper is expressed.
+A :class:`Pattern` produces a matrix of a target datatype.  Its native
+output is the matrix's bit patterns (*words*, see
+:meth:`~repro.dtypes.base.DTypeSpec.encode`): :meth:`Pattern.generate_words`
+draws raw ``float64`` values and encodes them once, and every switching
+activity estimator reads words only.  :meth:`Pattern.generate` is the float
+view of the same matrix, the decode of those words.
+
+A :class:`Transform` rewrites such a matrix (sorting it, sparsifying it,
+flipping bits, ...) while keeping it representable.  Each transform has one
+implementation, in the domain it is defined in: bit and sparsity transforms
+implement :meth:`Transform.apply_words`, value transforms such as sorting
+implement :meth:`Transform.apply`, and the base class derives the other
+direction.  :class:`TransformedPattern` composes a base pattern with a
+sequence of transforms in the words domain; that composition is how every
+experiment in the paper is expressed.
+
+The words are exactly the ones a float64-staged chain would produce
+(quantize, then ``apply`` each transform on values, then encode): the
+round trip ``encode(decode(w))`` is the identity except on NaN words, which
+bit transforms canonicalize (:meth:`~repro.dtypes.base.DTypeSpec.canonical`).
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ __all__ = ["Pattern", "Transform", "TransformedPattern"]
 
 
 class Pattern(ABC):
-    """Generates matrices of datatype-representable values."""
+    """Generates matrices of a datatype, as words or as float values."""
 
     #: human-readable identifier used in experiment configs and reports
     name: str = "pattern"
@@ -34,23 +48,32 @@ class Pattern(ABC):
     ) -> np.ndarray:
         """Produce raw ``float64`` values before quantization."""
 
+    def generate_words(
+        self,
+        shape: tuple[int, int],
+        dtype: "str | DTypeSpec",
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Generate a matrix of ``dtype`` as its bit patterns (unsigned words)."""
+        spec = get_dtype(dtype)
+        shape = _check_shape(shape)
+        values = np.asarray(self._raw_values(shape, spec, rng), dtype=np.float64)
+        if values.shape != shape:
+            raise PatternError(
+                f"pattern {self.name!r} produced shape {values.shape}, expected {shape}"
+            )
+        return spec.encode(values)
+
     def generate(
         self,
         shape: tuple[int, int],
         dtype: "str | DTypeSpec",
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Generate a ``float64`` matrix whose values are representable in ``dtype``."""
+        """Generate a ``float64`` matrix whose values are representable in
+        ``dtype``: the decode of :meth:`generate_words`."""
         spec = get_dtype(dtype)
-        if len(shape) != 2 or shape[0] <= 0 or shape[1] <= 0:
-            raise PatternError(f"shape must be a positive 2-tuple, got {shape!r}")
-        values = self._raw_values((int(shape[0]), int(shape[1])), spec, rng)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != tuple(shape):
-            raise PatternError(
-                f"pattern {self.name!r} produced shape {values.shape}, expected {tuple(shape)}"
-            )
-        return spec.quantize(values)
+        return spec.decode(self.generate_words(shape, spec, rng))
 
     def describe(self) -> dict[str, object]:
         """Return a JSON-serializable description of the pattern."""
@@ -65,15 +88,45 @@ class Pattern(ABC):
 
 
 class Transform(ABC):
-    """Rewrites a matrix of datatype-representable values."""
+    """Rewrites a matrix of datatype-representable values.
+
+    Subclasses override :meth:`apply_words` or :meth:`apply` (at least one);
+    the other is derived through ``encode``/``decode``.
+    """
 
     name: str = "transform"
 
-    @abstractmethod
+    def __new__(cls, *args: object, **kwargs: object) -> "Transform":
+        if cls.apply is Transform.apply and cls.apply_words is Transform.apply_words:
+            raise TypeError(
+                f"Can't instantiate {cls.__name__}: override apply or apply_words"
+            )
+        return super().__new__(cls)
+
     def apply(
         self, values: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
     ) -> np.ndarray:
         """Return a transformed copy of ``values`` (still representable in ``dtype``)."""
+        if self.is_identity(dtype):
+            return np.array(values, dtype=np.float64, copy=True)
+        return dtype.decode(self.apply_words(dtype.encode(values), dtype, rng))
+
+    def apply_words(
+        self, words: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Return a transformed copy of ``words``, as ``encode`` would emit it.
+
+        ``words`` are ``dtype``'s bit patterns as :meth:`~repro.dtypes.base.
+        DTypeSpec.encode` emits them; the result is, bit for bit,
+        ``encode(apply(decode(words)))``.
+        """
+        return dtype.encode(self.apply(dtype.decode(words), dtype, rng))
+
+    def is_identity(self, dtype: DTypeSpec) -> bool:
+        """Whether this transform returns its input unchanged for ``dtype``
+        (drawing nothing from the RNG).  The derived :meth:`apply` then
+        copies its input as given, without quantizing it."""
+        return False
 
     def describe(self) -> dict[str, object]:
         return {"name": self.name}
@@ -100,25 +153,26 @@ class TransformedPattern(Pattern):
 
     def _raw_values(
         self, shape: tuple[int, int], dtype: DTypeSpec, rng: np.random.Generator
-    ) -> np.ndarray:  # pragma: no cover - generate() is overridden
+    ) -> np.ndarray:  # pragma: no cover - generate_words() is overridden
         return self.base._raw_values(shape, dtype, rng)
 
-    def generate(
+    def generate_words(
         self,
         shape: tuple[int, int],
         dtype: "str | DTypeSpec",
         rng: np.random.Generator,
     ) -> np.ndarray:
         spec = get_dtype(dtype)
-        values = self.base.generate(shape, spec, rng)
+        shape = _check_shape(shape)
+        words = self.base.generate_words(shape, spec, rng)
         for transform in self.transforms:
-            values = transform.apply(values, spec, rng)
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != tuple(shape):
+            words = np.asarray(transform.apply_words(words, spec, rng))
+            if words.shape != shape or words.dtype != spec.word_dtype:
                 raise PatternError(
-                    f"transform {transform.name!r} changed shape to {values.shape}"
+                    f"transform {transform.name!r} returned {words.dtype} words of "
+                    f"shape {words.shape}"
                 )
-        return values
+        return words
 
     def describe(self) -> dict[str, object]:
         return {
@@ -126,3 +180,9 @@ class TransformedPattern(Pattern):
             "base": self.base.describe(),
             "transforms": [t.describe() for t in self.transforms],
         }
+
+
+def _check_shape(shape: tuple[int, int]) -> tuple[int, int]:
+    if len(shape) != 2 or shape[0] <= 0 or shape[1] <= 0:
+        raise PatternError(f"shape must be a positive 2-tuple, got {shape!r}")
+    return (int(shape[0]), int(shape[1]))

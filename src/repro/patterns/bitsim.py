@@ -1,7 +1,8 @@
 """Bit-similarity transforms (paper §IV-B).
 
-All three transforms operate directly on the datatype's bit representation
-and therefore always produce representable values:
+All three transforms operate directly on the datatype's words (their
+:meth:`~repro.patterns.base.Transform.apply_words`) and therefore always
+produce representable values:
 
 * :class:`RandomBitFlipTransform` — flip each bit independently with a
   given probability (Fig. 4a: "random bits are flipped in each element").
@@ -21,6 +22,7 @@ from repro.patterns.base import Transform
 from repro.util.bits import set_high_bits_mask, set_low_bits_mask
 
 __all__ = [
+    "BitFieldTransform",
     "RandomBitFlipTransform",
     "RandomizeLowBitsTransform",
     "RandomizeHighBitsTransform",
@@ -63,6 +65,48 @@ def _random_words(
     return raw.astype(word_dtype)
 
 
+class BitFieldTransform(Transform):
+    """Zero or randomize the ``count`` least or most significant bits of
+    every element.
+
+    Give either ``count`` or ``fraction`` of the datatype's width (see
+    :func:`resolve_bit_count`).  Subclasses choose the field (:attr:`high`)
+    and whether it is refilled with random bits (:attr:`randomize`).
+    """
+
+    #: family name, used in :attr:`name` and :meth:`describe`
+    family: str = "bit_field"
+    #: the field is the most significant bits (else the least)
+    high: bool = False
+    #: the field is refilled with uniform random bits (else zeroed)
+    randomize: bool = False
+
+    def __init__(self, count: int | None = None, fraction: float | None = None) -> None:
+        self.count = count
+        self.fraction = fraction
+        label = f"{count}" if count is not None else (f"{fraction:g}w" if fraction is not None else "unset")
+        self.name = f"{self.family}({label})"
+
+    def is_identity(self, dtype: DTypeSpec) -> bool:
+        return resolve_bit_count(dtype, self.count, self.fraction) == 0
+
+    def apply_words(
+        self, words: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
+    ) -> np.ndarray:
+        if self.is_identity(dtype):
+            return np.array(words, copy=True)
+        count = resolve_bit_count(dtype, self.count, self.fraction)
+        field = set_high_bits_mask if self.high else set_low_bits_mask
+        mask = dtype.word_dtype.type(field(dtype.bits, count, dtype.word_dtype))
+        out = words & ~mask
+        if self.randomize:
+            out |= _random_words(rng, words.shape, dtype.word_dtype) & mask
+        return dtype.canonical(out)
+
+    def describe(self) -> dict[str, object]:
+        return {"name": self.family, "count": self.count, "fraction": self.fraction}
+
+
 class RandomBitFlipTransform(Transform):
     """Flip each bit of each element independently with probability ``probability``."""
 
@@ -72,71 +116,36 @@ class RandomBitFlipTransform(Transform):
         self.probability = float(probability)
         self.name = f"bit_flip(p={self.probability:g})"
 
-    def apply(
-        self, values: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
+    def is_identity(self, dtype: DTypeSpec) -> bool:
+        return self.probability == 0.0
+
+    def apply_words(
+        self, words: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.probability == 0.0:
-            return np.array(values, dtype=np.float64, copy=True)
-        words = dtype.encode(values)
-        width = dtype.bits
+        if self.is_identity(dtype):
+            return np.array(words, copy=True)
         # Build the flip mask bit-plane by bit-plane; width is at most 64 so
         # this stays a handful of vectorized draws.
         flip = np.zeros(words.shape, dtype=np.uint64)
-        for bit in range(width):
+        for bit in range(dtype.bits):
             plane = rng.random(words.shape) < self.probability
             flip |= plane.astype(np.uint64) << np.uint64(bit)
-        flipped = np.bitwise_xor(words, flip.astype(words.dtype))
-        return dtype.decode(flipped)
+        return dtype.canonical(np.bitwise_xor(words, flip.astype(dtype.word_dtype)))
 
     def describe(self) -> dict[str, object]:
         return {"name": "bit_flip", "probability": self.probability}
 
 
-class RandomizeLowBitsTransform(Transform):
+class RandomizeLowBitsTransform(BitFieldTransform):
     """Replace the ``count`` least significant bits of every element with random bits."""
 
-    def __init__(self, count: int | None = None, fraction: float | None = None) -> None:
-        self.count = count
-        self.fraction = fraction
-        label = f"{count}" if count is not None else (f"{fraction:g}w" if fraction is not None else "unset")
-        self.name = f"randomize_lsb({label})"
-
-    def apply(
-        self, values: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
-    ) -> np.ndarray:
-        count = resolve_bit_count(dtype, self.count, self.fraction)
-        if count == 0:
-            return np.array(values, dtype=np.float64, copy=True)
-        words = dtype.encode(values)
-        mask = words.dtype.type(set_low_bits_mask(dtype.bits, count, words.dtype))
-        random_bits = _random_words(rng, words.shape, words.dtype) & mask
-        randomized = (words & ~mask) | random_bits
-        return dtype.decode(randomized)
-
-    def describe(self) -> dict[str, object]:
-        return {"name": "randomize_lsb", "count": self.count, "fraction": self.fraction}
+    family = "randomize_lsb"
+    randomize = True
 
 
-class RandomizeHighBitsTransform(Transform):
+class RandomizeHighBitsTransform(BitFieldTransform):
     """Replace the ``count`` most significant bits of every element with random bits."""
 
-    def __init__(self, count: int | None = None, fraction: float | None = None) -> None:
-        self.count = count
-        self.fraction = fraction
-        label = f"{count}" if count is not None else (f"{fraction:g}w" if fraction is not None else "unset")
-        self.name = f"randomize_msb({label})"
-
-    def apply(
-        self, values: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
-    ) -> np.ndarray:
-        count = resolve_bit_count(dtype, self.count, self.fraction)
-        if count == 0:
-            return np.array(values, dtype=np.float64, copy=True)
-        words = dtype.encode(values)
-        mask = words.dtype.type(set_high_bits_mask(dtype.bits, count, words.dtype))
-        random_bits = _random_words(rng, words.shape, words.dtype) & mask
-        randomized = (words & ~mask) | random_bits
-        return dtype.decode(randomized)
-
-    def describe(self) -> dict[str, object]:
-        return {"name": "randomize_msb", "count": self.count, "fraction": self.fraction}
+    family = "randomize_msb"
+    high = True
+    randomize = True

@@ -41,7 +41,7 @@ class GaussianPattern(Pattern):
         self, shape: tuple[int, int], dtype: DTypeSpec, rng: np.random.Generator
     ) -> np.ndarray:
         values = rng.normal(self.mean, self.std, size=shape)
-        return clip_to_range(values, dtype)
+        return clip_to_range(values, dtype, out=values)
 
     def describe(self) -> dict[str, object]:
         return {"name": "gaussian", "mean": self.mean, "std": self.std}
@@ -134,7 +134,7 @@ class UniformPattern(Pattern):
         self, shape: tuple[int, int], dtype: DTypeSpec, rng: np.random.Generator
     ) -> np.ndarray:
         values = rng.uniform(self.low, self.high, size=shape)
-        return clip_to_range(values, dtype)
+        return clip_to_range(values, dtype, out=values)
 
     def describe(self) -> dict[str, object]:
         return {"name": "uniform", "low": self.low, "high": self.high}

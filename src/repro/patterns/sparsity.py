@@ -16,8 +16,7 @@ import numpy as np
 from repro.dtypes.base import DTypeSpec
 from repro.errors import PatternError
 from repro.patterns.base import Transform
-from repro.patterns.bitsim import resolve_bit_count
-from repro.util.bits import set_high_bits_mask, set_low_bits_mask
+from repro.patterns.bitsim import BitFieldTransform
 
 __all__ = [
     "SparsityTransform",
@@ -36,68 +35,39 @@ class SparsityTransform(Transform):
         self.sparsity = float(sparsity)
         self.name = f"sparsity({self.sparsity:g})"
 
-    def apply(
-        self, values: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
+    def apply_words(
+        self, words: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
     ) -> np.ndarray:
-        arr = np.array(values, dtype=np.float64, copy=True)
+        arr = np.array(words, copy=True)
         if self.sparsity == 0.0:
             return arr
         count = int(round(self.sparsity * arr.size))
         if count >= arr.size:
             return np.zeros_like(arr)
         zero_indices = rng.choice(arr.size, size=count, replace=False)
-        flat = arr.reshape(-1)
-        flat[zero_indices] = 0.0
+        arr.reshape(-1)[zero_indices] = 0
         return arr
+
+    # Zero is word 0 in every datatype and the zeroed positions do not depend
+    # on the elements, so the same code rewrites values exactly (no encode
+    # round trip, so unrepresentable inputs pass through unchanged).
+    apply = apply_words
 
     def describe(self) -> dict[str, object]:
         return {"name": "sparsity", "sparsity": self.sparsity}
 
 
-class ZeroLowBitsTransform(Transform):
+class ZeroLowBitsTransform(BitFieldTransform):
     """Zero the ``count`` least significant bits of every element."""
 
-    def __init__(self, count: int | None = None, fraction: float | None = None) -> None:
-        self.count = count
-        self.fraction = fraction
-        label = f"{count}" if count is not None else (f"{fraction:g}w" if fraction is not None else "unset")
-        self.name = f"zero_lsb({label})"
-
-    def apply(
-        self, values: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
-    ) -> np.ndarray:
-        count = resolve_bit_count(dtype, self.count, self.fraction)
-        if count == 0:
-            return np.array(values, dtype=np.float64, copy=True)
-        words = dtype.encode(values)
-        mask = words.dtype.type(set_low_bits_mask(dtype.bits, count, words.dtype))
-        return dtype.decode(words & ~mask)
-
-    def describe(self) -> dict[str, object]:
-        return {"name": "zero_lsb", "count": self.count, "fraction": self.fraction}
+    family = "zero_lsb"
 
 
-class ZeroHighBitsTransform(Transform):
+class ZeroHighBitsTransform(BitFieldTransform):
     """Zero the ``count`` most significant bits of every element."""
 
-    def __init__(self, count: int | None = None, fraction: float | None = None) -> None:
-        self.count = count
-        self.fraction = fraction
-        label = f"{count}" if count is not None else (f"{fraction:g}w" if fraction is not None else "unset")
-        self.name = f"zero_msb({label})"
-
-    def apply(
-        self, values: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
-    ) -> np.ndarray:
-        count = resolve_bit_count(dtype, self.count, self.fraction)
-        if count == 0:
-            return np.array(values, dtype=np.float64, copy=True)
-        words = dtype.encode(values)
-        mask = words.dtype.type(set_high_bits_mask(dtype.bits, count, words.dtype))
-        return dtype.decode(words & ~mask)
-
-    def describe(self) -> dict[str, object]:
-        return {"name": "zero_msb", "count": self.count, "fraction": self.fraction}
+    family = "zero_msb"
+    high = True
 
 
 class StructuredSparsityTransform(Transform):

@@ -9,7 +9,9 @@ location of the moved constant.
 
 from __future__ import annotations
 
+import sys
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core import (
     EstimationPipeline,
     estimate_experiment,
 )
+from repro.dtypes import get_dtype
 from repro.experiments.harness import ExperimentRunner, run_experiment
 from repro.experiments.plan import (
     ExperimentPlan,
@@ -63,6 +66,49 @@ class TestPipelineEquivalence:
         assert [m.as_dict() for m in batched.measurements] == [
             m.as_dict() for m in reference
         ]
+
+
+class TestOperandStaging:
+    """Patterns hand the estimators words: no float64 staging of operands."""
+
+    @pytest.mark.parametrize(
+        ("family", "params", "value_domain"),
+        [
+            ("gaussian", {}, False),
+            ("zero_lsb", {"fraction": 0.5}, False),
+            ("sparsity", {"sparsity": 0.5}, False),
+            # The partial sort is defined on values: one decode and one
+            # re-encode per operand around it.
+            ("sorted_rows", {}, True),
+        ],
+    )
+    def test_paper_kinds_encode_each_operand_once(
+        self, monkeypatch, quiet_config, family, params, value_domain
+    ):
+        config = quiet_config(pattern_family=family, pattern_params=params, seeds=2)
+        expected = EstimationPipeline(config, activity_cache=None).run().as_dict()
+        calls: list[tuple[str, str]] = []
+
+        def record(name, original):
+            def wrapper(arg):
+                calls.append((name, sys._getframe(1).f_globals.get("__name__", "")))
+                return original(arg)
+
+            return wrapper
+
+        spec = get_dtype(config.dtype)
+        for name in ("encode", "decode", "quantize"):
+            monkeypatch.setattr(spec, name, record(name, getattr(spec, name)))
+        assert EstimationPipeline(config, activity_cache=None).run().as_dict() == expected
+
+        # The datapath estimator decodes (and re-encodes) only its sampled
+        # output rows; everything else is operand staging.
+        staging = Counter(name for name, caller in calls if not caller.startswith("repro.activity"))
+        operands = 2 * config.seeds
+        if value_domain:
+            assert staging == {"encode": 2 * operands, "decode": operands}
+        else:
+            assert staging == {"encode": operands}
 
 
 class TestPlan:

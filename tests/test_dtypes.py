@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,46 @@ class TestEncodeDecodeRoundTrip:
         # bf16 has a 7-bit mantissa: 1 + 2^-8 rounds down to 1.0, 1 + 3*2^-9 rounds up.
         assert spec.quantize(np.array([1.0 + 2.0**-8]))[0] == pytest.approx(1.0)
         assert spec.quantize(np.array([1.0 + 3 * 2.0**-9]))[0] > 1.0
+
+    @pytest.mark.parametrize("name", [n for n in list_dtypes() if get_dtype(n).is_float])
+    def test_decoding_special_words_does_not_warn(self, name):
+        spec = get_dtype(name)
+        fmt = spec.float_format
+        sign = 1 << (fmt.total_bits - 1)
+        inf = fmt.max_exponent << fmt.mantissa_bits
+        snan, qnan = inf | 1, inf | (1 << (fmt.mantissa_bits - 1))
+        words = np.array(
+            [snan, sign | snan, qnan, sign | qnan, inf, sign | inf], dtype=spec.word_dtype
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = spec.decode(words)
+        assert np.isnan(values[:4]).all()
+        assert values[4:].tolist() == [np.inf, -np.inf]
+
+    @pytest.mark.parametrize("name", list_dtypes())
+    def test_canonical_is_the_encode_decode_round_trip(self, name):
+        spec = get_dtype(name)
+        if spec.word_dtype.itemsize <= 2:
+            words = np.arange(1 << spec.bits, dtype=spec.word_dtype)
+        else:
+            # Every exponent and sign with random mantissas, NaN payloads included.
+            words = np.random.default_rng(0).integers(
+                0, np.iinfo(spec.word_dtype).max, size=1 << 16, dtype=spec.word_dtype,
+                endpoint=True,
+            )
+            if spec.float_format is not None:
+                fmt = spec.float_format
+                words[::2] |= spec.word_dtype.type(fmt.max_exponent << fmt.mantissa_bits)
+        expected = spec.encode(spec.decode(words))
+        np.testing.assert_array_equal(spec.canonical(words.copy()), expected)
+
+    def test_canonical_quiets_fp32_and_collapses_bf16_nans(self):
+        fp32, bf16 = get_dtype("fp32"), get_dtype("bf16")
+        words = np.array([0x7F800001, 0x3F800000], dtype=np.uint32)
+        assert fp32.canonical(words).tolist() == [0x7FC00001, 0x3F800000]
+        words = np.array([0x7F81, 0xFFC1, 0x7F80], dtype=np.uint16)
+        assert bf16.canonical(words).tolist() == [0x7FC0, 0x7FC0, 0x7F80]
 
     def test_decode_rejects_wrong_word_dtype(self):
         spec = get_dtype("fp16")

@@ -168,6 +168,13 @@ class TestNelderMead:
     # vertex onto the y=-2 face here, sticking the simplex one
     # dimension short of the interior optimum.
     @example(x0=1.0, y0=-1.0, seed=0)
+    # Regression: a damped reflection followed by its expansion lands
+    # exactly on x=-2, and the simplex collapsed onto that face and
+    # reported convergence at objective 0.25.
+    @example(x0=-1.5, y0=0.0, seed=689)
+    # Regression: the first damped reflection flattened the simplex into a
+    # needle that crawled toward the optimum until max_iterations.
+    @example(x0=-1.5, y0=0.0, seed=772)
     def test_converges_to_analytic_optimum(self, x0, y0, seed):
         engine = NelderMeadEngine(space_2d(), seed=seed, max_iterations=200, xtol=1e-4)
         result = OptimizationRunner(engine, quadratic(x0, y0)).run()
