@@ -20,7 +20,7 @@ Three checks, any of which fails the build:
    ``_env_int("REPRO_X", 64)``, or an UPPER_CASE constant assigned a
    literal in the same file), the *Default* cell of the configuration
    table must carry the same value in backticks.  Knobs with sentinel
-   fallbacks (empty string) or prose defaults (``unset``, ``calibrated``)
+   fallbacks (empty string) or prose defaults (``unset``, ``enabled``)
    are exempt — there is nothing mechanical to compare.
 
 The name and default extraction is shared with the ``env-registry`` pass

@@ -69,19 +69,20 @@ OperandSource = (
 
 
 def recommended_chunk(per_invocation_values: int) -> int:
-    """How many invocations of ``per_invocation_values`` float64 operand
-    values to stack per pass.
+    """How many invocations of ``per_invocation_values`` operand values to
+    stack per pass.
 
     The activity estimators are memory-bandwidth bound: stacking more
     invocations than fit in cache makes every pass stream from DRAM, so a
-    batch is processed in chunks whose working set stays cache-resident.
-    The per-chunk budget is machine-calibrated (see
-    :mod:`repro.parallel.calibrate`; ``REPRO_BATCH_CHUNK_BUDGET``
-    overrides).  Callers that generate operands on the fly (e.g. the
-    experiment harness) use this to size their generation chunks so peak
-    memory stays bounded by the chunk, not the whole batch.  Chunking never
-    changes results — chunked estimation is bit-for-bit identical at any
-    chunk size — so the budget only affects speed.
+    batch is processed in chunks whose working set stays within the fixed
+    budget of :func:`repro.parallel.calibrate.chunk_budget_bytes`.  Each
+    value is counted as 8 bytes, although streams hold encoded words that
+    are often narrower; the count is fixed so chunk sizes do not move.
+    Callers that generate operands on the fly (e.g. the experiment harness)
+    use this to size their generation chunks so peak memory stays bounded
+    by the chunk, not the whole batch.  Chunking never changes results —
+    chunked estimation is bit-for-bit identical at any chunk size — so the
+    budget only affects speed.
     """
     per_invocation_bytes = per_invocation_values * 8
     return max(1, chunk_budget_bytes() // max(per_invocation_bytes, 1))
@@ -203,9 +204,9 @@ def estimate_activity_batch(
         what the measurement harness uses for its seed loop.
     chunk:
         How many invocations to stack per pass.  Defaults to an automatic
-        choice that keeps each chunk's working set cache-resident (the
-        machine-calibrated budget of :func:`repro.parallel.calibrate.
-        chunk_budget_bytes`); pass an explicit value to override.
+        choice (:func:`recommended_chunk`, 8 bytes counted per operand
+        value against the fixed 1 MiB budget); pass an explicit value to
+        override.
     cache:
         Optional :class:`~repro.cache.store.ActivityCache` (or the
         ``DEFAULT_CACHE`` sentinel for the process-wide one).  ``None`` —

@@ -10,6 +10,7 @@ trends being measured.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ActivityError
@@ -29,6 +30,10 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("output_samples", "max_k", "seed"):
+            value = getattr(self, name)
+            if not (name == "max_k" and value is None):  # None walks the full K
+                object.__setattr__(self, name, _require_int(name, value))
         if self.output_samples < 1:
             raise ActivityError(
                 f"output_samples must be >= 1, got {self.output_samples}"
@@ -41,3 +46,11 @@ class SamplingConfig:
         if self.max_k is None:
             return k
         return min(k, self.max_k)
+
+
+def _require_int(name: str, value: object) -> int:
+    """``value`` as a plain ``int``; floats (even integral ones), bools and
+    other non-integers raise :class:`ActivityError` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ActivityError(f"{name} must be an integer, got {value!r}")
+    return int(value)

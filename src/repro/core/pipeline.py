@@ -127,8 +127,8 @@ class EstimationPipeline:
         # The engine materializes operand factories chunk by chunk (matching
         # its own stacking granularity) so peak memory is one chunk of seeds,
         # not the whole batch — at paper scale a seed's operands are ~70 MB.
-        # The chunk is sized from the machine-calibrated working-set budget
-        # (repro.parallel.calibrate), not a fixed constant.
+        # The chunk is sized from the fixed 1 MiB working-set budget
+        # (repro.parallel.calibrate).
         per_invocation = problem.n * problem.k + problem.m * problem.k
         chunk = recommended_chunk(per_invocation)
         factories = [

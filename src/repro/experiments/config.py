@@ -61,6 +61,8 @@ class ExperimentConfig:
             )
         get_dtype(self.dtype)          # raises on unknown dtype
         get_gpu_spec(self.gpu)         # raises on unknown GPU
+        for name in ("matrix_size", "instance_id", "seeds", "base_seed", "iterations"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
         if self.matrix_size < 8:
             raise ExperimentError(f"matrix_size must be >= 8, got {self.matrix_size}")
         if self.seeds < 1:
@@ -170,6 +172,14 @@ class ExperimentConfig:
         params = ",".join(f"{k}={v}" for k, v in sorted(self.pattern_params.items()))
         suffix = f"({params})" if params else ""
         return f"{self.pattern_family}{suffix}/{self.dtype}/{self.gpu}/{self.matrix_size}"
+
+
+def _require_int(name: str, value: Any) -> int:
+    """``value`` as a plain ``int``; floats (even integral ones), bools and
+    other non-integers raise :class:`ExperimentError` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ExperimentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _has_non_finite(value: Any) -> bool:

@@ -40,8 +40,7 @@ from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.results import ExperimentResult, SweepResult
-from repro.parallel import chunk_budget_bytes, get_executor, resolve_backend
-from repro.parallel.calibrate import seed_probed_budget
+from repro.parallel import get_executor, resolve_backend
 
 __all__ = ["RunStats", "run_sweep", "run_configs", "sweep_configs"]
 
@@ -322,19 +321,7 @@ def run_configs(
                 if activity_cache is None
                 else _run_uncached
             )
-            # Resolve the engine's calibrated chunk budget once in the
-            # parent and seed every pool worker with it at start-up, so
-            # workers never race to probe the same cache hierarchy they are
-            # measuring — whatever the start method (spawn workers inherit
-            # neither the parent's memo nor, without REPRO_CACHE_DIR, a
-            # persisted calibration file).
-            executor = get_executor(
-                "processes",
-                workers,
-                chunksize=chunksize,
-                initializer=seed_probed_budget,
-                initargs=(chunk_budget_bytes(),),
-            )
+            executor = get_executor("processes", workers, chunksize=chunksize)
         else:
             # serial and threads run in-process: an explicit activity cache
             # instance is honoured directly (threads share the parent's

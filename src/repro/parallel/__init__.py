@@ -7,9 +7,8 @@ This package is the single place sweep/figure parallelism goes through:
   per-workload selection the sweep runner uses.
 * :mod:`repro.parallel.shm` — shared-memory result transfer for the
   process backend (with a transparent pickle fallback).
-* :mod:`repro.parallel.calibrate` — the measured chunk-budget probe that
-  replaces the engine's historical hard-coded 1 MiB working-set constant
-  (``REPRO_BATCH_CHUNK_BUDGET`` overrides, ``$REPRO_CACHE_DIR`` persists).
+* :mod:`repro.parallel.calibrate` — the batched engine's fixed 1 MiB
+  per-chunk working-set budget.
 
 See ``docs/parallel.md`` for the full subsystem guide (backend selection,
 the ``Executor`` contract, worker persistence and the shared-memory result
@@ -31,13 +30,7 @@ from repro.parallel.backends import (
     get_executor,
     resolve_backend,
 )
-from repro.parallel.calibrate import (
-    DEFAULT_CHUNK_BUDGET_BYTES,
-    ENV_CHUNK_BUDGET,
-    CalibrationResult,
-    calibrate_chunk_budget,
-    chunk_budget_bytes,
-)
+from repro.parallel.calibrate import DEFAULT_CHUNK_BUDGET_BYTES, chunk_budget_bytes
 
 __all__ = [
     "BACKENDS",
@@ -50,8 +43,5 @@ __all__ = [
     "resolve_backend",
     "get_executor",
     "DEFAULT_CHUNK_BUDGET_BYTES",
-    "ENV_CHUNK_BUDGET",
-    "CalibrationResult",
-    "calibrate_chunk_budget",
     "chunk_budget_bytes",
 ]

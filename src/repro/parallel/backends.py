@@ -52,9 +52,8 @@ things:
    process backend frees published-but-unconsumed shared-memory segments).
 4. **Worker persistence** — pool workers live for the executor's whole
    lifetime: one thread/process serves many items (and, for the process
-   pool, many *chunks*).  Per-worker state installed by the ``initializer``
-   hook — the calibrated chunk budget — therefore stays warm across every
-   chunk a worker serves.
+   pool, many *chunks*), so per-worker state such as the process-default
+   caches stays warm across every chunk a worker serves.
 """
 
 from __future__ import annotations
@@ -197,10 +196,8 @@ def _signals_held() -> Iterator[None]:
         signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
-def _worker_init(
-    user_initializer: "Callable[..., None] | None", user_initargs: tuple
-) -> None:
-    """Per-worker start-up hook: signal hygiene, then the user initializer.
+def _worker_init() -> None:
+    """Per-worker start-up hook: signal hygiene.
 
     Forked workers inherit the parent's Python-level signal handlers *and*
     any ``signal.set_wakeup_fd`` registration.  In a serving parent the
@@ -223,8 +220,6 @@ def _worker_init(
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
-    if user_initializer is not None:
-        user_initializer(*user_initargs)
 
 
 def _run_chunk(
@@ -250,10 +245,7 @@ class ProcessExecutor(Executor):
 
     Workers are persistent: :class:`~concurrent.futures.ProcessPoolExecutor`
     never recycles a worker process, so each one serves chunk after chunk
-    for the pool's whole lifetime.  ``initializer``/``initargs`` run once
-    per worker at start-up — the sweep runner uses the hook to seed the
-    calibrated chunk budget, which then stays warm across all of that
-    worker's chunks.
+    for the pool's whole lifetime.
 
     A dying worker (OOM kill, segfault) breaks the whole
     :class:`~concurrent.futures.ProcessPoolExecutor` — every pending future
@@ -276,8 +268,6 @@ class ProcessExecutor(Executor):
         transfer: str = "auto",
         encode: "Callable[[Sequence[Any]], bytes]" = shm.encode_experiment_results,
         decode: "Callable[[bytes], list[Any]]" = shm.decode_experiment_results,
-        initializer: "Callable[..., None] | None" = None,
-        initargs: tuple = (),
     ) -> None:
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers}")
@@ -291,16 +281,10 @@ class ProcessExecutor(Executor):
         self.chunk_span = chunksize
         self.resilience = ExecutorResilience()
         self._workers = workers
-        self._initializer = initializer
-        self._initargs = initargs
         self._encode = encode
         self._decode = decode
         self._use_shm = transfer == "shm" or (transfer == "auto" and shm.shm_available())
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(initializer, initargs),
-        )
+        self._pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
         self._fallback_pool: "ThreadPoolExecutor | None" = None
         self._futures: "list[Future]" = []
         self._consumed = 0
@@ -382,8 +366,8 @@ class ProcessExecutor(Executor):
     def _recover(self, index: int) -> None:
         """React to pool breakage observed at chunk ``index``.
 
-        First breakage: rebuild the pool (same initializer, so workers
-        re-seed) and resubmit every unconsumed chunk.  Second
+        First breakage: rebuild the pool (same signal-hygiene initializer)
+        and resubmit every unconsumed chunk.  Second
         breakage: mark the threads fallback; the caller reruns the
         remaining items in-process.  Either way the broken pool is torn
         down without waiting — its workers are already gone.
@@ -397,9 +381,7 @@ class ProcessExecutor(Executor):
         if not self.resilience.pool_rebuilds:
             self.resilience.pool_rebuilds += 1
             self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_worker_init,
-                initargs=(self._initializer, self._initargs),
+                max_workers=self._workers, initializer=_worker_init
             )
             self._futures[index:] = self._submit(remaining)
         else:
@@ -479,25 +461,12 @@ def get_executor(
     workers: int = 1,
     chunksize: int = 1,
     transfer: str = "auto",
-    initializer: "Callable[..., None] | None" = None,
-    initargs: tuple = (),
 ) -> Executor:
-    """Build the executor for a resolved backend name.
-
-    ``initializer``/``initargs`` run once per process-pool worker at
-    start-up (ignored by the in-process backends, which share the parent's
-    state already).
-    """
+    """Build the executor for a resolved backend name."""
     if backend == "serial":
         return SerialExecutor()
     if backend == "threads":
         return ThreadExecutor(workers)
     if backend == "processes":
-        return ProcessExecutor(
-            workers,
-            chunksize=chunksize,
-            transfer=transfer,
-            initializer=initializer,
-            initargs=initargs,
-        )
+        return ProcessExecutor(workers, chunksize=chunksize, transfer=transfer)
     raise ExperimentError(f"backend must be one of {BACKENDS}, got {backend!r}")

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.activity.sampler import SamplingConfig
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.config import PAPER_ITERATIONS, PAPER_MATRIX_SIZE, PAPER_SEEDS, ExperimentConfig
 from repro.experiments.harness import ExperimentRunner, run_experiment
 from repro.experiments.results import ExperimentResult, FigureResult, SweepResult
@@ -70,6 +71,36 @@ class TestExperimentConfig:
         # Rejected when the config is built, not partway through a run.
         with pytest.raises(ExperimentError):
             ExperimentConfig(pattern_family=family, pattern_params=params)
+
+    @pytest.mark.parametrize("value", [2.5, 64.0, True])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("matrix_size",),
+            ("instance_id",),
+            ("seeds",),
+            ("base_seed",),
+            ("iterations",),
+            ("sampling", "output_samples"),
+            ("sampling", "max_k"),
+            ("sampling", "seed"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, path, value):
+        payload = {path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}
+        with pytest.raises(ReproError, match=f"{path[-1]} must be an integer"):
+            ExperimentConfig.from_dict(payload)
+
+    def test_numpy_integer_counts_accepted_as_int(self):
+        config = ExperimentConfig(
+            matrix_size=np.int64(64), seeds=np.int32(2),
+            sampling=SamplingConfig(output_samples=np.int64(16)),
+        )
+        assert type(config.matrix_size) is int and type(config.seeds) is int
+        assert type(config.sampling.output_samples) is int
+        assert config == ExperimentConfig(
+            matrix_size=64, seeds=2, sampling=SamplingConfig(output_samples=16)
+        )
 
     @pytest.mark.parametrize("warmup_trim_s", [3.0, 10.0])
     def test_warmup_trim_past_shortest_trace_rejected(self, warmup_trim_s):

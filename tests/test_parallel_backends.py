@@ -34,27 +34,17 @@ from repro.experiments.figures.common import FigureSettings
 from repro.experiments.sweep import RunStats, _chunk_group, run_configs, sweep_configs
 from repro.parallel import (
     BACKENDS,
-    calibrate_chunk_budget,
-    chunk_budget_bytes,
     choose_backend,
     get_executor,
     resolve_backend,
 )
 from repro.parallel import shm
 from repro.parallel.backends import ProcessExecutor, SerialExecutor, ThreadExecutor
-from repro.parallel.calibrate import (
-    MAX_CHUNK_BUDGET_BYTES,
-    MIN_CHUNK_BUDGET_BYTES,
-    calibration_path,
-)
 from repro.util.bits import toggle_fraction_along_axis
 from repro.util.rng import derive_rng
 
 
 # Top-level helpers for the process-executor tests (must be picklable).
-_INIT_SENTINEL = {"value": None}
-
-
 def _identity(x):
     return x
 
@@ -65,14 +55,6 @@ def _encode_json(values):
 
 def _decode_json(payload):
     return json.loads(payload)
-
-
-def _set_init_sentinel(value):
-    _INIT_SENTINEL["value"] = value
-
-
-def _read_init_sentinel(_item):
-    return _INIT_SENTINEL["value"]
 
 
 @pytest.fixture
@@ -369,18 +351,6 @@ class TestExecutors:
         after = set(glob.glob("/dev/shm/psm_*"))
         assert after - before == set()
 
-    def test_worker_initializer_runs(self):
-        executor = ProcessExecutor(
-            1,
-            chunksize=1,
-            encode=_encode_json,
-            decode=_decode_json,
-            initializer=_set_init_sentinel,
-            initargs=(42,),
-        )
-        with executor:
-            assert list(executor.map(_read_init_sentinel, [0])) == [42]
-
 
 #: Workers of a pool whose parent runs an asyncio loop with signal
 #: handlers, each sent SIGTERM the moment it forks (an at-fork hook that
@@ -529,81 +499,16 @@ class TestSharedMemoryTransfer:
         assert decoded.as_dict() == result.as_dict()
 
 
-# ---------------------------------------------------------------- calibration
+# --------------------------------------------------------------- chunk budget
 
 
-class TestChunkBudgetCalibration:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BUDGET", "4096")
-        assert chunk_budget_bytes(refresh=True) == 4096
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BUDGET", "2M")
-        assert chunk_budget_bytes() == 2 << 20  # re-resolves on env change
+def test_recommended_chunk_pins_the_fixed_budget():
+    """Chunk counts for square GEMMs (2·n² operand values per invocation,
+    8 bytes counted per value) against the fixed 1 MiB budget."""
+    from repro.activity.engine import recommended_chunk
 
-    def test_env_override_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BUDGET", "a-few-cachelines")
-        with pytest.raises(ExperimentError):
-            chunk_budget_bytes(refresh=True)
-
-    def test_override_reaches_recommended_chunk(self, monkeypatch):
-        from repro.activity.engine import recommended_chunk
-
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BUDGET", str(8 * 1000))
-        chunk_budget_bytes(refresh=True)
-        assert recommended_chunk(100) == 10  # 8000 bytes / (100 values * 8 B)
-
-    def test_probe_persists_to_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BUDGET", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        budget = chunk_budget_bytes(refresh=True)
-        path = calibration_path(tmp_path)
-        assert path.is_file()
-        persisted = json.loads(path.read_text())
-        assert persisted["budget_bytes"] == budget
-        assert MIN_CHUNK_BUDGET_BYTES <= budget <= MAX_CHUNK_BUDGET_BYTES
-
-    def test_persisted_value_is_loaded(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BUDGET", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        sentinel = 3 << 20
-        path = calibration_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"budget_bytes": sentinel}))
-        assert chunk_budget_bytes(refresh=True) == sentinel
-
-    def test_corrupt_persisted_file_falls_back_to_probe(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BUDGET", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        path = calibration_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("not json {")
-        budget = chunk_budget_bytes(refresh=True)
-        assert MIN_CHUNK_BUDGET_BYTES <= budget <= MAX_CHUNK_BUDGET_BYTES
-
-    def test_probe_reports_throughputs_and_bounds(self):
-        result = calibrate_chunk_budget(sizes=(1 << 16, 1 << 17), repeats=1)
-        assert set(result.throughput_bytes_per_s) == {1 << 16, 1 << 17}
-        assert all(rate > 0 for rate in result.throughput_bytes_per_s.values())
-        assert MIN_CHUNK_BUDGET_BYTES <= result.budget_bytes <= MAX_CHUNK_BUDGET_BYTES
-
-    def test_probe_rejects_bad_repeats(self):
-        with pytest.raises(ExperimentError):
-            calibrate_chunk_budget(repeats=0)
-
-    def test_seed_probed_budget(self, monkeypatch):
-        import repro.parallel.calibrate as calibrate
-
-        saved = (calibrate._probed_budget, calibrate._resolved)
-        try:
-            monkeypatch.delenv("REPRO_BATCH_CHUNK_BUDGET", raising=False)
-            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-            calibrate.seed_probed_budget(123_456)
-            assert chunk_budget_bytes() == 123_456  # seed replaces the probe
-            monkeypatch.setenv("REPRO_BATCH_CHUNK_BUDGET", "4096")
-            assert chunk_budget_bytes() == 4096  # explicit override still wins
-            with pytest.raises(ExperimentError):
-                calibrate.seed_probed_budget(0)
-        finally:
-            calibrate._probed_budget, calibrate._resolved = saved
+    chunks = {n: recommended_chunk(2 * n * n) for n in (32, 64, 128, 256, 2048)}
+    assert chunks == {32: 64, 64: 16, 128: 4, 256: 1, 2048: 1}
 
 
 # ------------------------------------------------------------- GIL & threads

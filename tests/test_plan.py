@@ -30,16 +30,7 @@ from repro.core import EstimationPipeline
 from repro.experiments.harness import ExperimentRunner, run_experiment
 from repro.experiments.plan import build_plan, build_problem, build_workload_pattern
 from repro.experiments.sweep import run_configs, sweep_configs
-from repro.parallel import chunk_budget_bytes
-from repro.parallel.backends import ProcessExecutor
-from repro.parallel.calibrate import seed_probed_budget
 from repro.telemetry.sampler import TelemetryConfig
-
-
-# Top-level helper for the process-pool tests (must be picklable).
-def _worker_chunk_budget(_item):
-    """Pool-worker probe: the chunk budget this worker resolves."""
-    return chunk_budget_bytes()
 
 
 def _signature(plan):
@@ -272,17 +263,15 @@ class TestPipelinePlanSharing:
 # ------------------------------------------------------------ process pools
 
 
-class TestProcessPoolSeeding:
-    def test_pool_initializer_seeds_only_the_budget(
-        self, quiet_config, monkeypatch
-    ):
-        """The processes backend hands workers the parent's chunk budget and
-        nothing else, and still matches the serial results."""
+class TestProcessPoolBackend:
+    def test_processes_backend_matches_serial(self, quiet_config, monkeypatch):
+        """A sweep forced onto the processes backend really runs on a process
+        pool and matches the serial results."""
         seen = []
         real_get_executor = sweep_module.get_executor
 
         def recording_get_executor(name, workers, **kwargs):
-            seen.append((name, kwargs))
+            seen.append(name)
             return real_get_executor(name, workers, **kwargs)
 
         monkeypatch.setattr(sweep_module, "get_executor", recording_get_executor)
@@ -294,29 +283,8 @@ class TestProcessPoolSeeding:
         computed = run_configs(
             configs, workers=2, cache=None, activity_cache=None, backend="processes"
         )
-        assert [name for name, _ in seen] == ["processes"]
-        kwargs = seen[0][1]
-        assert kwargs["initializer"] is seed_probed_budget
-        assert kwargs["initargs"] == (chunk_budget_bytes(),)
+        assert seen == ["processes"]
         reference = run_configs(
             configs, workers=1, cache=None, activity_cache=None, backend="serial"
         )
         assert _as_dicts(computed) == _as_dicts(reference)
-
-    def test_persistent_worker_resolves_the_seeded_budget(self, monkeypatch):
-        """A worker started with the initializer resolves the seeded budget
-        on every chunk instead of probing."""
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BUDGET", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        executor = ProcessExecutor(
-            workers=1,
-            chunksize=1,
-            transfer="pickle",
-            initializer=seed_probed_budget,
-            initargs=(123_456,),
-        )
-        try:
-            budgets = list(executor.map(_worker_chunk_budget, range(3)))
-        finally:
-            executor.shutdown()
-        assert budgets == [123_456] * 3

@@ -746,6 +746,18 @@ class TestEstimationServer:
         assert service.stats.requests == 0
         assert service.stats.batches == 0
 
+    def test_non_integer_seeds_rejected_before_admission(self):
+        service = nocache_service(CountingCompute())
+        body = {"seeds": 2.5}
+
+        async def scenario(base, server):
+            status, payload = await _client(_http_post, base, "/estimate", body)
+            assert status == 400 and "seeds must be an integer" in payload["error"]
+
+        run_with_server(scenario, service)
+        assert service.stats.requests == 0
+        assert service.stats.batches == 0
+
     def test_shutdown_endpoint_stops_server(self):
         async def scenario(base, server):
             status, payload = await _client(_http_post, base, "/shutdown", {})
