@@ -17,6 +17,8 @@ configuration and shares it across that configuration's seeds.  Under the
 
 ``ServiceConfig(batch_window_s=)`` follows the same rule through
 :func:`ignore_batch_window`: the estimation service has no batch timer.
+So does ``ExperimentCache``/``ActivityCache(disk_backend=)`` through
+:func:`ignore_disk_backend`: SQLite is the only disk layout.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from __future__ import annotations
 import warnings
 from typing import Any
 
-__all__ = ["ignore_batch_window", "ignore_plan_cache", "removed_attribute"]
+__all__ = [
+    "ignore_batch_window",
+    "ignore_disk_backend",
+    "ignore_plan_cache",
+    "removed_attribute",
+]
 
 
 def ignore_plan_cache(value: object, keyword: str = "plan_cache") -> None:
@@ -39,6 +46,11 @@ def ignore_plan_cache(value: object, keyword: str = "plan_cache") -> None:
 def ignore_batch_window(value: object) -> None:
     """Accept ``ServiceConfig(batch_window_s=)``; called from its ``__post_init__``."""
     _ignore(value, "batch_window_s", "batches no longer wait on a timer", stacklevel=4)
+
+
+def ignore_disk_backend(value: object) -> None:
+    """Accept a cache's ``disk_backend=``; called from its ``__post_init__``."""
+    _ignore(value, "disk_backend", "the disk tier is always SQLite", stacklevel=4)
 
 
 def _ignore(value: object, keyword: str, reason: str, stacklevel: int = 3) -> None:

@@ -11,10 +11,12 @@ package exploits that with two cache tiers:
   :func:`experiment_fingerprint` over config + code version for whole
   results, :func:`activity_fingerprint` over the workload subset + seed
   for per-seed :class:`~repro.activity.report.ActivityReport` objects.
-* :mod:`repro.cache.store` — bounded in-memory LRUs with optional on-disk
-  JSON backends (:class:`ExperimentCache` and :class:`ActivityCache`), plus
-  the process-wide default instances that :func:`repro.run_experiment`, the
-  sweep runner and the activity engine consult automatically.
+* :mod:`repro.cache.store` — bounded in-memory LRUs with an optional
+  on-disk SQLite store (:class:`ExperimentCache` and :class:`ActivityCache`),
+  plus the process-wide default instances that :func:`repro.run_experiment`,
+  the sweep runner and the activity engine consult automatically.
+* :mod:`repro.cache.sqlite_store` — the disk tier: one WAL-mode
+  ``entries.sqlite`` database per tier directory.
 * :mod:`repro.cache.lifecycle` — disk-cache garbage collection (by total
   size and entry age) behind the ``python -m repro.cache`` CLI
   (``stats`` / ``ls`` / ``prune`` / ``clear``).
@@ -34,7 +36,7 @@ procedure (e.g. the fig7 cross-GPU study) estimate activity once per seed::
     results = repro.run_configs(configs)   # one activity estimate per seed
 
 Environment variables: ``REPRO_NO_CACHE=1`` disables both default tiers,
-``REPRO_CACHE_DIR`` gives them a disk backend (activity entries live in an
+``REPRO_CACHE_DIR`` gives them a disk store (activity entries live in an
 ``activity/`` subdirectory), ``REPRO_CACHE_MAX_ENTRIES`` /
 ``REPRO_ACTIVITY_CACHE_MAX_ENTRIES`` bound the LRUs, and
 ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE_DAYS`` trigger a prune of

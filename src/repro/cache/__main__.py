@@ -224,8 +224,6 @@ def _report(report, args: argparse.Namespace) -> int:
         f"({format_size(report.removed_bytes)}); "
         f"{report.remaining} remain ({format_size(report.remaining_bytes)})"
     )
-    if report.removed_tmp:
-        print(f"{verb} {report.removed_tmp} stale temp file(s)")
     return 0
 
 

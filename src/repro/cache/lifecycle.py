@@ -1,32 +1,30 @@
 """Disk-cache lifecycle management: inspection and garbage collection.
 
 The on-disk cache (``REPRO_CACHE_DIR``) holds two tiers side by side, each
-in either (or both) of the disk-backend layouts of
-:mod:`repro.cache.store`:
+one SQLite database of :mod:`repro.cache.sqlite_store`:
 
-* experiment entries — ``<root>/entries.sqlite`` rows and/or legacy
-  ``<root>/<fingerprint>.json`` files
-* activity entries — the same layouts under ``<root>/activity/``
+* experiment entries — rows of ``<root>/entries.sqlite``
+* activity entries — rows of ``<root>/activity/entries.sqlite``
 
 Nothing ever deletes these entries during normal operation, so long-lived
 directories grow without bound.  This module provides the shared scanning,
 size/age accounting and pruning used by the ``python -m repro.cache`` CLI
 and by the env-driven auto-GC hook in :mod:`repro.cache.store`
 (``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE_DAYS``).  Scanning is
-read-only for both layouts (a ``stats`` or ``--dry-run`` pass never
-mutates the directory — in particular it never triggers the SQLite
-backend's legacy-file migration); removal dispatches per entry, unlinking
-files and deleting database rows.
+read-only (a ``stats`` or ``--dry-run`` pass never mutates the directory);
+removal deletes database rows.  Any other file in a tier directory —
+including the ``*.json`` and ``.*.tmp`` files of the one-file-per-entry
+layout of 1.1.0 and earlier — is ignored.
 
-Pruning is safe to run concurrently with readers and writers: entries are
-published atomically (SQLite journaling; temp file + ``os.replace`` for
-legacy files), deletions of entries that vanished underneath us are
-ignored, and a reader that loses the race simply recomputes — the cache
-is a pure performance layer.
+Pruning is safe to run concurrently with readers and writers: SQLite
+journaling keeps every row whole, deletions of entries that vanished
+underneath us are ignored, and a reader that loses the race simply
+recomputes — the cache is a pure performance layer.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -67,23 +65,17 @@ DEFAULT_COST_WEIGHTS: "Mapping[str, float]" = {"experiment": 100.0, "activity": 
 #: consulted when no explicit ``cost_weights`` mapping is passed).
 ENV_EXPERIMENT_COST = "REPRO_CACHE_EXPERIMENT_COST"
 
-#: Temp files from interrupted atomic writes older than this are removed by
-#: every prune pass, whatever the size/age limits.
-STALE_TMP_AGE_S = 3600.0
-
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One on-disk cache entry: a legacy JSON file, or one database row
-    (``backend == "sqlite"``, in which case ``path`` names the database
-    holding the row)."""
+    """One on-disk cache entry: a database row (``path`` names the database
+    holding it)."""
 
     path: Path
     tier: str
     key: str
     size_bytes: int
     mtime: float
-    backend: str = "json"
 
     def age_s(self, now: float | None = None) -> float:
         return (now if now is not None else time.time()) - self.mtime
@@ -95,7 +87,6 @@ class PruneReport:
 
     examined: int = 0
     removed: list[CacheEntry] = field(default_factory=list)
-    removed_tmp: int = 0
     remaining: int = 0
     remaining_bytes: int = 0
     dry_run: bool = False
@@ -109,7 +100,6 @@ class PruneReport:
             "examined": self.examined,
             "removed": len(self.removed),
             "removed_bytes": self.removed_bytes,
-            "removed_tmp": self.removed_tmp,
             "remaining": self.remaining,
             "remaining_bytes": self.remaining_bytes,
             "dry_run": self.dry_run,
@@ -117,7 +107,7 @@ class PruneReport:
 
 
 def tier_dir(root: "str | Path", tier: str) -> Path:
-    """Directory holding one tier's entry files under a cache root."""
+    """Directory holding one tier's database under a cache root."""
     root = Path(root)
     if tier == "experiment":
         return root
@@ -129,37 +119,11 @@ def tier_dir(root: "str | Path", tier: str) -> Path:
 def _scan_tier(root: Path, tier: str) -> list[CacheEntry]:
     from repro.cache.sqlite_store import DB_FILENAME, read_entries
 
-    directory = tier_dir(root, tier)
-    if not directory.is_dir():
-        return []
-    entries = []
-    for path in directory.glob("*.json"):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue  # deleted by a concurrent prune/clear
-        entries.append(
-            CacheEntry(
-                path=path,
-                tier=tier,
-                key=path.stem,
-                size_bytes=stat.st_size,
-                mtime=stat.st_mtime,
-            )
-        )
-    db_path = directory / DB_FILENAME
-    for key, size_bytes, mtime in read_entries(db_path):
-        entries.append(
-            CacheEntry(
-                path=db_path,
-                tier=tier,
-                key=key,
-                size_bytes=size_bytes,
-                mtime=mtime,
-                backend="sqlite",
-            )
-        )
-    return entries
+    db_path = tier_dir(root, tier) / DB_FILENAME
+    return [
+        CacheEntry(path=db_path, tier=tier, key=key, size_bytes=size_bytes, mtime=mtime)
+        for key, size_bytes, mtime in read_entries(db_path)
+    ]
 
 
 def scan_cache_dir(
@@ -201,39 +165,16 @@ def _remove(entry: CacheEntry, report: PruneReport) -> bool:
     the entry is gone — callers must keep failed deletions in their survivor
     accounting, or the report would claim space that is still occupied."""
     if not report.dry_run:
-        if entry.backend == "sqlite":
-            from repro.cache.sqlite_store import delete_entries
+        from repro.cache.sqlite_store import delete_entries
 
-            try:
-                # 0 rows deleted means another process pruned it first; the
-                # entry is gone either way.
-                delete_entries(entry.path, [entry.key])
-            except OSError:
-                return False
-        else:
-            try:
-                entry.path.unlink()
-            except FileNotFoundError:
-                pass  # another process pruned it first; it is gone either way
-            except OSError:
-                return False
+        try:
+            # 0 rows deleted means another process pruned it first; the
+            # entry is gone either way.
+            delete_entries(entry.path, [entry.key])
+        except OSError:
+            return False
     report.removed.append(entry)
     return True
-
-
-def _sweep_stale_tmp(root: Path, now: float, report: PruneReport) -> None:
-    for directory in {tier_dir(root, tier) for tier in TIERS}:
-        if not directory.is_dir():
-            continue
-        for path in directory.glob(".*.tmp"):
-            try:
-                if now - path.stat().st_mtime < STALE_TMP_AGE_S:
-                    continue
-                if not report.dry_run:
-                    path.unlink()
-                report.removed_tmp += 1
-            except OSError:
-                continue
 
 
 def resolve_cost_weights(
@@ -243,7 +184,8 @@ def resolve_cost_weights(
 
     An explicit mapping overrides individual tiers (missing tiers keep their
     defaults); with no mapping, ``REPRO_CACHE_EXPERIMENT_COST`` can scale
-    the experiment tier from the environment.  Weights must be positive.
+    the experiment tier from the environment.  Weights must be finite and
+    positive.
     """
     weights = dict(DEFAULT_COST_WEIGHTS)
     if cost_weights is None:
@@ -263,9 +205,9 @@ def resolve_cost_weights(
                 )
             weights[tier] = float(weight)
     for tier, weight in weights.items():
-        if not weight > 0:
+        if not 0 < weight < math.inf:
             raise ExperimentError(
-                f"cost weight for tier {tier!r} must be > 0, got {weight}"
+                f"cost weight for tier {tier!r} must be finite and > 0, got {weight}"
             )
     return weights
 
@@ -291,14 +233,14 @@ def prune_cache_dir(
     hour-old activity entry is evicted before a two-day-old experiment
     entry: GC sheds the entries that are cheapest to rebuild first.
     ``dry_run`` reports what would be deleted without touching anything.
-    Stale temp files from interrupted writes are always swept.
     """
-    if max_bytes is not None and max_bytes < 0:
-        raise ExperimentError(f"max_bytes must be >= 0, got {max_bytes}")
-    if max_age_s is not None and max_age_s < 0:
-        raise ExperimentError(f"max_age_s must be >= 0, got {max_age_s}")
+    # ``not 0 <= x < inf`` also rejects NaN, which no comparison satisfies
+    # and which would otherwise prune nothing (age) or everything (size).
+    if max_bytes is not None and not 0 <= max_bytes < math.inf:
+        raise ExperimentError(f"max_bytes must be finite and >= 0, got {max_bytes}")
+    if max_age_s is not None and not 0 <= max_age_s < math.inf:
+        raise ExperimentError(f"max_age_s must be finite and >= 0, got {max_age_s}")
     weights = resolve_cost_weights(cost_weights)
-    root = Path(root)
     now = now if now is not None else time.time()
     report = PruneReport(dry_run=dry_run)
     entries = scan_cache_dir(root, tiers=tiers)
@@ -334,7 +276,6 @@ def prune_cache_dir(
                 kept.append(entry)
         survivors = kept
 
-    _sweep_stale_tmp(root, now, report)
     report.remaining = len(survivors)
     report.remaining_bytes = sum(entry.size_bytes for entry in survivors)
     return report
@@ -346,13 +287,11 @@ def clear_cache_dir(
     """Remove every entry of the given tiers (unconditionally — unlike a
     ``max_bytes=0`` prune, this also removes zero-byte entries, which
     trivially fit any size budget)."""
-    root = Path(root)
     report = PruneReport(dry_run=dry_run)
     entries = scan_cache_dir(root, tiers=tiers)
     report.examined = len(entries)
     for entry in entries:
         _remove(entry, report)
-    _sweep_stale_tmp(root, time.time(), report)
     report.remaining = report.examined - len(report.removed)
     report.remaining_bytes = (
         sum(entry.size_bytes for entry in entries) - report.removed_bytes
@@ -375,9 +314,10 @@ def parse_size(text: str) -> int:
         value = float(number)
     except ValueError:
         raise ValueError(f"unparseable size {text!r}") from None
-    if value < 0:
-        raise ValueError(f"size must be >= 0, got {text!r}")
-    return int(value * _SIZE_SUFFIXES[suffix])
+    size = value * _SIZE_SUFFIXES[suffix]
+    if not 0 <= size < math.inf:
+        raise ValueError(f"size must be finite and >= 0, got {text!r}")
+    return int(size)
 
 
 def format_size(size_bytes: float) -> str:

@@ -1,38 +1,22 @@
-"""SQLite key→document store backing the disk cache tiers.
+"""SQLite key→document store: the disk tier of both cache classes.
 
-The original disk tier kept one JSON file per entry, published atomically
-with temp-file + ``os.replace``.  That layout is safe for a handful of
-cooperating processes, but it does not survive serving-layer traffic well:
-thousands of small files cost a directory scan per GC pass, an inode per
-entry, and an fsync storm under concurrent writers.  :class:`SqliteStore`
-replaces it with a single SQLite database per tier directory:
+Each tier directory holds a single SQLite database, ``entries.sqlite``:
 
 * **WAL journal mode** — readers never block the (single) writer, and
   concurrent server processes sharing one cache directory serialize their
-  writes through SQLite's own file locking instead of racing on
-  ``os.replace``;
+  writes through SQLite's own file locking;
 * **one row per entry** (``key, payload, mtime, size``) — the payload is
-  the same JSON document the file backend stored, so the cache classes
-  above are byte-compatible across backends;
+  the cache value's JSON document, ``mtime`` and ``size`` feed lifecycle
+  GC (:mod:`repro.cache.lifecycle`) without reading payloads;
 * **crash safety** — a torn write is impossible by SQLite's journaling
   contract; a corrupt *payload* (bad JSON smuggled into a row) is treated
-  as a miss and deleted by the caller, exactly like a corrupt file was.
-
-Legacy layout migration
------------------------
-
-Opening a store in a directory that still contains ``<key>.json`` files
-imports them into the database (keeping each file's mtime for GC age
-accounting) and deletes the files.  Rows already in the database win over
-legacy files of the same key — the database is newer by construction.
-Import errors on individual files are treated like the JSON backend
-treated corrupt entries: the file is dropped.
+  as a miss and deleted by the caller.
 
 Thread/process safety: one :class:`SqliteStore` holds one connection,
 guarded by a lock, and may be shared by many threads; many processes may
 each hold their own store on the same path (``busy_timeout`` absorbs
-write contention).  All errors surface as :class:`OSError` so callers
-can treat disk-backend failures uniformly across backends.
+write contention).  All errors surface as :class:`OSError`, the type the
+cache layer's disk-error accounting catches.
 
 Resilience
 ----------
@@ -47,7 +31,7 @@ three failure classes to three responses (see ``docs/resilience.md``):
   quarantined (renamed to ``entries.sqlite.corrupt.<pid>.<n>``) together
   with its WAL sidecars, rebuilt empty, and the operation retried once;
 * anything else — surfaced as :class:`OSError` for the cache layer's
-  backend-agnostic accounting (and possible memory-only degradation).
+  disk-error accounting (and possible memory-only degradation).
 
 The shared ``counters`` (:class:`ResilienceStats`) make all of this
 visible in ``python -m repro.cache stats`` and the server's ``/stats``.
@@ -71,8 +55,7 @@ __all__ = ["DB_FILENAME", "SqliteStore", "read_entries", "delete_entries"]
 
 _T = TypeVar("_T")
 
-#: Database file name inside a tier directory.  The JSON backend's entry
-#: files sit next to it as ``<key>.json`` until migration consumes them.
+#: Database file name inside a tier directory.
 DB_FILENAME = "entries.sqlite"
 
 _SCHEMA = """
@@ -133,7 +116,6 @@ class SqliteStore:
         self._lock = threading.RLock()
         self._conn: "sqlite3.Connection | None" = None
         self._open_with_recovery()
-        self._migrate_legacy_files()
 
     # ------------------------------------------------------------------ API
 
@@ -148,7 +130,7 @@ class SqliteStore:
         return row[0] if row is not None else None
 
     def put(self, key: str, payload: str, mtime: "float | None" = None) -> None:
-        """Insert or replace one entry (last writer wins, like os.replace)."""
+        """Insert or replace one entry (last writer wins)."""
         stamp = time.time() if mtime is None else float(mtime)
 
         def _write() -> None:
@@ -342,48 +324,6 @@ class SqliteStore:
                     f"cache database rebuild after corruption failed: {rebuild_exc}"
                 ) from rebuild_exc
 
-    # ------------------------------------------------------------ internals
-
-    def _migrate_legacy_files(self) -> None:
-        """Import ``<key>.json`` files left by the file backend, then remove
-        them.  ``INSERT OR IGNORE`` keeps existing rows: the database entry
-        for a key is always at least as new as any file left behind."""
-        legacy = sorted(self.directory.glob("*.json"))
-        if not legacy:
-            return
-        for path in legacy:
-            try:
-                payload = path.read_text(encoding="utf-8")
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue  # unreadable → dropped below only if removable
-            else:
-                try:
-                    with self._lock:
-                        self._conn.execute(
-                            "INSERT OR IGNORE INTO entries "
-                            "(key, payload, mtime, size) VALUES (?, ?, ?, ?)",
-                            (
-                                path.stem,
-                                payload,
-                                mtime,
-                                len(payload.encode("utf-8")),
-                            ),
-                        )
-                except sqlite3.Error as exc:
-                    raise OSError(
-                        f"legacy cache migration failed for {path.name}: {exc}"
-                    ) from exc
-            try:
-                path.unlink()
-            except OSError:
-                pass  # another process migrated it concurrently
-        try:
-            with self._lock:
-                self._conn.commit()
-        except sqlite3.Error as exc:
-            raise OSError(f"legacy cache migration commit failed: {exc}") from exc
-
     def __enter__(self) -> "SqliteStore":
         return self
 
@@ -394,8 +334,8 @@ class SqliteStore:
 # -------------------------------------------------- lifecycle/GC helpers
 #
 # The garbage collector (repro.cache.lifecycle) must be able to *inspect*
-# a database without side effects — opening a SqliteStore would run the
-# legacy-file migration, and `stats`/`ls`/`--dry-run prune` must never
+# a database without side effects — opening a SqliteStore creates the
+# directory and database, and `stats`/`ls`/`--dry-run prune` must never
 # mutate the directory they describe.  These free functions open a plain
 # read (or delete-only) connection instead.
 
@@ -404,8 +344,7 @@ def read_entries(db_path: "str | Path") -> "list[tuple[str, int, float]]":
     """``(key, size_bytes, mtime)`` rows of a database, read-only.
 
     A missing database means no entries; an unreadable or schema-less one
-    is reported as empty too (GC treats it like it treats unreadable
-    files: skip, never crash the pass)."""
+    is reported as empty too (GC skips it, never crashing the pass)."""
     path = Path(db_path)
     if not path.is_file():
         return []

@@ -5,14 +5,10 @@ through two storage tiers:
 
 * an in-memory LRU bounded by ``max_entries`` (the hot tier every lookup
   touches first), and
-* an optional on-disk backend that survives the process and feeds the LRU
-  on a memory miss.  Two disk backends exist behind one interface: the
-  default ``"sqlite"`` backend (one WAL-mode database per tier directory,
-  :mod:`repro.cache.sqlite_store` — safe under the serving layer's
-  concurrent multi-process traffic) and the legacy ``"json"`` backend
-  (one file per key, atomic temp-file publication).  ``REPRO_CACHE_BACKEND``
-  selects the backend for ``"auto"`` instances; opening a SQLite-backed
-  directory migrates any legacy ``*.json`` entries into the database.
+* an optional on-disk store that survives the process and feeds the LRU
+  on a memory miss: one WAL-mode SQLite database per tier directory
+  (:class:`~repro.cache.sqlite_store.SqliteStore`), safe under the serving
+  layer's concurrent multi-process traffic.
 
 Two cache classes share that machinery:
 
@@ -39,10 +35,9 @@ Every tier upholds four invariants, in roughly priority order:
    ``get``, so callers can mutate results (e.g. re-stamp labels) without
    corrupting the store or each other.
 3. **Crash/concurrency safety** — disk writes are atomic under concurrent
-   processes (SQLite's journaling for the default backend; uniquely named
-   temp file + :func:`os.replace` for the JSON backend), so processes
-   sharing a cache directory can never observe a torn entry; unreadable or
-   incompatible entries are treated as misses and deleted.  In-memory LRU
+   processes (SQLite's WAL journaling), so processes sharing a cache
+   directory can never observe a torn entry; unreadable or incompatible
+   entries are treated as misses and deleted.  In-memory LRU
    bookkeeping is guarded by a re-entrant lock (the ``threads`` backend
    hits one instance from many workers), while copies and disk I/O run
    outside it.
@@ -53,8 +48,8 @@ Every tier upholds four invariants, in roughly priority order:
 Process-wide default instances back :func:`repro.run_experiment`, the sweep
 runner and the activity engine; they are created lazily, bounded, and
 controlled by the ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` /
-``REPRO_CACHE_BACKEND`` / ``REPRO_CACHE_MAX_ENTRIES`` /
-``REPRO_ACTIVITY_CACHE_MAX_ENTRIES`` environment variables.  When ``REPRO_CACHE_MAX_BYTES`` or
+``REPRO_CACHE_MAX_ENTRIES`` / ``REPRO_ACTIVITY_CACHE_MAX_ENTRIES``
+environment variables.  When ``REPRO_CACHE_MAX_BYTES`` or
 ``REPRO_CACHE_MAX_AGE_DAYS`` is set, the shared disk directory is pruned
 (see :mod:`repro.cache.lifecycle`) the first time a default cache is built.
 """
@@ -67,22 +62,21 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro._deprecated import ignore_disk_backend
 from repro.cache.resilience import ResilienceStats
 from repro.errors import ExperimentError, ReproError
-from repro.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; imported lazily at runtime
     from repro.activity.report import ActivityReport
+    from repro.cache.sqlite_store import SqliteStore
     from repro.experiments.results import ExperimentResult
 
 __all__ = [
     "CacheStats",
-    "DISK_BACKENDS",
-    "resolve_disk_backend",
     "JsonDiskCache",
     "ExperimentCache",
     "ActivityCache",
@@ -98,124 +92,8 @@ __all__ = [
 ]
 
 #: Subdirectory of a shared cache root (``REPRO_CACHE_DIR``) that holds the
-#: activity tier's files; experiment entries live at the root itself.
+#: activity tier's database; experiment entries live at the root itself.
 ACTIVITY_SUBDIR = "activity"
-
-#: Disk backends a cache can resolve ``"auto"`` to.  ``"sqlite"`` (the
-#: default) keeps one WAL-mode database per tier directory and is the only
-#: backend safe under heavy concurrent multi-process write traffic;
-#: ``"json"`` is the legacy one-file-per-entry layout.
-DISK_BACKENDS = ("sqlite", "json")
-
-#: Environment override for the ``"auto"`` disk-backend choice.
-ENV_CACHE_BACKEND = "REPRO_CACHE_BACKEND"
-
-
-def resolve_disk_backend(backend: str) -> str:
-    """Resolve a ``disk_backend`` argument to a concrete backend name.
-
-    ``"auto"`` consults ``REPRO_CACHE_BACKEND`` and falls back to
-    ``"sqlite"``; explicit names pass through (never overridden by the
-    environment, matching the precedence rule every other knob follows).
-    """
-    if backend == "auto":
-        backend = os.environ.get("REPRO_CACHE_BACKEND", "sqlite").strip().lower() or "sqlite"
-    if backend not in DISK_BACKENDS:
-        raise ExperimentError(
-            f"disk_backend must be one of {DISK_BACKENDS + ('auto',)}, got {backend!r}"
-        )
-    return backend
-
-
-class _JsonFileBackend:
-    """Legacy disk backend: one atomically published JSON file per key."""
-
-    def __init__(self, directory: Path) -> None:
-        self.directory = directory
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def read_text(self, key: str) -> "str | None":
-        fault_point("cache.json.read")
-        path = self.path(key)
-        if not path.exists():
-            return None
-        return path.read_text()
-
-    def write_text(self, key: str, text: str) -> None:
-        """Atomically publish one entry: temp file in the same directory,
-        then :func:`os.replace`, so concurrent readers (and writers racing
-        on the same key) only ever see a complete JSON document.  The temp
-        name includes the thread id because writes run outside the cache
-        lock — two threads of one process may publish the same key at once."""
-        fault_point("cache.json.write")
-        path = self.path(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-
-    def delete(self, key: str) -> None:
-        try:
-            self.path(key).unlink()
-        except FileNotFoundError:
-            pass
-
-    def contains(self, key: str) -> bool:
-        return self.path(key).exists()
-
-    def clear(self) -> int:
-        """Remove every entry file; returns how many removals failed."""
-        errors = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                errors += 1
-        return errors
-
-
-class _SqliteDiskBackend:
-    """Default disk backend: one WAL-mode SQLite database per directory.
-
-    Thin adapter putting :class:`~repro.cache.sqlite_store.SqliteStore`
-    behind the same five calls as :class:`_JsonFileBackend`; every failure
-    surfaces as :class:`OSError`, so the cache layer's error accounting is
-    backend-agnostic.
-    """
-
-    def __init__(self, directory: Path, counters: "ResilienceStats | None" = None) -> None:
-        from repro.cache.sqlite_store import SqliteStore
-
-        self.directory = directory
-        # Sharing the owning cache's resilience counters means SQLite-level
-        # retries and quarantines show up in that tier's stats directly.
-        self._store = SqliteStore(directory, counters=counters)
-
-    def read_text(self, key: str) -> "str | None":
-        return self._store.get(key)
-
-    def write_text(self, key: str, text: str) -> None:
-        self._store.put(key, text)
-
-    def delete(self, key: str) -> None:
-        self._store.delete(key)
-
-    def contains(self, key: str) -> bool:
-        return self._store.contains(key)
-
-    def clear(self) -> int:
-        self._store.clear()
-        return 0
-
 
 @dataclass
 class CacheStats:
@@ -251,45 +129,46 @@ class CacheStats:
 
 @dataclass
 class JsonDiskCache:
-    """Bounded LRU of JSON-serializable values with an optional disk backend.
+    """Bounded LRU of JSON-serializable values with an optional disk store.
 
     Subclasses define the value type by overriding :meth:`_check_value`,
     :meth:`_serialize` and :meth:`_deserialize`; everything else — LRU
-    bookkeeping, defensive copying, atomic disk writes and corrupt-entry
-    recovery — is shared.  ``disk_backend`` picks the on-disk layout
-    (``"sqlite"``, ``"json"``, or ``"auto"`` → :func:`resolve_disk_backend`);
-    the serialized documents are identical across backends, so the same
-    keys yield the same payloads whichever stores them.
+    bookkeeping, defensive copying, disk writes and corrupt-entry recovery
+    — is shared.  Each value is stored on disk as one JSON document in a
+    :class:`~repro.cache.sqlite_store.SqliteStore` row.
 
     Instances are thread-safe: the sweep runner's ``threads`` backend has
     many workers consulting one cache concurrently, so the LRU bookkeeping
     and the usage counters are guarded by a re-entrant lock.  (Disk entries
-    are additionally safe across *processes*: SQLite journaling for the
-    default backend, atomic temp-file publication for the JSON backend.)
+    are additionally safe across *processes* through SQLite journaling.)
+    ``disk_backend=`` is deprecated and ignored.
     """
 
     max_entries: int = 128
     disk_dir: "str | Path | None" = None
     stats: CacheStats = field(default_factory=CacheStats)
-    disk_backend: str = "auto"
+    #: deprecated and ignored (kept in its old place for positional
+    #: callers): SQLite is the only disk layout
+    disk_backend: InitVar["str | None"] = None
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, disk_backend: "str | None") -> None:
+        ignore_disk_backend(disk_backend)
         if self.max_entries < 1:
             raise ExperimentError(f"max_entries must be >= 1, got {self.max_entries}")
         self._entries: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.RLock()
-        self._backend: "_SqliteDiskBackend | _JsonFileBackend | None" = None
+        self._store: "SqliteStore | None" = None
         if self.disk_dir is not None:
+            # Imported here so ``import repro`` does not load the SQLite
+            # layer until a disk-backed cache is actually built.
+            from repro.cache.sqlite_store import SqliteStore
+
             self.disk_dir = Path(self.disk_dir)
-            self.disk_backend = resolve_disk_backend(self.disk_backend)
             try:
-                if self.disk_backend == "sqlite":
-                    self._backend = _SqliteDiskBackend(
-                        self.disk_dir, counters=self.resilience
-                    )
-                else:
-                    self._backend = _JsonFileBackend(self.disk_dir)
+                # Sharing the resilience counters means SQLite-level retries
+                # and quarantines show up in this tier's stats directly.
+                self._store = SqliteStore(self.disk_dir, counters=self.resilience)
             except OSError as exc:
                 # An unusable disk tier at construction (read-only FS, full
                 # disk, unrecoverable corruption) degrades the cache to
@@ -340,29 +219,27 @@ class JsonDiskCache:
     def put(self, key: str, value: Any) -> None:
         """Store a copy of ``value`` under ``key`` (memory and disk).
 
-        The deep copy and the (atomic, uniquely-temp-named) disk write run
-        outside the lock for the same reason as in :meth:`get`.
+        The deep copy and the (atomic) disk write run outside the lock for
+        the same reason as in :meth:`get`.
         """
         self._check_value(value)
         stored = copy.deepcopy(value)
         with self._lock:
             self._insert(key, stored)
             self.stats.puts += 1
-        if self._backend is not None:
+        if self._store is not None:
             self._write_to_disk(key, value)
 
     def clear(self, disk: bool = False) -> None:
         """Drop every in-memory entry (and the disk entries when ``disk``)."""
         with self._lock:
             self._entries.clear()
-        if disk and self._backend is not None:
+        if disk and self._store is not None:
             try:
-                errors = self._backend.clear()
+                self._store.clear()
             except OSError:
-                errors = 1
-            if errors:
                 with self._lock:
-                    self.stats.disk_errors += errors
+                    self.stats.disk_errors += 1
 
     def describe_memory(self) -> dict[str, Any]:
         """In-memory LRU occupancy and usage counters, for live inspection
@@ -373,7 +250,6 @@ class JsonDiskCache:
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
                 "disk_dir": str(self.disk_dir) if self.disk_dir is not None else None,
-                "disk_backend": self.disk_backend if self.disk_dir is not None else None,
                 **self.stats.as_dict(),
                 "resilience": self.resilience.as_dict(),
             }
@@ -388,11 +264,12 @@ class JsonDiskCache:
         with self._lock:
             if key in self._entries:
                 return True
-        if self._backend is None:
+        store = self._store
+        if store is None:
             return False
         # Disk probe outside the lock, like every other disk touch here.
         try:
-            return self._backend.contains(key)
+            return store.contains(key)
         except OSError:
             return False
 
@@ -406,24 +283,24 @@ class JsonDiskCache:
             self.stats.evictions += 1
 
     def _write_to_disk(self, key: str, value: Any) -> None:
-        """Publish one entry through the disk backend (atomic under both
-        concurrent threads and concurrent processes, whichever backend)."""
-        backend = self._backend
-        if backend is None:  # degraded concurrently; memory tier already has it
+        """Publish one entry to the disk store (atomic under both concurrent
+        threads and concurrent processes)."""
+        store = self._store
+        if store is None:  # degraded concurrently; memory tier already has it
             return
         try:
-            backend.write_text(key, json.dumps(self._serialize(value)))
+            store.put(key, json.dumps(self._serialize(value)))
         except OSError as exc:
             with self._lock:
                 self.stats.disk_errors += 1
             self._maybe_degrade(exc)
 
     def _load_from_disk(self, key: str) -> Any:
-        backend = self._backend
-        if backend is None:
+        store = self._store
+        if store is None:
             return None
         try:
-            raw = backend.read_text(key)
+            raw = store.get(key)
         except OSError as exc:
             with self._lock:
                 self.stats.disk_errors += 1
@@ -439,7 +316,7 @@ class JsonDiskCache:
             with self._lock:
                 self.stats.disk_errors += 1
             try:
-                backend.delete(key)
+                store.delete(key)
             except OSError:
                 pass
             return None
@@ -453,14 +330,14 @@ class JsonDiskCache:
     def _maybe_degrade(self, exc: OSError) -> None:
         """Fall back to memory-only operation on whole-tier disk failures.
 
-        Per-entry failures keep the backend: the next key may well work.
+        Per-entry failures keep the store: the next key may well work.
         A full or read-only filesystem will fail every future touch, so
-        the backend is dropped and the sticky ``degraded`` flag raised —
+        the store is dropped and the sticky ``degraded`` flag raised —
         results stay identical, only persistence stops.
         """
         if exc.errno not in self._FATAL_DISK_ERRNOS:
             return
-        self._backend = None
+        self._store = None
         self.resilience.degrade(f"memory-only: {exc}")
 
 
@@ -598,7 +475,7 @@ def get_default_activity_cache() -> ActivityCache | None:
     """Return the lazily created process-wide activity cache.
 
     Shares ``REPRO_NO_CACHE`` and ``REPRO_CACHE_DIR`` with the experiment
-    tier; its disk files live under ``$REPRO_CACHE_DIR/activity/`` and its
+    tier; its database lives under ``$REPRO_CACHE_DIR/activity/`` and its
     LRU width is ``REPRO_ACTIVITY_CACHE_MAX_ENTRIES`` (default 1024).
     """
     global _default_activity_cache, _default_activity_initialized

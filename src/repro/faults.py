@@ -216,6 +216,7 @@ CATALOGUE: "dict[str, dict[str, Callable[[], Optional[BaseException]]]]" = {
         "corrupt": lambda: sqlite3.DatabaseError(
             "database disk image is malformed"
         ),
+        "eio": lambda: _oserror(errno.EIO),
         "error": lambda: InjectedFaultError("injected cache.sqlite.read fault"),
     },
     "cache.sqlite.write": {
@@ -224,15 +225,8 @@ CATALOGUE: "dict[str, dict[str, Callable[[], Optional[BaseException]]]]" = {
             "database disk image is malformed"
         ),
         "full": lambda: _oserror(errno.ENOSPC),
-        "error": lambda: InjectedFaultError("injected cache.sqlite.write fault"),
-    },
-    "cache.json.read": {
-        "error": lambda: _oserror(errno.EIO),
-    },
-    "cache.json.write": {
-        "enospc": lambda: _oserror(errno.ENOSPC),
         "readonly": lambda: _oserror(errno.EROFS),
-        "error": lambda: _oserror(errno.EIO),
+        "error": lambda: InjectedFaultError("injected cache.sqlite.write fault"),
     },
     "pool.worker": {
         "kill": _worker_kill,

@@ -334,3 +334,38 @@ class TestPlanCacheDeprecation:
             module.PlanCache(max_entries=4)
         with pytest.raises(AttributeError):
             module.NO_SUCH_NAME
+
+
+class TestDiskBackendDeprecation:
+    """SQLite is the only disk layout; ``disk_backend=`` survives one release."""
+
+    @pytest.mark.parametrize(
+        "cache_cls, backend",
+        [(api.ExperimentCache, "json"), (api.ActivityCache, "sqlite")],
+    )
+    def test_warns_once_and_round_trips_through_sqlite(
+        self, tmp_path, quiet_config, cache_cls, backend
+    ):
+        from repro.cache.sqlite_store import DB_FILENAME, read_entries
+
+        result = api.run_experiment(quiet_config(), cache=None, activity_cache=None)
+        value = result if cache_cls is api.ExperimentCache else result.measurements[0].activity
+        with pytest.warns(DeprecationWarning, match="disk_backend=") as caught:
+            cache = cache_cls(disk_dir=tmp_path, disk_backend=backend)
+        assert len(caught) == 1
+        assert caught[0].filename == __file__  # names the caller's line
+        cache.put("k", value)
+        assert [key for key, _, _ in read_entries(tmp_path / DB_FILENAME)] == ["k"]
+        assert list(tmp_path.glob("*.json")) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reader = cache_cls(disk_dir=tmp_path)
+        assert reader.get("k").as_dict() == value.as_dict()
+        assert reader.stats.disk_hits == 1
+
+    @pytest.mark.parametrize("cache_cls", [api.ExperimentCache, api.ActivityCache])
+    def test_none_is_silent(self, tmp_path, cache_cls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = cache_cls(disk_dir=tmp_path, disk_backend=None)
+        assert "disk_backend" not in cache.describe_memory()

@@ -172,52 +172,40 @@ class TestExperimentCache:
         with pytest.raises(ExperimentError):
             resolve_cache("bogus")
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_disk_round_trip(self, quiet_config, tmp_path, backend):
+    def test_disk_round_trip(self, quiet_config, tmp_path):
         config = quiet_config()
         key = experiment_fingerprint(config)
         result = run_experiment(config, cache=None)
 
-        writer = ExperimentCache(disk_dir=tmp_path, disk_backend=backend)
+        writer = ExperimentCache(disk_dir=tmp_path)
         writer.put(key, result)
-        if backend == "json":
-            assert (tmp_path / f"{key}.json").exists()
-        else:
-            assert (tmp_path / DB_FILENAME).exists()
-            assert not (tmp_path / f"{key}.json").exists()
+        assert (tmp_path / DB_FILENAME).exists()
+        assert not (tmp_path / f"{key}.json").exists()
 
         # A fresh instance (fresh process, conceptually) reads it back.
-        reader = ExperimentCache(disk_dir=tmp_path, disk_backend=backend)
+        reader = ExperimentCache(disk_dir=tmp_path)
         loaded = reader.get(key)
         assert loaded is not None
         assert reader.stats.disk_hits == 1
         assert loaded.as_dict() == result.as_dict()
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_corrupt_disk_entry_is_a_miss(self, quiet_config, tmp_path, backend):
+    def test_corrupt_disk_entry_is_a_miss(self, quiet_config, tmp_path):
         config = quiet_config()
         key = experiment_fingerprint(config)
-        if backend == "json":
-            (tmp_path / f"{key}.json").write_text("{not json")
-        else:
-            with SqliteStore(tmp_path) as store:
-                store.put(key, "{not json")
-        cache = ExperimentCache(disk_dir=tmp_path, disk_backend=backend)
+        with SqliteStore(tmp_path) as store:
+            store.put(key, "{not json")
+        cache = ExperimentCache(disk_dir=tmp_path)
         assert cache.get(key) is None
         assert cache.stats.disk_errors == 1
         assert cache.stats.misses == 1
         # The unreadable entry is deleted, not left to trip every lookup.
-        if backend == "json":
-            assert not (tmp_path / f"{key}.json").exists()
-        else:
-            with SqliteStore(tmp_path) as store:
-                assert not store.contains(key)
+        with SqliteStore(tmp_path) as store:
+            assert not store.contains(key)
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_clear(self, quiet_config, tmp_path, backend):
+    def test_clear(self, quiet_config, tmp_path):
         config = quiet_config()
         key = experiment_fingerprint(config)
-        cache = ExperimentCache(disk_dir=tmp_path, disk_backend=backend)
+        cache = ExperimentCache(disk_dir=tmp_path)
         cache.put(key, run_experiment(config, cache=None))
         cache.clear()
         assert len(cache) == 0

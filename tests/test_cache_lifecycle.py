@@ -4,7 +4,7 @@ the sweep/cache robustness fixes (atomic writes, worker cleanup, GC, CLI)."""
 from __future__ import annotations
 
 import json
-import os
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -19,8 +19,11 @@ from repro.cache.lifecycle import (
     format_size,
     parse_size,
     prune_cache_dir,
+    resolve_cost_weights,
     scan_cache_dir,
+    tier_dir,
 )
+from repro.cache.sqlite_store import DB_FILENAME, SqliteStore, read_entries
 from repro.cache.store import (
     ActivityCache,
     ExperimentCache,
@@ -31,6 +34,13 @@ from repro.cache.store import (
 from repro.errors import ActivityError, ExperimentError
 from repro.experiments.harness import run_experiment
 from repro.experiments.sweep import run_configs
+
+
+def _put_rows(root, tier, rows) -> None:
+    """Write ``(key, payload, mtime)`` rows straight into a tier's database."""
+    with SqliteStore(tier_dir(root, tier)) as store:
+        for key, payload, mtime in rows:
+            store.put(key, payload, mtime=mtime)
 
 
 def _make_report(value: float = 0.5) -> ActivityReport:
@@ -55,10 +65,10 @@ def _make_report(value: float = 0.5) -> ActivityReport:
     )
 
 
-def _hammer_puts(args: tuple[str, int, int, str]) -> int:
+def _hammer_puts(args: tuple[str, int, int]) -> int:
     """Worker for the concurrency test: interleaved puts on shared keys."""
-    directory, worker_id, rounds, backend = args
-    cache = ActivityCache(disk_dir=directory, disk_backend=backend)
+    directory, worker_id, rounds = args
+    cache = ActivityCache(disk_dir=directory)
     for index in range(rounds):
         cache.put(f"key{index % 8}", _make_report(0.25 + worker_id * 0.1 + index * 1e-6))
     return cache.stats.disk_errors
@@ -262,41 +272,18 @@ class TestActivityCacheTier:
 
 class TestAtomicDiskWrites:
     def test_corrupt_entry_is_deleted_not_raised(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{truncated")
+        _put_rows(tmp_path, "experiment", [("bad", "{truncated", 1_000.0)])
         cache = ActivityCache(disk_dir=tmp_path)
         assert cache.get("bad") is None
         assert cache.stats.disk_errors == 1
-        assert not path.exists()
+        assert read_entries(tmp_path / DB_FILENAME) == []
 
-    def test_truncated_entry_recovers_after_next_put(self, tmp_path):
-        # Exercises the legacy file layout's torn-write recovery; the SQLite
-        # backend cannot tear by its journaling contract.
-        cache = ActivityCache(disk_dir=tmp_path, disk_backend="json")
-        report = _make_report()
-        cache.put("k", report)
-        (tmp_path / "k.json").write_text(
-            (tmp_path / "k.json").read_text()[:20]
-        )  # simulate torn write from a non-atomic writer
-        reader = ActivityCache(disk_dir=tmp_path, disk_backend="json")
-        assert reader.get("k") is None
-        cache.put("k", report)  # writer re-publishes
-        assert ActivityCache(disk_dir=tmp_path, disk_backend="json").get("k") == report
-
-    def test_no_temp_files_left_behind(self, tmp_path):
-        cache = ActivityCache(disk_dir=tmp_path, disk_backend="json")
-        for index in range(5):
-            cache.put(f"k{index}", _make_report())
-        assert list(tmp_path.glob("*.tmp")) == []
-        assert len(list(tmp_path.glob("*.json"))) == 5
-
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_concurrent_puts_leave_readable_store(self, tmp_path, backend):
-        jobs = [(str(tmp_path), worker, 60, backend) for worker in range(3)]
+    def test_concurrent_puts_leave_readable_store(self, tmp_path):
+        jobs = [(str(tmp_path), worker, 60) for worker in range(3)]
         with ProcessPoolExecutor(max_workers=3) as pool:
             disk_errors = list(pool.map(_hammer_puts, jobs))
         assert disk_errors == [0, 0, 0]
-        reader = ActivityCache(disk_dir=tmp_path, disk_backend=backend)
+        reader = ActivityCache(disk_dir=tmp_path)
         keys = sorted(entry.key for entry in scan_cache_dir(tmp_path))
         assert keys == [f"key{index}" for index in range(8)]
         for key in keys:
@@ -306,16 +293,19 @@ class TestAtomicDiskWrites:
 
 class TestGarbageCollection:
     def _populate(self, root, count=4, tier="experiment", size=100, start_age=0):
-        from repro.cache.lifecycle import tier_dir
-
-        directory = tier_dir(root, tier)
-        directory.mkdir(parents=True, exist_ok=True)
         now = 1_000_000_000
-        for index in range(count):
-            path = directory / f"entry{index}.json"
-            path.write_text(json.dumps({"pad": "x" * size}))
-            age = start_age + (count - index) * 3600  # entry0 oldest
-            os.utime(path, (now - age, now - age))
+        _put_rows(
+            root,
+            tier,
+            [
+                (
+                    f"entry{index}",
+                    json.dumps({"pad": "x" * size}),
+                    now - start_age - (count - index) * 3600,  # entry0 oldest
+                )
+                for index in range(count)
+            ],
+        )
         return now
 
     def test_scan_and_stats(self, tmp_path):
@@ -364,8 +354,8 @@ class TestGarbageCollection:
         assert len(scan_cache_dir(tmp_path)) == 3
 
     def test_clear_removes_zero_byte_entries(self, tmp_path):
-        self._populate(tmp_path, count=2)
-        (tmp_path / "empty.json").write_text("")  # fits any size budget
+        now = self._populate(tmp_path, count=2)
+        _put_rows(tmp_path, "experiment", [("empty", "", now)])  # fits any size budget
         report = clear_cache_dir(tmp_path)
         assert len(report.removed) == 3
         assert report.remaining == 0
@@ -379,17 +369,18 @@ class TestGarbageCollection:
         assert {entry.tier for entry in remaining} == {"experiment"}
         assert len(remaining) == 2
 
-    def test_stale_tmp_files_swept(self, tmp_path):
+    def test_files_of_the_old_layout_are_ignored(self, tmp_path):
+        # Entry and temp files left by 1.1.0's one-file-per-entry layout are
+        # neither scanned nor removed: only database rows are entries.
         now = self._populate(tmp_path, count=1)
-        stale = tmp_path / ".orphan.json.123.tmp"
-        stale.write_text("partial")
-        os.utime(stale, (now - 7200, now - 7200))
-        fresh = tmp_path / ".inflight.json.456.tmp"
-        fresh.write_text("partial")
-        os.utime(fresh, (now - 10, now - 10))
-        report = prune_cache_dir(tmp_path, max_age_s=999_999, now=now)
-        assert report.removed_tmp == 1
-        assert not stale.exists() and fresh.exists()
+        leftovers = [tmp_path / "old.json", tmp_path / ".old.json.123.tmp"]
+        for path in leftovers:
+            path.write_text("{}")
+        assert [entry.key for entry in scan_cache_dir(tmp_path)] == ["entry0"]
+        prune_cache_dir(tmp_path, max_bytes=0, now=now)
+        clear_cache_dir(tmp_path)
+        assert scan_cache_dir(tmp_path) == []
+        assert all(path.exists() for path in leftovers)
 
     def test_parse_and_format_size(self):
         assert parse_size("1024") == 1024
@@ -402,29 +393,88 @@ class TestGarbageCollection:
         assert format_size(512) == "512 B"
         assert format_size(1536) == "1.5 KiB"
 
-    def test_failed_unlink_stays_in_accounting(self, tmp_path, monkeypatch):
-        from pathlib import Path
+    def test_failed_delete_stays_in_accounting(self, tmp_path, monkeypatch):
+        import repro.cache.sqlite_store as sqlite_store
 
         now = self._populate(tmp_path, count=3, size=100)
-        original_unlink = Path.unlink
+        original_delete = sqlite_store.delete_entries
 
-        def stubborn_unlink(self, *args, **kwargs):
-            if self.name == "entry0.json":  # oldest entry refuses to die
-                raise PermissionError(13, "denied")
-            return original_unlink(self, *args, **kwargs)
+        def stubborn_delete(db_path, keys):
+            if keys == ["entry0"]:  # oldest entry refuses to die
+                raise OSError("cache database delete failed: disk I/O error")
+            return original_delete(db_path, keys)
 
-        monkeypatch.setattr(Path, "unlink", stubborn_unlink)
+        monkeypatch.setattr(sqlite_store, "delete_entries", stubborn_delete)
         report = prune_cache_dir(tmp_path, max_bytes=0, now=now)
         assert {entry.key for entry in report.removed} == {"entry1", "entry2"}
         assert report.remaining == 1
-        assert report.remaining_bytes > 0  # the undeletable file still counts
-        assert (tmp_path / "entry0.json").exists()
+        assert report.remaining_bytes > 0  # the undeletable row still counts
+        assert [entry.key for entry in scan_cache_dir(tmp_path)] == ["entry0"]
 
     def test_invalid_limits_rejected(self, tmp_path):
         with pytest.raises(ExperimentError):
             prune_cache_dir(tmp_path, max_bytes=-1)
         with pytest.raises(ExperimentError):
             prune_cache_dir(tmp_path, max_age_s=-1.0)
+
+
+class TestNonFiniteLimits:
+    """GC limits and cost weights must be finite numbers.  ``inf`` used to
+    overflow into a raw ``OverflowError`` and ``nan`` to be accepted and
+    prune nothing (``age > nan`` is always false); both are typed errors."""
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "1e308T"])
+    def test_parse_size_rejects(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_size(text)
+
+    @pytest.mark.parametrize("limit", ["max_bytes", "max_age_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_prune_rejects(self, tmp_path, limit, value):
+        with pytest.raises(ExperimentError, match="finite"):
+            prune_cache_dir(tmp_path, **{limit: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_cost_weight_rejected(self, value):
+        with pytest.raises(ExperimentError, match="finite"):
+            resolve_cost_weights({"experiment": value})
+
+    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    def test_env_cost_weight_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_CACHE_EXPERIMENT_COST", raw)
+        with pytest.raises(ExperimentError, match="finite"):
+            resolve_cost_weights()
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [
+            ("REPRO_CACHE_MAX_BYTES", "inf"),
+            ("REPRO_CACHE_MAX_BYTES", "nan"),
+            ("REPRO_CACHE_MAX_AGE_DAYS", "inf"),
+            ("REPRO_CACHE_MAX_AGE_DAYS", "nan"),
+        ],
+    )
+    def test_auto_prune_env_rejected(
+        self, tmp_path, monkeypatch, reset_default_caches, name, raw
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ExperimentError, match="finite"):
+            get_default_cache()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-bytes", "inf"],
+            ["--max-bytes", "nan"],
+            ["--max-age-days", "inf"],
+            ["--max-age-days", "nan"],
+            ["--max-bytes", "1G", "--experiment-cost", "inf"],
+        ],
+    )
+    def test_cli_exits_with_an_error(self, tmp_path, capsys, flags):
+        assert cache_cli(["prune", "--dir", str(tmp_path), *flags]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestCacheCli:
@@ -505,13 +555,12 @@ class TestDefaultCacheWiring:
             get_default_cache()
 
     def test_auto_prune_on_first_use(self, tmp_path, monkeypatch, reset_default_caches):
-        old = tmp_path / "stale.json"
-        old.write_text("{}")
-        os.utime(old, (1_000, 1_000))  # 1970: older than any age limit
+        # 1970: older than any age limit
+        _put_rows(tmp_path, "experiment", [("stale", "{}", 1_000.0)])
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CACHE_MAX_AGE_DAYS", "30")
         get_default_cache()
-        assert not old.exists()
+        assert read_entries(tmp_path / DB_FILENAME) == []
 
 
 class TestSweepRobustness:
@@ -605,15 +654,10 @@ class TestCostWeightedPrune:
     unless age differences overwhelm the weight ratio."""
 
     def _two_tier_dir(self, tmp_path, experiment_age_s, activity_age_s, size=100):
-        from repro.cache.lifecycle import tier_dir
-
         now = 1_000_000_000
         for tier, age in (("experiment", experiment_age_s), ("activity", activity_age_s)):
-            directory = tier_dir(tmp_path, tier)
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"{tier}0.json"
-            path.write_text(json.dumps({"pad": "x" * size}))
-            os.utime(path, (now - age, now - age))
+            payload = json.dumps({"pad": "x" * size})
+            _put_rows(tmp_path, tier, [(f"{tier}0", payload, now - age)])
         return now
 
     def test_older_experiment_outlives_newer_activity(self, tmp_path):
@@ -651,8 +695,6 @@ class TestCostWeightedPrune:
         assert [entry.tier for entry in report.removed] == ["experiment"]
 
     def test_env_override(self, tmp_path, monkeypatch):
-        from repro.cache.lifecycle import resolve_cost_weights
-
         monkeypatch.setenv("REPRO_CACHE_EXPERIMENT_COST", "250")
         assert resolve_cost_weights()["experiment"] == 250.0
         monkeypatch.setenv("REPRO_CACHE_EXPERIMENT_COST", "lots")
@@ -660,8 +702,6 @@ class TestCostWeightedPrune:
             resolve_cost_weights()
 
     def test_invalid_weights_rejected(self):
-        from repro.cache.lifecycle import resolve_cost_weights
-
         with pytest.raises(ExperimentError):
             resolve_cost_weights({"experiment": 0.0})
         with pytest.raises(ExperimentError):

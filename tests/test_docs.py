@@ -8,6 +8,9 @@ which the happy path alone would leave unverified.
 
 from __future__ import annotations
 
+import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +40,30 @@ class TestRepositoryDocs:
             "configuration.md",
         ):
             assert (REPO_ROOT / "docs" / page).is_file(), f"missing docs/{page}"
+
+    def test_fault_catalogue_matches_code(self):
+        """The injection-point table in docs/resilience.md lists exactly the
+        points and modes of ``repro.faults.CATALOGUE``."""
+        text = (REPO_ROOT / "docs" / "resilience.md").read_text()
+        section = text.split("### Injection-point catalogue", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+        documented = {point: sorted(re.findall(r"`([^`]+)`", modes)) for point, modes in rows}
+        # A fresh interpreter: tests may register demo points in this one.
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json, repro.faults as f; "
+                "print(json.dumps({p: sorted(m) for p, m in f.CATALOGUE.items()}))",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert documented == json.loads(proc.stdout)
 
 
 def _run_checker(root: Path):

@@ -279,7 +279,7 @@ class TestSqliteResilience:
 class TestMemoryOnlyDegradation:
     def test_sqlite_enospc_degrades_sticky_and_correct(self, tmp_path):
         _install("cache.sqlite.write:full@1")
-        cache = _StrCache(disk_dir=tmp_path, disk_backend="sqlite")
+        cache = _StrCache(disk_dir=tmp_path)
         cache.put("k", "v")
         assert cache.resilience.degraded
         assert cache.resilience.degraded_reason.startswith("memory-only:")
@@ -290,18 +290,19 @@ class TestMemoryOnlyDegradation:
         cache.resilience.degrade("a different reason")
         assert cache.resilience.degraded_reason == first_reason  # sticky
 
-    def test_json_backend_degrades_on_readonly_fs(self, tmp_path):
-        _install("cache.json.write:readonly@1")
-        cache = _StrCache(disk_dir=tmp_path, disk_backend="json")
+    def test_readonly_fs_degrades(self, tmp_path):
+        _install("cache.sqlite.write:readonly@1")  # EROFS
+        cache = _StrCache(disk_dir=tmp_path)
         cache.put("k", "v")
         assert cache.resilience.degraded
+        assert "Read-only file system" in cache.resilience.degraded_reason
         assert cache.get("k") == "v"
 
     def test_per_entry_read_error_does_not_degrade(self, tmp_path):
-        cache = _StrCache(disk_dir=tmp_path, disk_backend="json")
+        cache = _StrCache(disk_dir=tmp_path)
         cache.put("k", "v")
-        _install("cache.json.read:error")  # EIO on every read
-        fresh = _StrCache(disk_dir=tmp_path, disk_backend="json")
+        _install("cache.sqlite.read:eio")  # EIO on every read
+        fresh = _StrCache(disk_dir=tmp_path)
         assert fresh.get("k") is None  # unreadable entry is a miss...
         assert not fresh.resilience.degraded  # ...not a dead tier
         assert fresh.stats.disk_errors == 1
@@ -526,7 +527,7 @@ class TestServeResilience:
         assert result.as_dict() == run_experiment(config, cache=None).as_dict()
 
     def test_health_reports_degraded_cache_tier(self, tmp_path):
-        cache = ExperimentCache(disk_dir=tmp_path, disk_backend="sqlite")
+        cache = ExperimentCache(disk_dir=tmp_path)
         cache.resilience.degrade("memory-only: injected for test")
         service = _service()
         service._cache = cache
@@ -549,7 +550,6 @@ CHAOS_SCHEDULES = [
     "cache.sqlite.read:busy@0.5;cache.sqlite.write:busy@0.25",
     "cache.sqlite.read:corrupt@2",
     "cache.sqlite.write:full@1",
-    "cache.json.write:enospc@1",
 ]
 
 
@@ -571,8 +571,7 @@ class TestChaosSchedules:
             r.as_dict()
             for r in run_configs(configs, workers=1, cache=None, activity_cache=None)
         ]
-        backend = "json" if "cache.json" in schedule_text else "sqlite"
-        cache = ExperimentCache(disk_dir=tmp_path / "tier", disk_backend=backend)
+        cache = ExperimentCache(disk_dir=tmp_path / "tier")
         _install(schedule_text, seed=seed)
         try:
             chaotic = [
@@ -584,7 +583,7 @@ class TestChaosSchedules:
         except ReproError:
             return  # a typed failure is an accepted outcome; wrong data is not
         assert chaotic == baseline
-        if "full@1" in schedule_text or "enospc@1" in schedule_text:
+        if "full@1" in schedule_text:
             assert cache.resilience.degraded  # loud, never silent
 
     def test_replayed_schedule_reproduces_the_fault_log(
@@ -601,9 +600,7 @@ class TestChaosSchedules:
         )
         logs = []
         for attempt in range(2):
-            cache = ExperimentCache(
-                disk_dir=tmp_path / f"run{attempt}", disk_backend="sqlite"
-            )
+            cache = ExperimentCache(disk_dir=tmp_path / f"run{attempt}")
             schedule = _install("cache.sqlite.write:busy@0.5", seed=11)
             run_configs(configs, workers=1, cache=cache, activity_cache=None)
             logs.append(schedule.fired)

@@ -444,7 +444,7 @@ class TestDescribe:
         assert doc["config"]["max_pending"] == 64
         assert "batch_window_s" not in doc["config"]
         # Explicit (non-default) tiers are reported with live counters.
-        assert doc["caches"]["experiment"]["disk_backend"] is None
+        assert doc["caches"]["experiment"]["disk_dir"] is None
         assert doc["caches"]["experiment"]["hits"] == 1  # second submit hit
         assert "hit_rate" in doc["caches"]["activity"]
         assert json.dumps(doc)  # the /stats body must be JSON-serializable

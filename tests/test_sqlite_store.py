@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 
 import pytest
@@ -16,12 +15,7 @@ from repro.cache.sqlite_store import (
     delete_entries,
     read_entries,
 )
-from repro.cache.store import (
-    ActivityCache,
-    ExperimentCache,
-    resolve_disk_backend,
-)
-from repro.errors import ExperimentError
+from repro.cache.store import ActivityCache
 
 
 class TestSqliteStore:
@@ -61,55 +55,24 @@ class TestSqliteStore:
             rows = list(store.entries())
         assert rows == [("k", 4, 123.5)]
 
+    def test_old_layout_files_are_ignored(self, tmp_path):
+        # 1.1.0 and earlier kept one <key>.json file per entry; the store
+        # neither reads nor removes them.
+        (tmp_path / "old.json").write_text('{"legacy": true}')
+        with SqliteStore(tmp_path) as store:
+            assert store.get("old") is None
+            assert len(store) == 0
+        assert (tmp_path / "old.json").exists()
+
     def test_wal_mode(self, tmp_path):
         with SqliteStore(tmp_path) as store:
             (mode,) = store._conn.execute("PRAGMA journal_mode").fetchone()
         assert mode.lower() == "wal"
 
 
-class TestLegacyMigration:
-    def test_json_files_are_imported_and_removed(self, tmp_path):
-        (tmp_path / "old.json").write_text('{"legacy": true}')
-        os.utime(tmp_path / "old.json", (1000.0, 1000.0))
-        with SqliteStore(tmp_path) as store:
-            assert store.get("old") == '{"legacy": true}'
-            rows = dict(
-                (key, mtime) for key, _size, mtime in store.entries()
-            )
-        assert rows["old"] == 1000.0  # file mtime preserved for GC age accounting
-        assert not (tmp_path / "old.json").exists()
-
-    def test_database_row_wins_over_legacy_file(self, tmp_path):
-        with SqliteStore(tmp_path) as store:
-            store.put("k", "from-db")
-        (tmp_path / "k.json").write_text("from-file")
-        with SqliteStore(tmp_path) as store:
-            assert store.get("k") == "from-db"
-        assert not (tmp_path / "k.json").exists()
-
-    def test_cache_reads_migrated_legacy_entries(self, quiet_config, tmp_path):
-        # An entry written by the legacy backend is readable through the
-        # sqlite backend after migration.
-        from repro.cache.fingerprint import experiment_fingerprint
-        from repro.experiments.harness import run_experiment
-
-        config = quiet_config()
-        key = experiment_fingerprint(config)
-        result = run_experiment(config, cache=None)
-        legacy = ExperimentCache(disk_dir=tmp_path, disk_backend="json")
-        legacy.put(key, result)
-        assert (tmp_path / f"{key}.json").exists()
-
-        migrated = ExperimentCache(disk_dir=tmp_path, disk_backend="sqlite")
-        loaded = migrated.get(key)
-        assert loaded is not None
-        assert loaded.as_dict() == result.as_dict()
-        assert not (tmp_path / f"{key}.json").exists()
-
-
-class TestBackendEquivalence:
-    def test_same_payload_documents(self, tmp_path):
-        """Both backends persist the identical JSON document per key."""
+class TestCachePayloads:
+    def test_row_holds_the_value_document(self, tmp_path):
+        """A cache row's payload is the value's ``as_dict()`` JSON document."""
         from repro.activity.report import ActivityReport
 
         report = ActivityReport(
@@ -131,37 +94,11 @@ class TestBackendEquivalence:
             shape=(4, 4, 4),
             output_samples=8,
         )
-        json_cache = ActivityCache(disk_dir=tmp_path / "json", disk_backend="json")
-        sqlite_cache = ActivityCache(disk_dir=tmp_path / "sql", disk_backend="sqlite")
-        json_cache.put("k", report)
-        sqlite_cache.put("k", report)
-
-        file_doc = json.loads((tmp_path / "json" / "k.json").read_text())
-        with SqliteStore(tmp_path / "sql") as store:
+        ActivityCache(disk_dir=tmp_path).put("k", report)
+        with SqliteStore(tmp_path) as store:
             db_doc = json.loads(store.get("k"))
-        assert file_doc == db_doc
-
-        # And each backend round-trips to an equal report.
-        assert (
-            ActivityCache(disk_dir=tmp_path / "json", disk_backend="json").get("k")
-            == ActivityCache(disk_dir=tmp_path / "sql", disk_backend="sqlite").get("k")
-            == report
-        )
-
-    def test_resolve_disk_backend(self, monkeypatch):
-        assert resolve_disk_backend("json") == "json"
-        assert resolve_disk_backend("sqlite") == "sqlite"
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        assert resolve_disk_backend("auto") == "sqlite"
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "json")
-        assert resolve_disk_backend("auto") == "json"
-        # Explicit names are never overridden by the environment.
-        assert resolve_disk_backend("sqlite") == "sqlite"
-        with pytest.raises(ExperimentError):
-            resolve_disk_backend("bogus")
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "carrier-pigeon")
-        with pytest.raises(ExperimentError):
-            resolve_disk_backend("auto")
+        assert db_doc == json.loads(json.dumps(report.as_dict()))
+        assert ActivityCache(disk_dir=tmp_path).get("k") == report
 
 
 class TestGcHelpers:
@@ -174,8 +111,8 @@ class TestGcHelpers:
         assert read_entries(path) == []
 
     def test_read_entries_is_side_effect_free(self, tmp_path):
-        # Scanning must not trigger legacy migration: stats/ls/dry-run
-        # passes never mutate the directory they describe.
+        # Scanning is read-only: stats/ls/dry-run passes never mutate the
+        # directory they describe, and a 1.1.0 entry file is left alone.
         with SqliteStore(tmp_path) as store:
             store.put("k", "v")
         (tmp_path / "legacy.json").write_text("{}")
@@ -218,7 +155,10 @@ class TestLifecycleOverSqlite:
         self._populate(tmp_path, "activity", ["c"])
         entries = scan_cache_dir(tmp_path)
         assert sorted(entry.key for entry in entries) == ["a", "b", "c"]
-        assert all(entry.backend == "sqlite" for entry in entries)
+        assert {entry.path for entry in entries} == {
+            tmp_path / DB_FILENAME,
+            tmp_path / "activity" / DB_FILENAME,
+        }
         stats = cache_dir_stats(tmp_path, now=1_000_000_100.0)
         assert stats["tiers"]["experiment"]["entries"] == 2
         assert stats["tiers"]["activity"]["entries"] == 1
@@ -247,7 +187,7 @@ class TestLifecycleOverSqlite:
         )
         assert {entry.key for entry in report.removed} >= {"a"}
         assert {entry.key for entry in scan_cache_dir(tmp_path)} >= {"a"}
-        assert (tmp_path / "legacy.json").exists()  # no migration side effect
+        assert (tmp_path / "legacy.json").exists()  # ignored, never touched
 
 
 class TestChaosInjection:
