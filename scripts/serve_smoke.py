@@ -288,8 +288,8 @@ def main() -> int:
                     "REPRO_FAULTS": FAULT_SCHEDULE,
                     "REPRO_FAULTS_SEED": "0",
                     "REPRO_CACHE_DIR": cache_dir,
-                    "REPRO_SERVE_BACKEND": "processes",
-                    "REPRO_SERVE_WORKERS": "2",
+                    "REPRO_PARALLEL_BACKEND": "processes",
+                    "REPRO_PARALLEL_WORKERS": "2",
                 },
                 reference=healthy,
             )

@@ -27,22 +27,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import ReproError
 from repro.fleet.scheduler import CapEvent, FleetSpec
 from repro.fleet.simulator import FleetResult, simulate
-from repro.fleet.trace import GENERATORS, Trace, _env_int, generate_trace
+from repro.fleet.trace import GENERATORS, Trace, generate_trace
+from repro.parallel import executor_defaults
 
 __all__ = ["main"]
-
-
-def _env_backend(environ: "Mapping[str, str] | None" = None) -> str:
-    env = os.environ if environ is None else environ
-    return env.get("REPRO_FLEET_BACKEND", "auto").strip() or "auto"
 
 
 def _parse_gpus(text: str) -> "dict[str, int]":
@@ -135,12 +130,8 @@ def _check_expected(result: FleetResult, expect_path: Path) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     fleet = _build_fleet(args)
-    result = simulate(
-        trace,
-        fleet,
-        workers=args.workers,
-        backend=args.backend,
-    )
+    backend, workers = executor_defaults("FLEET", args.backend, args.workers)
+    result = simulate(trace, fleet, workers=workers, backend=backend)
     if args.out:
         result.save_json(args.out)
     if args.json:
@@ -213,12 +204,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not account idle-GPU power to the '(idle)' pseudo-tenant",
     )
     simulate_parser.add_argument(
-        "--workers", type=int, default=_env_int("REPRO_FLEET_WORKERS", 1),
-        help="estimation worker-pool width (default: REPRO_FLEET_WORKERS or 1)",
+        "--workers", type=int, default=None,
+        help="estimation worker-pool width (default: REPRO_PARALLEL_WORKERS or 1)",
     )
     simulate_parser.add_argument(
-        "--backend", default=_env_backend(),
-        help="estimation execution backend (default: REPRO_FLEET_BACKEND or auto)",
+        "--backend", default=None,
+        help="estimation execution backend (default: auto, which REPRO_PARALLEL_BACKEND steers)",
     )
     simulate_parser.add_argument("--out", default=None, help="save the full result JSON here")
     simulate_parser.add_argument(

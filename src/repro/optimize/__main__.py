@@ -25,21 +25,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-from typing import Mapping
 
 from repro.errors import ReproError
 from repro.optimize.engines.result import OptimizationResult
-from repro.optimize.engines.runner import OptimizationRunner, _env_int, build_runner
+from repro.optimize.engines.runner import OptimizationRunner, build_runner
+from repro.parallel import executor_defaults
 
 __all__ = ["main"]
-
-
-def _env_backend(environ: "Mapping[str, str] | None" = None) -> str:
-    env = os.environ if environ is None else environ
-    return env.get("REPRO_OPT_BACKEND", "auto").strip() or "auto"
 
 
 def _check_expected(result: OptimizationResult, expect_path: Path) -> int:
@@ -61,10 +55,12 @@ def _check_expected(result: OptimizationResult, expect_path: Path) -> int:
     return 1
 
 
-def _cache_kwargs(args: argparse.Namespace) -> "dict[str, object]":
+def _execution_kwargs(args: argparse.Namespace) -> "dict[str, object]":
+    backend, workers = executor_defaults("OPT", args.backend, args.workers)
+    kwargs: "dict[str, object]" = {"backend": backend, "workers": workers}
     if args.no_cache:
-        return {"cache": None, "activity_cache": None}
-    return {}
+        kwargs.update(cache=None, activity_cache=None)
+    return kwargs
 
 
 def _finish(result: OptimizationResult, args: argparse.Namespace) -> int:
@@ -82,10 +78,8 @@ def _finish(result: OptimizationResult, args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     runner = build_runner(
         args.study,
-        workers=args.workers,
-        backend=args.backend,
         checkpoint_path=args.checkpoint,
-        **_cache_kwargs(args),
+        **_execution_kwargs(args),
     )
     result = runner.run(max_evaluations=args.max_evaluations)
     return _finish(result, args)
@@ -94,10 +88,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_resume(args: argparse.Namespace) -> int:
     runner = OptimizationRunner.from_checkpoint(
         args.checkpoint,
-        workers=args.workers,
-        backend=args.backend,
         checkpoint_path=args.checkpoint if args.update_checkpoint else None,
-        **_cache_kwargs(args),
+        **_execution_kwargs(args),
     )
     result = runner.run(max_evaluations=args.max_evaluations)
     return _finish(result, args)
@@ -114,12 +106,12 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=_env_int("REPRO_OPT_WORKERS", 1),
-        help="evaluation worker-pool width (default: REPRO_OPT_WORKERS or 1)",
+        "--workers", type=int, default=None,
+        help="evaluation worker-pool width (default: REPRO_PARALLEL_WORKERS or 1)",
     )
     parser.add_argument(
-        "--backend", default=_env_backend(),
-        help="evaluation execution backend (default: REPRO_OPT_BACKEND or auto)",
+        "--backend", default=None,
+        help="evaluation execution backend (default: auto, which REPRO_PARALLEL_BACKEND steers)",
     )
     parser.add_argument(
         "--max-evaluations", type=int, default=None,

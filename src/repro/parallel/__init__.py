@@ -22,11 +22,13 @@ bit-for-bit identical across backends at any worker count.
 from repro.parallel.backends import (
     BACKENDS,
     ENV_BACKEND,
+    ENV_WORKERS,
     Executor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     choose_backend,
+    executor_defaults,
     get_executor,
     resolve_backend,
 )
@@ -35,11 +37,13 @@ from repro.parallel.calibrate import DEFAULT_CHUNK_BUDGET_BYTES, chunk_budget_by
 __all__ = [
     "BACKENDS",
     "ENV_BACKEND",
+    "ENV_WORKERS",
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
     "choose_backend",
+    "executor_defaults",
     "resolve_backend",
     "get_executor",
     "DEFAULT_CHUNK_BUDGET_BYTES",

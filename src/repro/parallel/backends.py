@@ -65,8 +65,9 @@ import signal
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from repro._deprecated import renamed_env
 from repro.errors import ExperimentError
 from repro.faults import fault_point
 from repro.parallel import shm
@@ -74,12 +75,14 @@ from repro.parallel import shm
 __all__ = [
     "BACKENDS",
     "ENV_BACKEND",
+    "ENV_WORKERS",
     "Executor",
     "ExecutorResilience",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
     "choose_backend",
+    "executor_defaults",
     "resolve_backend",
     "get_executor",
 ]
@@ -111,6 +114,10 @@ BACKENDS = ("serial", "threads", "processes")
 #: Environment override consulted by ``backend="auto"`` (never by an
 #: explicit backend choice).
 ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
+
+#: Worker-pool width of the fleet and optimize CLIs and the server when
+#: they are given none (library calls take ``workers=`` and never read it).
+ENV_WORKERS = "REPRO_PARALLEL_WORKERS"
 
 
 class Executor(abc.ABC):
@@ -454,6 +461,40 @@ def resolve_backend(
     if workers <= 1:
         return "serial"
     return choose_backend(workload)
+
+
+def executor_defaults(
+    subsystem: str,
+    backend: "str | None" = None,
+    workers: "int | None" = None,
+    environ: "Mapping[str, str] | None" = None,
+) -> "tuple[str, int]":
+    """The ``(backend, workers)`` an entry point of ``subsystem`` runs with.
+
+    Explicit values win.  Next come the subsystem's deprecated knobs (see
+    :data:`repro._deprecated.RENAMED_ENV`).  Otherwise the backend is
+    ``"auto"``, which :func:`resolve_backend` steers by
+    ``REPRO_PARALLEL_BACKEND``, and the width is ``REPRO_PARALLEL_WORKERS``
+    (default 1; any other value must be an integer >= 1).
+    """
+    env = os.environ if environ is None else environ
+    renamed = renamed_env(subsystem, env)
+    if backend is None:
+        backend = renamed[ENV_BACKEND][1] if ENV_BACKEND in renamed else "auto"
+    if workers is None:
+        name, raw = renamed.get(ENV_WORKERS) or (ENV_WORKERS, env.get(ENV_WORKERS, "").strip())
+        workers = _positive_int(name, raw) if raw else 1
+    return backend, workers
+
+
+def _positive_int(name: str, raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ExperimentError(f"{name} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def get_executor(

@@ -4,14 +4,18 @@ Flags beat the environment (``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT``),
 which beats the built-in defaults, matching the library-wide precedence
 rules in ``docs/configuration.md``.  The remaining service knobs
 (``REPRO_SERVE_MAX_PENDING``, ``REPRO_SERVE_MAX_BATCH``,
-``REPRO_SERVE_WORKERS``, ``REPRO_SERVE_BACKEND``,
-``REPRO_SERVE_TIMEOUT_S``) are environment-only.
+``REPRO_SERVE_TIMEOUT_S``) and the batches' executor
+(``REPRO_PARALLEL_WORKERS``, ``REPRO_PARALLEL_BACKEND``) are
+environment-only.  A malformed value is reported as ``error: ...`` with
+exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
+from repro.errors import ReproError
 from repro.serve.server import serve
 
 
@@ -33,7 +37,11 @@ def main(argv: "list[str] | None" = None) -> int:
         "--quiet", action="store_true", help="suppress the listening banner"
     )
     args = parser.parse_args(argv)
-    serve(host=args.host, port=args.port, announce=not args.quiet)
+    try:
+        serve(host=args.host, port=args.port, announce=not args.quiet)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

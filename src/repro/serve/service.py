@@ -49,6 +49,7 @@ correct but needs attention" is observable without grepping logs.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, asdict, dataclass, field
@@ -63,6 +64,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
 from repro.experiments.sweep import RunStats, run_configs
 from repro.faults import fault_point
+from repro.parallel import executor_defaults, resolve_backend
 
 __all__ = ["ServiceConfig", "ServiceStats", "EstimationService"]
 
@@ -80,7 +82,8 @@ def _env_number(name: str, fallback: float, environ: Mapping[str, str], kind: ty
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Serving knobs; :meth:`from_env` reads the ``REPRO_SERVE_*`` family."""
+    """Serving knobs; :meth:`from_env` reads the ``REPRO_SERVE_*`` family
+    and :func:`~repro.parallel.executor_defaults` for ``backend``/``workers``."""
 
     #: distinct in-flight requests admitted before 429s (coalesced
     #: duplicates ride along for free)
@@ -107,17 +110,19 @@ class ServiceConfig:
             raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.workers < 1:
             raise ServingError(f"workers must be >= 1, got {self.workers}")
-        if self.timeout_s < 0:
-            raise ServingError(f"timeout_s must be >= 0, got {self.timeout_s}")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s >= 0):
+            raise ServingError(f"timeout_s must be finite and >= 0, got {self.timeout_s}")
+        resolve_backend(self.backend, self.workers)  # ExperimentError if unknown
 
     @classmethod
     def from_env(cls, environ: "Mapping[str, str] | None" = None) -> "ServiceConfig":
         env = os.environ if environ is None else environ
+        backend, workers = executor_defaults("SERVE", environ=env)
         return cls(
             max_pending=_env_number("REPRO_SERVE_MAX_PENDING", 64, env),
             max_batch=_env_number("REPRO_SERVE_MAX_BATCH", 16, env),
-            workers=_env_number("REPRO_SERVE_WORKERS", 1, env),
-            backend=env.get("REPRO_SERVE_BACKEND", "auto"),
+            workers=workers,
+            backend=backend,
             timeout_s=_env_number("REPRO_SERVE_TIMEOUT_S", 0, env, float),
         )
 

@@ -65,6 +65,17 @@ class TestRepositoryDocs:
         )
         assert documented == json.loads(proc.stdout)
 
+    def test_deprecated_env_table_matches_code(self):
+        """The Deprecated table in docs/configuration.md maps exactly the
+        renamed variables of ``repro._deprecated.RENAMED_ENV``."""
+        from repro._deprecated import RENAMED_ENV
+
+        text = (REPO_ROOT / "docs" / "configuration.md").read_text()
+        section = text.split("### Deprecated", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(REPRO_\w+)` \| `(REPRO_\w+)` \|", section, flags=re.MULTILINE)
+        assert dict(rows) == RENAMED_ENV
+        assert len(rows) == len(RENAMED_ENV)
+
 
 def _run_checker(root: Path):
     return subprocess.run(

@@ -18,7 +18,7 @@ import warnings
 
 import pytest
 
-from repro.errors import ReproError, ServiceOverloadedError, ServingError
+from repro.errors import ExperimentError, ReproError, ServiceOverloadedError, ServingError
 from repro.experiments.harness import run_experiment
 from repro.serve.http import (
     HttpError,
@@ -468,15 +468,38 @@ class TestServiceConfig:
             {
                 "REPRO_SERVE_MAX_PENDING": "8",
                 "REPRO_SERVE_MAX_BATCH": "4",
-                "REPRO_SERVE_WORKERS": "2",
-                "REPRO_SERVE_BACKEND": "serial",
+                "REPRO_PARALLEL_WORKERS": "2",
             }
         )
         assert config.max_pending == 8
-        assert (config.max_batch, config.workers, config.backend) == (4, 2, "serial")
+        assert (config.max_batch, config.workers, config.backend) == (4, 2, "auto")
 
         with pytest.raises(ServingError):
             ServiceConfig.from_env({"REPRO_SERVE_MAX_PENDING": "many"})
+
+    def test_invalid_backend_fails_at_construction(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+        with pytest.raises(ExperimentError, match="bogus"):
+            ServiceConfig(backend="bogus")
+        with pytest.warns(DeprecationWarning) as record:
+            with pytest.raises(ExperimentError, match="bogus"):
+                ServiceConfig.from_env(
+                    {"REPRO_SERVE_BACKEND": "bogus", "REPRO_SERVE_WORKERS": "2"}
+                )
+        assert "REPRO_SERVE_BACKEND is deprecated" in str(record[0].message)
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "bogus")
+        with pytest.raises(ExperimentError, match="REPRO_PARALLEL_BACKEND"):
+            ServiceConfig()
+        with pytest.raises(ExperimentError, match="REPRO_PARALLEL_BACKEND"):
+            ServiceConfig.from_env({})
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_timeout_must_be_finite(self, raw):
+        with pytest.raises(ServingError, match="timeout_s must be finite"):
+            ServiceConfig(timeout_s=float(raw))
+        with pytest.raises(ServingError, match="timeout_s must be finite"):
+            ServiceConfig.from_env({"REPRO_SERVE_TIMEOUT_S": raw})
+        assert ServiceConfig(timeout_s=0).timeout_s == 0  # 0 still disables
 
     def test_from_env_ignores_the_removed_batch_window(self):
         for raw in ("250", "-5", "soon"):
