@@ -3,7 +3,7 @@
 ``estimate_activity`` combines the per-component estimators into a single
 :class:`~repro.activity.report.ActivityReport` for one GEMM invocation;
 ``estimate_activity_batch`` does the same for a whole batch of same-shape
-invocations (e.g. all seeds of one experiment configuration) with a single
+invocations (e.g. the seeds of one sweep task) with a single
 stream build and stacked 3-D fast paths through every component estimator.
 
 Both entry points are cache-aware: given an
@@ -261,9 +261,8 @@ def estimate_activity_batch(
 
     if missing:
         if chunk is None:
-            first = _materialize(items[missing[0]])
-            items[missing[0]] = first
-            chunk = recommended_chunk(_per_invocation_values(first))
+            items[missing[0]] = _materialize(items[missing[0]])
+            chunk = recommended_chunk(_per_invocation_values(items[missing[0]]))
         for start in range(0, len(missing), chunk):
             group = missing[start : start + chunk]
             materialized = [_materialize(items[index]) for index in group]
@@ -274,9 +273,14 @@ def estimate_activity_batch(
             for index in group:
                 items[index] = None
             stacked = build_streams_stacked(materialized)
+            del materialized
             estimated = _estimate_stacked(
                 stacked, sampling, [seed_list[index] for index in group]
             )
+            # Free this chunk's operands before the next pass materializes
+            # its own: rebinding the names there would free them one chunk
+            # late.
+            del stacked
             for index, report in zip(group, estimated):
                 reports[index] = report
                 if resolved is not None and key_list is not None:

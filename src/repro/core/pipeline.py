@@ -6,14 +6,21 @@ around.  Given one :class:`~repro.experiments.config.ExperimentConfig` it
 1. builds the configuration's :class:`~repro.experiments.plan.
    ExperimentPlan` — device, pattern, CUTLASS-style launch plan and
    telemetry monitor — once, shared by every seed;
-2. for each seed, generates A and B from the plan's pattern (same pattern,
-   different seeds; B stored transposed unless disabled) as the words the
-   estimators read, and estimates switching activity — all seeds go
-   through the batched activity engine in a single call;
+2. for each requested seed, generates A and B from the plan's pattern
+   (same pattern, different seeds; B stored transposed unless disabled) as
+   the words the estimators read, and estimates switching activity — the
+   requested seeds go through the batched activity engine in a single
+   call, one :func:`seed_chunk` of seeds alive at a time;
 3. runs the power model (with TDP throttling) and the runtime model;
 4. simulates the DCGM 100 ms power trace for the full iteration loop,
    trims the first 500 ms of samples, and averages the rest;
 5. aggregates across seeds into an :class:`ExperimentResult`.
+
+A run may cover only some of a configuration's seeds
+(``run(seeds=range(start, stop))``).  Every seed draws from its own
+derived RNG streams, so a partial run's measurements are bit for bit the
+ones a full run reports for the same seeds; the sweep runner uses that to
+make one ``(config, seed chunk)`` pair its unit of work.
 
 "Side-effect-free" means: no result-cache writes, no environment reads, no
 global state beyond the (optional, injectable) activity cache tier —
@@ -44,6 +51,7 @@ from repro.activity.report import ActivityReport
 from repro.cache.fingerprint import activity_fingerprint
 from repro.cache.store import DEFAULT_CACHE
 from repro.dtypes.registry import get_dtype
+from repro.errors import ExperimentError
 from repro.experiments.plan import (
     ExperimentPlan,
     build_plan,
@@ -69,19 +77,33 @@ __all__ = [
     "MIN_MEASUREMENT_DURATION_S",
     "EstimationPipeline",
     "estimate_experiment",
+    "seed_chunk",
 ]
+
+
+def seed_chunk(config: "ExperimentConfig") -> int:
+    """How many of ``config``'s seeds the activity engine stacks per pass.
+
+    The engine materializes one such chunk of operands at a time, and the
+    sweep runner submits one executor task per chunk, so this also bounds
+    what one worker holds: one seed at 256² and larger, several for small
+    matrices (see :func:`~repro.activity.engine.recommended_chunk`).
+    """
+    problem = build_problem(config)
+    return recommended_chunk(problem.n * problem.k + problem.m * problem.k)
+
 
 class EstimationPipeline:
     """The pure estimation path for one configuration.
 
     Each pipeline builds its configuration's
     :class:`~repro.experiments.plan.ExperimentPlan` (device, pattern,
-    launch plan, monitor) once and shares it across all of the
-    configuration's seeds, with its own power/runtime models and activity
-    engine on top.  Pipelines share nothing *mutable* with each other
-    except the thread-safe activity cache, so the sweep runner and the
-    serving layer may drive many of them concurrently from thread
-    workers.  The expensive part of a run is switching-activity
+    launch plan, monitor) once and shares it across every seed it runs —
+    all of the configuration's, or one sweep task's seed range — with its
+    own power/runtime models and activity engine on top.  Pipelines share
+    nothing *mutable* with each other except the thread-safe activity
+    cache, so the sweep runner and the serving layer may drive many of
+    them concurrently from thread workers.  The expensive part of a run is switching-activity
     estimation, whose kernels release the GIL inside NumPy (see
     :mod:`repro.util.bits`), which is what makes those threads scale.
     """
@@ -104,14 +126,17 @@ class EstimationPipeline:
 
     # ------------------------------------------------------------------ API
 
-    def run(self) -> ExperimentResult:
-        """Run all seeds of the configuration through the batched pipeline.
+    def run(self, seeds: "range | None" = None) -> ExperimentResult:
+        """Run the configuration's seeds through the batched pipeline.
 
-        Problem, pattern, launch plan and telemetry monitor come from the
-        pipeline's :class:`ExperimentPlan` and are shared by every seed;
-        switching activity for the whole seed batch goes through the
-        :class:`ActivityEngine` in one call.  Each seed is
-        keyed by :func:`~repro.cache.fingerprint.activity_fingerprint` and
+        ``seeds`` selects a contiguous, non-empty range of seed indices
+        (default: all of them); the result then holds only those seeds'
+        measurements, in seed order.  Problem, pattern, launch plan and
+        telemetry monitor come from the pipeline's :class:`ExperimentPlan`
+        and are shared by every seed; switching activity for the requested
+        seeds goes through the :class:`ActivityEngine` in one call, which
+        keeps one :func:`seed_chunk` of operands alive at a time.  Each
+        seed is keyed by :func:`~repro.cache.fingerprint.activity_fingerprint` and
         operands are passed as factories, so seeds already in the activity
         cache (e.g. the same workload measured on another GPU) skip operand
         generation and estimation entirely.  The per-seed measurements are
@@ -119,6 +144,13 @@ class EstimationPipeline:
         any cache.
         """
         config = self.config
+        if seeds is None:
+            seeds = range(config.seeds)
+        if not seeds or seeds.step != 1 or seeds.start < 0 or seeds.stop > config.seeds:
+            raise ExperimentError(
+                f"seeds must be a non-empty contiguous range within "
+                f"range({config.seeds}), got {seeds!r}"
+            )
         problem = self.plan.problem
         pattern = self.plan.pattern
         launch = self.plan.launch
@@ -127,26 +159,19 @@ class EstimationPipeline:
         # The engine materializes operand factories chunk by chunk (matching
         # its own stacking granularity) so peak memory is one chunk of seeds,
         # not the whole batch — at paper scale a seed's operands are ~70 MB.
-        # The chunk is sized from the fixed 1 MiB working-set budget
-        # (repro.parallel.calibrate).
-        per_invocation = problem.n * problem.k + problem.m * problem.k
-        chunk = recommended_chunk(per_invocation)
         factories = [
             partial(self.generate_streams, problem, index, pattern=pattern)
-            for index in range(config.seeds)
+            for index in seeds
         ]
         keys = None
         if self.activity_engine.cache is not None:
-            keys = [
-                activity_fingerprint(config, seed=index)
-                for index in range(config.seeds)
-            ]
+            keys = [activity_fingerprint(config, seed=index) for index in seeds]
         reports: list[ActivityReport] = self.activity_engine.estimate_batch(
-            factories, seeds=range(config.seeds), keys=keys, chunk=chunk
+            factories, seeds=seeds, keys=keys, chunk=seed_chunk(config)
         )
         measurements = [
             self.measure_seed(index, launch, report, monitor)
-            for index, report in enumerate(reports)
+            for index, report in zip(seeds, reports)
         ]
         description = config.describe()
         description["device"] = self.device.describe()
@@ -261,7 +286,9 @@ def estimate_experiment(
     cache — only the injectable activity tier, which changes when the
     answer is computed, never what it is.  For the cache-consulting
     one-shot call, use :func:`repro.run_experiment`.  ``plan_cache`` is
-    deprecated and ignored.
+    deprecated and ignored.  To spread one configuration's seeds over a
+    pool, call :func:`repro.run_configs` with ``[config]``, ``cache=None``
+    and ``dedupe=False``; the result is bit for bit this one.
     """
     ignore_plan_cache(plan_cache)
     return EstimationPipeline(config, activity_cache=activity_cache).run()

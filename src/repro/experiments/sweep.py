@@ -1,10 +1,20 @@
 """Parameter sweeps over experiment configurations.
 
 Sweeps are the unit of work behind every figure panel: one configuration,
-one parameter varied over a list of values.  Runs are embarrassingly
-parallel across sweep points; ``workers > 1`` distributes them over one of
-the :mod:`repro.parallel` backends (each point re-creates its device and
-models locally, so no state is shared).  ``backend="auto"`` — the default —
+one parameter varied over a list of values.  The unit of *execution* is
+finer: every seed of a configuration draws from its own derived RNG
+streams, so each uncached configuration is split into tasks of
+:func:`~repro.core.pipeline.seed_chunk` seeds — one seed per task at 256²
+and larger, a whole small configuration in one task — and every task of
+every configuration goes to one executor.  Each task builds its own
+pipeline (each re-creates its device and models locally, so no state is
+shared) and returns a partial result; the parent concatenates a
+configuration's measurements in seed order once its last chunk lands.  A
+worker therefore holds one chunk of operands at a time, and the seeds of
+one slow configuration spread over every worker.
+
+``workers > 1`` distributes the tasks over one of the
+:mod:`repro.parallel` backends.  ``backend="auto"`` — the default —
 resolves to a thread pool: the estimation kernels release the GIL inside
 NumPy, so threads scale without pickling configs out or results back.
 ``backend="processes"`` keeps a process pool available for GIL-holding
@@ -15,14 +25,15 @@ Results are bit-for-bit identical across backends at any worker count.
 The runner is cache- and duplicate-aware: every configuration is
 fingerprinted (:mod:`repro.cache.fingerprint`), physically identical points
 are computed once, previously computed points are served from the
-content-addressed result cache, and only the remainder is submitted to the
-backend — in chunks for the process pool, to amortize start-up costs.
-Beneath the result cache sits the per-seed activity tier: points that
-differ only in GPU model, clocks or measurement procedure reuse one
+content-addressed result cache, and only the remainder is split into
+tasks — submitted in chunks for the process pool, to amortize start-up
+costs.  Beneath the result cache sits the per-seed activity tier: points
+that differ only in GPU model, clocks or measurement procedure reuse one
 switching-activity estimate per seed, so a warm cross-device sweep skips
-estimation entirely.  A ``progress`` hook and a :class:`RunStats`
-out-parameter expose what happened; a failing point cancels the rest of
-the backend's queue and is re-raised with its config label attached.
+estimation entirely, and a partly warm configuration computes only its
+missing seeds.  A ``progress`` hook and a :class:`RunStats` out-parameter
+expose what happened; a failing task cancels the rest of the backend's
+queue and is re-raised with its configuration's label attached.
 """
 
 from __future__ import annotations
@@ -36,9 +47,9 @@ from typing import Any, Callable, Iterable, Sequence
 from repro._deprecated import ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_activity_cache, resolve_cache
+from repro.core.pipeline import EstimationPipeline, seed_chunk
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import ExperimentRunner
 from repro.experiments.results import ExperimentResult, SweepResult
 from repro.parallel import get_executor, resolve_backend
 
@@ -112,14 +123,35 @@ def sweep_configs(
     return configs
 
 
-def _run_uncached(
-    config: ExperimentConfig, activity_cache: "object | None" = DEFAULT_CACHE
+#: One executor task: a configuration and the seed range ``[start, stop)``
+#: it runs.
+SeedTask = tuple[ExperimentConfig, int, int]
+
+
+def _seed_tasks(config: ExperimentConfig) -> list[SeedTask]:
+    """Split ``config`` into tasks of :func:`~repro.core.pipeline.seed_chunk`
+    seeds each (the last may be shorter), in seed order."""
+    chunk = seed_chunk(config)
+    return [
+        (config, start, min(start + chunk, config.seeds))
+        for start in range(0, config.seeds, chunk)
+    ]
+
+
+def _run_task(
+    task: SeedTask,
+    activity_cache: "object | None" = DEFAULT_CACHE,
 ) -> ExperimentResult:
-    """Pool worker entry point: always compute the experiment (workers have
-    no shared result cache), but do consult the activity tier — each worker
-    process uses its own default, which shares warm per-seed estimates
+    """Executor worker for every backend: run one seed chunk of a config.
+
+    The partial result holds only the chunk's measurements.  Workers never
+    see the result cache, but do consult the activity tier — each process
+    pool worker uses its own default, which shares warm per-seed estimates
     through ``REPRO_CACHE_DIR`` when one is configured."""
-    return ExperimentRunner(config, activity_cache=activity_cache).run()
+    config, start, stop = task
+    return EstimationPipeline(config, activity_cache=activity_cache).run(
+        seeds=range(start, stop)
+    )
 
 
 def _stamp_label(result: ExperimentResult, config: ExperimentConfig) -> ExperimentResult:
@@ -128,12 +160,10 @@ def _stamp_label(result: ExperimentResult, config: ExperimentConfig) -> Experime
     return result
 
 
-def _chunk_group(
-    pending: "Sequence[tuple[str, list[int]]]", position: int, span: int
-) -> "list[tuple[str, list[int]]]":
-    """The pending entries submitted in the same chunk as ``position``.
+def _chunk_group(tasks: "Sequence[Any]", position: int, span: int) -> "list[Any]":
+    """The tasks submitted in the same executor chunk as ``position``.
 
-    Chunks tile the pending list from the front in steps of ``span``, so the
+    Chunks tile the task list from the front in steps of ``span``, so the
     chunk containing ``position`` starts at the previous multiple of ``span``
     and ends at most ``span`` entries later — clamped to the list, because
     the last chunk may be partial.  Blame for a chunk failure must cover
@@ -141,7 +171,7 @@ def _chunk_group(
     points that were never even submitted together with the failing one.
     """
     start = position - (position % span)
-    return list(pending[start : min(start + span, len(pending))])
+    return list(tasks[start : min(start + span, len(tasks))])
 
 
 def run_configs(
@@ -163,7 +193,8 @@ def run_configs(
     configs:
         The configurations to run; results come back in the same order.
     workers:
-        Backend pool width.  ``1`` runs inline.
+        Backend pool width.  ``1`` runs inline.  Tasks are seed chunks,
+        so even a single configuration spreads over the pool.
     cache:
         An explicit :class:`~repro.cache.store.ExperimentCache`, ``None`` to
         disable caching, or the default sentinel for the process-wide cache.
@@ -183,10 +214,11 @@ def run_configs(
         Compute physically identical configurations (same fingerprint,
         labels aside) only once and fan the result back out.
     chunksize:
-        Process-backend submission chunk size; defaults to roughly four
-        chunks per worker (and never more than the number of pending
-        points), which amortizes worker start-up without starving the pool.
-        The in-process backends submit per point and ignore it.
+        Process-backend submission chunk size, in tasks (one task per seed
+        chunk of a computed configuration); defaults to roughly four
+        chunks per worker (and never more than the number of tasks), which
+        amortizes worker start-up without starving the pool.  The
+        in-process backends submit per task and ignore it.
     progress:
         Optional ``(done, total, label)`` hook invoked as distinct
         configurations complete (see :data:`ProgressHook`).
@@ -267,27 +299,38 @@ def run_configs(
         else:
             pending.append((key, indices))
 
+    # Every uncached configuration becomes one task per seed chunk; tasks
+    # keep config order, and each config's chunks stay in seed order.
+    tasks = [
+        task for _, indices in pending for task in _seed_tasks(config_list[indices[0]])
+    ]
+
     def _consume(computed: Iterable[ExperimentResult], span: int = 1) -> None:
-        """Fold computed results into ``results``; on failure, re-raise with
-        the failing config's label attached.  Results arrive in submission
-        order, but a process-pool chunk fails as a unit (the worker loses
-        the results of the chunk's earlier points too), so with ``span > 1``
-        the raising point is only known to lie somewhere in its chunk —
-        name the chunk's points, and only those (see :func:`_chunk_group`)."""
+        """Fold computed chunks into ``results``: a configuration completes
+        (cache put, label stamp, progress) once its last chunk lands, with
+        its measurements concatenated in seed order.  Results arrive in
+        submission order, but a process-pool chunk fails as a unit (the
+        worker loses the results of the chunk's earlier tasks too), so with
+        ``span > 1`` the raising task is only known to lie somewhere in its
+        chunk — name the configs of that chunk's tasks, each once, and only
+        those (see :func:`_chunk_group`)."""
         iterator = iter(computed)
-        for position, (key, indices) in enumerate(pending):
+        parts: list[ExperimentResult] = []
+        completed = 0
+        for position, (config, _, stop) in enumerate(tasks):
             try:
-                result = next(iterator)
+                parts.append(next(iterator))
             except StopIteration:  # pragma: no cover - executor invariant
                 raise ExperimentError(
-                    "executor returned fewer results than submitted configs"
+                    "executor returned fewer results than submitted tasks"
                 ) from None
             except Exception as exc:
-                group = _chunk_group(pending, position, span)
-                labels = [
-                    config_list[group_indices[0]].describe()["label"]
-                    for _, group_indices in group
-                ]
+                labels = list(
+                    dict.fromkeys(
+                        task_config.describe()["label"]
+                        for task_config, _, _ in _chunk_group(tasks, position, span)
+                    )
+                )
                 if len(labels) == 1:
                     message = f"sweep point {labels[0]!r} failed: {exc}"
                 else:
@@ -295,44 +338,54 @@ def run_configs(
                         f"a sweep point in chunk {labels!r} failed: {exc}"
                     )
                 raise ExperimentError(message) from exc
+            if stop < config.seeds:
+                continue
+            result = parts[0]
+            if len(parts) > 1:
+                result = ExperimentResult(
+                    config=result.config,
+                    measurements=[m for part in parts for m in part.measurements],
+                )
+            parts = []
+            key, indices = pending[completed]
+            completed += 1
             if resolved is not None:
                 resolved.put(key.split("#")[0], result)
             stats.executed += 1
             _complete(key, indices, result)
 
-    if pending:
-        pending_configs = [config_list[indices[0]] for _, indices in pending]
-        if workers == 1 or len(pending_configs) == 1:
-            # A pool cannot help a single point, and workers=1 means "run
+    if tasks:
+        if workers == 1 or len(tasks) == 1:
+            # A pool cannot help a single task, and workers=1 means "run
             # inline" whatever the backend — both collapse to serial.
             backend_name = "serial"
         stats.backend = backend_name
         if backend_name == "processes":
             if chunksize is None:
-                chunksize = max(1, len(pending_configs) // (workers * 4))
-            chunksize = min(chunksize, len(pending_configs))
+                chunksize = max(1, len(tasks) // (workers * 4))
+            chunksize = min(chunksize, len(tasks))
             # An explicit activity_cache=None is an instruction to really
             # recompute, so forward the disable into the workers; explicit
             # cache *instances* cannot cross the process boundary usefully
             # (state would not come back), so workers otherwise keep their
             # own process default.
             worker = (
-                partial(_run_uncached, activity_cache=None)
+                partial(_run_task, activity_cache=None)
                 if activity_cache is None
-                else _run_uncached
+                else _run_task
             )
             executor = get_executor("processes", workers, chunksize=chunksize)
         else:
             # serial and threads run in-process: an explicit activity cache
             # instance is honoured directly (threads share the parent's
             # memory, so warm entries flow both ways).
-            worker = partial(_run_uncached, activity_cache=resolved_activity)
+            worker = partial(_run_task, activity_cache=resolved_activity)
             executor = get_executor(backend_name, workers)
         try:
-            _consume(executor.map(worker, pending_configs), span=executor.chunk_span)
+            _consume(executor.map(worker, tasks), span=executor.chunk_span)
         except BaseException:
-            # Don't let queued sweep points keep computing (or leak worker
-            # processes / shared-memory segments) after one point failed.
+            # Don't let queued tasks keep computing (or leak worker
+            # processes / shared-memory segments) after one task failed.
             executor.shutdown(cancel=True)
             raise
         # Surface what the executor had to absorb (process-pool rebuilds,

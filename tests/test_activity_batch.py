@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.activity.engine import estimate_activity, estimate_activity_batch
+from repro.activity.engine import (
+    estimate_activity,
+    estimate_activity_batch,
+    recommended_chunk,
+)
 from repro.activity.sampler import SamplingConfig
 from repro.errors import ActivityError, KernelError
 from repro.experiments.harness import ExperimentRunner
@@ -132,6 +137,45 @@ class TestBatchEquivalence:
             estimate_activity_batch(operands, seeds=[1])
         with pytest.raises(ActivityError):
             estimate_activity_batch(operands, chunk=0)
+
+
+class TestChunkLifetime:
+    """The engine keeps one chunk of operands alive at a time."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 3])
+    def test_previous_chunk_released_before_next_materializes(self, chunk):
+        streams = [build_streams(operands) for operands in make_operands(count=9)]
+        effective = chunk or recommended_chunk(2 * 96 * 96)
+        assert effective < len(streams)
+        refs: list[tuple[int, weakref.ref]] = []
+        leaks: list[tuple[int, int]] = []
+
+        def factory(index):
+            def make():
+                current = index // effective
+                if index % effective == 0:
+                    leaks.extend(
+                        (owner, current)
+                        for owner, ref in refs
+                        if owner < current and ref() is not None
+                    )
+                source = streams[index]
+                fresh = dataclasses.replace(
+                    source,
+                    a_words=source.a_words.copy(),
+                    b_stored_words=source.b_stored_words.copy(),
+                )
+                refs.append((current, weakref.ref(fresh.a_words)))
+                refs.append((current, weakref.ref(fresh.b_stored_words)))
+                return fresh
+
+            return make
+
+        got = estimate_activity_batch(
+            [factory(index) for index in range(len(streams))], chunk=chunk
+        )
+        assert leaks == []
+        assert_reports_identical(got, estimate_activity_batch(streams, chunk=chunk))
 
 
 class TestStackedStreams:

@@ -20,8 +20,9 @@ from repro.cache.store import (
     resolve_cache,
     set_default_cache,
 )
+from repro.core import EstimationPipeline
 from repro.errors import ExperimentError
-from repro.experiments.harness import ExperimentRunner, run_experiment
+from repro.experiments.harness import run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.experiments.sweep import RunStats, run_configs, run_sweep, sweep_configs
 
@@ -38,15 +39,16 @@ def isolated_default_cache():
 
 @pytest.fixture
 def count_runs(monkeypatch):
-    """Count how many times the measurement harness actually executes."""
+    """Count how many times the estimation pipeline actually executes (once
+    per executor task; every config here is one task)."""
     calls = {"count": 0}
-    original = ExperimentRunner.run
+    original = EstimationPipeline.run
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         calls["count"] += 1
-        return original(self)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(ExperimentRunner, "run", counting)
+    monkeypatch.setattr(EstimationPipeline, "run", counting)
     return calls
 
 

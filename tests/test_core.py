@@ -77,9 +77,12 @@ class TestOperandStaging:
             ("gaussian", {}, False),
             ("zero_lsb", {"fraction": 0.5}, False),
             ("sparsity", {"sparsity": 0.5}, False),
-            # The partial sort is defined on values: one decode and one
+            # Row and column sorts of 16-bit float words run on the words
+            # (a counting sort in value order).
+            ("sorted_rows", {}, False),
+            # The within-row sort is defined on values: one decode and one
             # re-encode per operand around it.
-            ("sorted_rows", {}, True),
+            ("sorted_within_rows", {}, True),
         ],
     )
     def test_paper_kinds_encode_each_operand_once(

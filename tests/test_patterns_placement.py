@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dtypes import get_dtype
+from repro.dtypes.registry import list_dtypes
 from repro.errors import PatternError
 from repro.patterns.placement import (
     PartialSortTransform,
@@ -199,3 +200,76 @@ class TestSortExactness:
             out = PartialSortTransform(fraction, mode=mode).apply(values, spec, rng)
             expected = _reference_sort(values, fraction, mode)
             np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", list_dtypes())
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_word_path_matches_stable_reference(self, dtype, data):
+        """``apply_words`` (the counting sort on 16-bit float words, the
+        float path elsewhere) emits the encoded stable-argsort reference."""
+        spec = get_dtype(dtype)
+        words = data.draw(tricky_words(spec))
+        fraction = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)))
+        mode = data.draw(st.sampled_from(sorted(SORTS)))
+        out = PartialSortTransform(fraction, mode=mode).apply_words(
+            words, spec, np.random.default_rng(0)
+        )
+        expected = spec.encode(_reference_sort(spec.decode(words), fraction, mode))
+        assert out.dtype == spec.word_dtype and out.shape == words.shape
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("dtype", ["fp16", "bf16"])
+    @pytest.mark.parametrize("mode", ["rows", "columns"])
+    def test_counting_sort_at_scale(self, dtype, mode, rng):
+        """512² words with both zeros, NaN payloads of both signs and heavy
+        ties, at a full sort and at fractions whose threshold falls in the
+        zero block, among ordinary values and in the NaN block."""
+        spec = get_dtype(dtype)
+        words = spec.encode(rng.normal(0, 210, size=(512, 512)))
+        flat = words.reshape(-1)
+        specials = _special_words(spec)
+        picks = rng.random(flat.size) < 0.2
+        flat[picks] = rng.choice(specials, size=int(picks.sum()))
+        values = spec.decode(words)
+        below_zero = np.count_nonzero(values < 0) / values.size
+        not_nan = np.count_nonzero(~np.isnan(values)) / values.size
+        for fraction in (1.0, 0.37, below_zero + 1e-4, not_nan + 1e-4):
+            out = PartialSortTransform(fraction, mode=mode).apply_words(words, spec, rng)
+            expected = spec.encode(_reference_sort(values, fraction, mode))
+            np.testing.assert_array_equal(out, expected)
+
+
+def _special_words(spec):
+    """Words whose stable order a fast sort can get wrong: both zeros, NaNs
+    of either sign with several payloads, both infinities, and the
+    smallest subnormals (for floats); zero and the extremes otherwise."""
+    bits = spec.bits
+    sign = 1 << (bits - 1)
+    fmt = spec.float_format
+    if fmt is None:
+        return np.array([0, 1, sign - 1, sign, (1 << bits) - 1], dtype=spec.word_dtype)
+    infinity = fmt.max_exponent << fmt.mantissa_bits
+    quiet = 1 << (fmt.mantissa_bits - 1)
+    return np.array(
+        [
+            0, sign, infinity, sign | infinity,
+            infinity | 1, infinity | quiet, infinity | quiet | 5, sign | infinity | 3,
+            sign | infinity | quiet, infinity | (quiet - 1), 1, sign | 1,
+        ],
+        dtype=spec.word_dtype,
+    )
+
+
+@st.composite
+def tricky_words(draw, spec):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 64 // rows))
+    specials = [int(word) for word in _special_words(spec)]
+    words = draw(
+        st.lists(
+            st.one_of(st.sampled_from(specials), st.integers(0, (1 << spec.bits) - 1)),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    return np.array(words, dtype=spec.word_dtype).reshape(rows, cols)
