@@ -20,7 +20,15 @@ A run may cover only some of a configuration's seeds
 (``run(seeds=range(start, stop))``).  Every seed draws from its own
 derived RNG streams, so a partial run's measurements are bit for bit the
 ones a full run reports for the same seeds; the sweep runner uses that to
-make one ``(config, seed chunk)`` pair its unit of work.
+make seed chunks its unit of work.
+
+Configurations that change one input property on top of the same base
+draw (the paper's method) share that draw: :func:`run_seed_group` runs one
+seed chunk of several configurations with equal :func:`shared_base_key`
+and draws each ``(operand, seed)`` base once into a :class:`SharedBases`
+memo.  Every configuration restores its own generator to the state right
+after the base draw and applies its own transforms, so its words are bit
+for bit those of a standalone run; the last consumer of a base frees it.
 
 "Side-effect-free" means: no result-cache writes, no environment reads, no
 global state beyond the (optional, injectable) activity cache tier —
@@ -37,9 +45,12 @@ served response bit-for-bit identical to a local
 
 from __future__ import annotations
 
+import json
 import math
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+import numpy as np
 
 from repro._deprecated import ignore_plan_cache
 from repro.activity.engine import (
@@ -50,8 +61,9 @@ from repro.activity.engine import (
 from repro.activity.report import ActivityReport
 from repro.cache.fingerprint import activity_fingerprint
 from repro.cache.store import DEFAULT_CACHE
+from repro.dtypes.base import DTypeSpec
 from repro.dtypes.registry import get_dtype
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.plan import (
     ExperimentPlan,
     build_plan,
@@ -62,7 +74,7 @@ from repro.experiments.results import ExperimentResult, SeedMeasurement
 from repro.kernels.gemm import GemmOperands, GemmProblem
 from repro.kernels.launch import KernelLaunch, plan_launch
 from repro.kernels.schedule import OperandStreams
-from repro.patterns.base import Pattern
+from repro.patterns.base import Pattern, TransformedPattern
 from repro.power.energy import EnergyEstimate
 from repro.power.model import PowerModel
 from repro.runtime.model import RuntimeModel
@@ -76,8 +88,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "MIN_MEASUREMENT_DURATION_S",
     "EstimationPipeline",
+    "SharedBases",
     "estimate_experiment",
+    "run_seed_group",
     "seed_chunk",
+    "shared_base_key",
 ]
 
 
@@ -93,6 +108,128 @@ def seed_chunk(config: "ExperimentConfig") -> int:
     return recommended_chunk(problem.n * problem.k + problem.m * problem.k)
 
 
+def shared_base_key(
+    config: "ExperimentConfig", pattern: Pattern | None = None
+) -> "tuple | None":
+    """Identity of the base operands ``config`` draws, or ``None`` if they
+    are drawn per configuration.
+
+    Configurations with equal keys draw the same A and B base words for
+    every seed: same dtype, same A and B storage shapes, same ``base_seed``
+    (hence the same :func:`~repro.util.rng.derive_rng` streams) and the
+    same base pattern — ``TransformedPattern.base``, or the pattern itself
+    — identified by its class and its canonical ``describe()``.  Only the
+    classes of :mod:`repro.patterns` are trusted to describe everything
+    they draw with, so any other base gets ``None``; so does a
+    configuration whose pattern does not build (its run raises instead).
+    ``pattern`` defaults to the configuration's workload pattern.
+    """
+    if pattern is None:
+        try:
+            pattern = build_workload_pattern(config)
+        except (ReproError, ValueError):
+            return None
+    base = pattern.base if isinstance(pattern, TransformedPattern) else pattern
+    cls = type(base)
+    if cls.__module__.split(".")[:2] != ["repro", "patterns"]:
+        return None
+    problem = build_problem(config)
+    return (
+        get_dtype(config.dtype).name,
+        problem.a_shape,
+        problem.b_storage_shape,
+        config.base_seed,
+        f"{cls.__module__}.{cls.__qualname__}",
+        json.dumps(base.describe(), sort_keys=True),
+    )
+
+
+class SharedBases:
+    """Base operand words shared by the configurations of one seed group.
+
+    Each ``(base key, operand, seed)`` that two or more consumers
+    :meth:`expect` is drawn once, on first use, and kept read-only with the
+    generator state right after the draw (a base with one consumer is
+    drawn as usual).  Every consumer gets a fresh
+    generator restored to that state and applies its own transforms, so
+    its words are bit for bit those of a standalone draw.  The last
+    consumer removes the entry: the memo holds one base pair per seed in
+    flight, never one per configuration.  An entry whose remaining
+    consumers skip generation (their seeds are in the activity cache)
+    lives until the memo itself is dropped at the end of its group.  One
+    memo serves one task on one thread; it is not thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._pending: dict[tuple, int] = {}
+        self._entries: dict[tuple, tuple[np.ndarray, dict]] = {}
+
+    def expect(self, key: "tuple | None", seeds: "range") -> None:
+        """Count one consumer of ``key``'s A and B bases for every seed in
+        ``seeds`` (a ``None`` key shares nothing)."""
+        if key is None:
+            return
+        for seed in seeds:
+            for operand in ("A", "B"):
+                entry = (key, operand, seed)
+                self._pending[entry] = self._pending.get(entry, 0) + 1
+
+    def draw(
+        self,
+        entry: tuple,
+        pattern: Pattern,
+        shape: tuple[int, int],
+        spec: DTypeSpec,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``pattern.generate_words(shape, spec, rng)`` for the memo entry
+        ``(base key, operand, seed)``, drawing its base at most once."""
+        remaining = self._pending.pop(entry, 0)
+        cached = self._entries.pop(entry, None)
+        if cached is None:
+            if remaining <= 1:  # nobody else wants this base
+                return pattern.generate_words(shape, spec, rng)
+            base = pattern.base if isinstance(pattern, TransformedPattern) else pattern
+            words = base.generate_words(shape, spec, rng)
+            words.flags.writeable = False
+            cached = (words, rng.bit_generator.state)
+        if remaining > 1:
+            self._pending[entry] = remaining - 1
+            self._entries[entry] = cached
+        words, state = cached
+        if not isinstance(pattern, TransformedPattern):
+            return words
+        bit_generator = type(rng.bit_generator)()
+        bit_generator.state = state
+        return pattern.transform_words(words, spec, np.random.Generator(bit_generator))
+
+
+def run_seed_group(
+    members: "Sequence[tuple[ExperimentConfig, int, int]]",
+    activity_cache: "object | None" = DEFAULT_CACHE,
+) -> Iterator[ExperimentResult]:
+    """Run one seed group, yielding each member's partial result in order.
+
+    ``members`` are seed chunks ``(config, start, stop)``, usually of
+    configurations with equal :func:`shared_base_key`.  The group owns one
+    :class:`SharedBases` memo: every member counts as a consumer of its
+    key's bases up front, then runs ``EstimationPipeline(config).run(seeds=
+    range(start, stop))`` drawing through the memo, so each base is drawn
+    once per group and each result is bit for bit the standalone one.  A
+    member's pipeline is built just before it runs, so an error raises at
+    the ``next()`` that asked for that member.  The memo is freed with the
+    generator, at the end of the group.
+    """
+    shared = SharedBases()
+    for config, start, stop in members:
+        shared.expect(shared_base_key(config), range(start, stop))
+    for config, start, stop in members:
+        pipeline = EstimationPipeline(
+            config, activity_cache=activity_cache, shared_bases=shared
+        )
+        yield pipeline.run(seeds=range(start, stop))
+
+
 class EstimationPipeline:
     """The pure estimation path for one configuration.
 
@@ -106,6 +243,10 @@ class EstimationPipeline:
     them concurrently from thread workers.  The expensive part of a run is switching-activity
     estimation, whose kernels release the GIL inside NumPy (see
     :mod:`repro.util.bits`), which is what makes those threads scale.
+
+    ``shared_bases`` (set by :func:`run_seed_group`) is a memo of base
+    operand words shared with the other configurations of a seed group;
+    the plan's pattern then draws its base through it.
     """
 
     def __init__(
@@ -113,10 +254,16 @@ class EstimationPipeline:
         config: "ExperimentConfig",
         activity_cache: "object | None" = DEFAULT_CACHE,
         plan_cache: object = None,
+        *,
+        shared_bases: SharedBases | None = None,
     ) -> None:
         ignore_plan_cache(plan_cache)
         self.config = config
         self.plan: ExperimentPlan = build_plan(config)
+        self.shared_bases = shared_bases
+        self._base_key = (
+            shared_base_key(config, self.plan.pattern) if shared_bases is not None else None
+        )
         self.device = self.plan.device
         self.power_model = PowerModel(self.device)
         self.runtime_model = RuntimeModel()
@@ -181,17 +328,34 @@ class EstimationPipeline:
         self, problem: GemmProblem, seed_index: int, pattern: Pattern | None = None
     ) -> OperandStreams:
         """Draw one seed's A/B operand pair from the workload pattern, as
-        the words the estimators read (each operand encoded once)."""
+        the words the estimators read (each operand encoded once).  The
+        plan's pattern draws its bases through :attr:`shared_bases` when
+        the pipeline has one."""
         spec = get_dtype(self.config.dtype)
         if pattern is None:
             pattern = self.plan.pattern
-        rng_a = derive_rng(self.config.base_seed, "A", seed_index)
-        rng_b = derive_rng(self.config.base_seed, "B", seed_index)
         return OperandStreams(
             dtype=spec,
-            a_words=pattern.generate_words(problem.a_shape, spec, rng_a),
-            b_stored_words=pattern.generate_words(problem.b_storage_shape, spec, rng_b),
+            a_words=self._operand_words(pattern, problem.a_shape, spec, "A", seed_index),
+            b_stored_words=self._operand_words(
+                pattern, problem.b_storage_shape, spec, "B", seed_index
+            ),
             transpose_b=problem.transpose_b,
+        )
+
+    def _operand_words(
+        self,
+        pattern: Pattern,
+        shape: tuple[int, int],
+        spec: DTypeSpec,
+        operand: str,
+        seed_index: int,
+    ) -> np.ndarray:
+        rng = derive_rng(self.config.base_seed, operand, seed_index)
+        if self.shared_bases is None or pattern is not self.plan.pattern:
+            return pattern.generate_words(shape, spec, rng)
+        return self.shared_bases.draw(
+            (self._base_key, operand, seed_index), pattern, shape, spec, rng
         )
 
     def generate_operands(

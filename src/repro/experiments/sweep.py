@@ -3,15 +3,22 @@
 Sweeps are the unit of work behind every figure panel: one configuration,
 one parameter varied over a list of values.  The unit of *execution* is
 finer: every seed of a configuration draws from its own derived RNG
-streams, so each uncached configuration is split into tasks of
-:func:`~repro.core.pipeline.seed_chunk` seeds — one seed per task at 256²
-and larger, a whole small configuration in one task — and every task of
-every configuration goes to one executor.  Each task builds its own
-pipeline (each re-creates its device and models locally, so no state is
-shared) and returns a partial result; the parent concatenates a
-configuration's measurements in seed order once its last chunk lands.  A
-worker therefore holds one chunk of operands at a time, and the seeds of
-one slow configuration spread over every worker.
+streams, so each uncached configuration is split into seed chunks of
+:func:`~repro.core.pipeline.seed_chunk` seeds — one seed per chunk at 256²
+and larger, a whole small configuration in one chunk.  Configurations that
+draw the same base operands (equal
+:func:`~repro.core.pipeline.shared_base_key`: dtype, shapes, ``base_seed``
+and base pattern — the paper's method varies one input property on top of
+one Gaussian draw) have the same chunks, and chunk ``i`` of all of them
+forms one *seed group*: one executor task, which draws each base once
+(:func:`~repro.core.pipeline.run_seed_group`) and returns one partial
+result per member.  The parent concatenates a configuration's
+measurements in seed order once its last chunk lands.  A worker therefore
+holds one seed chunk's base operands plus one configuration's working set
+at a time, and the seeds of one slow configuration spread over every
+worker.  Grouping never leaves a pool fewer tasks than
+``min(ungrouped chunk count, 4 × workers)``: the largest groups are
+halved until there are that many (see :func:`_seed_groups`).
 
 ``workers > 1`` distributes the tasks over one of the
 :mod:`repro.parallel` backends.  ``backend="auto"`` — the default —
@@ -33,7 +40,7 @@ switching-activity estimate per seed, so a warm cross-device sweep skips
 estimation entirely, and a partly warm configuration computes only its
 missing seeds.  A ``progress`` hook and a :class:`RunStats` out-parameter
 expose what happened; a failing task cancels the rest of the backend's
-queue and is re-raised with its configuration's label attached.
+queue and is re-raised with the failing configuration's label attached.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro._deprecated import ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_activity_cache, resolve_cache
-from repro.core.pipeline import EstimationPipeline, seed_chunk
+from repro.core.pipeline import run_seed_group, seed_chunk, shared_base_key
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult, SweepResult
@@ -123,13 +130,13 @@ def sweep_configs(
     return configs
 
 
-#: One executor task: a configuration and the seed range ``[start, stop)``
-#: it runs.
+#: One seed chunk of a configuration: the config and the seed range
+#: ``[start, stop)`` it runs.
 SeedTask = tuple[ExperimentConfig, int, int]
 
 
 def _seed_tasks(config: ExperimentConfig) -> list[SeedTask]:
-    """Split ``config`` into tasks of :func:`~repro.core.pipeline.seed_chunk`
+    """Split ``config`` into chunks of :func:`~repro.core.pipeline.seed_chunk`
     seeds each (the last may be shorter), in seed order."""
     chunk = seed_chunk(config)
     return [
@@ -138,20 +145,66 @@ def _seed_tasks(config: ExperimentConfig) -> list[SeedTask]:
     ]
 
 
-def _run_task(
-    task: SeedTask,
-    activity_cache: "object | None" = DEFAULT_CACHE,
-) -> ExperimentResult:
-    """Executor worker for every backend: run one seed chunk of a config.
+def _seed_groups(
+    configs: Sequence[ExperimentConfig], workers: int = 1
+) -> list[list[tuple[int, int, int]]]:
+    """Plan the executor tasks: seed groups of ``(position, start, stop)``
+    chunks, ``position`` indexing ``configs``.
 
-    The partial result holds only the chunk's measurements.  Workers never
-    see the result cache, but do consult the activity tier — each process
-    pool worker uses its own default, which shares warm per-seed estimates
-    through ``REPRO_CACHE_DIR`` when one is configured."""
-    config, start, stop = task
-    return EstimationPipeline(config, activity_cache=activity_cache).run(
-        seeds=range(start, stop)
-    )
+    Chunk ``i`` of every configuration with the same
+    :func:`~repro.core.pipeline.shared_base_key` joins one group (equal
+    keys mean equal shapes, hence equal chunks); a configuration without a
+    key gets groups of its own.  Groups come in order of first appearance,
+    so each configuration's chunks stay in seed order.  Balance rule: with
+    ``workers > 1`` grouping never leaves fewer tasks than ``min(ungrouped
+    chunk count, 4 × workers)`` — the same "about four tasks per worker"
+    the process pool's default chunk size aims at.  While there are fewer,
+    the first of the largest groups is halved in place (members keep their
+    order), so the split costs as little sharing as it can.
+    """
+    groups: dict[object, list[tuple[int, int, int]]] = {}
+    for position, config in enumerate(configs):
+        key = shared_base_key(config)
+        owner = ("alone", position) if key is None else key
+        for chunk, (_, start, stop) in enumerate(_seed_tasks(config)):
+            groups.setdefault((owner, chunk), []).append((position, start, stop))
+    planned = list(groups.values())
+    target = min(sum(len(group) for group in planned), 4 * workers) if workers > 1 else 0
+    while len(planned) < target:
+        largest = max(range(len(planned)), key=lambda index: len(planned[index]))
+        group = planned[largest]
+        half = (len(group) + 1) // 2
+        planned[largest : largest + 1] = [group[:half], group[half:]]
+    return planned
+
+
+class _PointFailure(Exception):
+    """A seed-group member's failure, tagged with its configuration's label.
+
+    ``args`` is ``(label, detail)``, so it pickles back from a process-pool
+    worker intact."""
+
+
+def _run_group(
+    group: "Sequence[SeedTask]",
+    activity_cache: "object | None" = DEFAULT_CACHE,
+) -> list[ExperimentResult]:
+    """Executor worker for every backend: run one seed group.
+
+    Returns one partial result per member, holding only that chunk's
+    measurements.  A failing member raises :class:`_PointFailure` naming
+    its own label.  Workers never see the result cache, but do consult the
+    activity tier — each process pool worker uses its own default, which
+    shares warm per-seed estimates through ``REPRO_CACHE_DIR`` when one is
+    configured."""
+    runs = run_seed_group(group, activity_cache=activity_cache)
+    results = []
+    for config, _, _ in group:
+        try:
+            results.append(next(runs))
+        except Exception as exc:
+            raise _PointFailure(config.describe()["label"], str(exc)) from exc
+    return results
 
 
 def _stamp_label(result: ExperimentResult, config: ExperimentConfig) -> ExperimentResult:
@@ -193,8 +246,9 @@ def run_configs(
     configs:
         The configurations to run; results come back in the same order.
     workers:
-        Backend pool width.  ``1`` runs inline.  Tasks are seed chunks,
-        so even a single configuration spreads over the pool.
+        Backend pool width.  ``1`` runs inline.  Tasks are seed groups
+        (one seed chunk of each configuration sharing a base draw), so even
+        a single configuration spreads over the pool.
     cache:
         An explicit :class:`~repro.cache.store.ExperimentCache`, ``None`` to
         disable caching, or the default sentinel for the process-wide cache.
@@ -215,10 +269,11 @@ def run_configs(
         labels aside) only once and fan the result back out.
     chunksize:
         Process-backend submission chunk size, in tasks (one task per seed
-        chunk of a computed configuration); defaults to roughly four
-        chunks per worker (and never more than the number of tasks), which
-        amortizes worker start-up without starving the pool.  The
-        in-process backends submit per task and ignore it.
+        group: one seed chunk of every computed configuration that draws
+        the same base operands); defaults to roughly four chunks per worker
+        (and never more than the number of tasks), which amortizes worker
+        start-up without starving the pool.  The in-process backends submit
+        per task and ignore it.
     progress:
         Optional ``(done, total, label)`` hook invoked as distinct
         configurations complete (see :data:`ProgressHook`).
@@ -299,36 +354,42 @@ def run_configs(
         else:
             pending.append((key, indices))
 
-    # Every uncached configuration becomes one task per seed chunk; tasks
-    # keep config order, and each config's chunks stay in seed order.
-    tasks = [
-        task for _, indices in pending for task in _seed_tasks(config_list[indices[0]])
-    ]
+    # Every uncached configuration becomes one seed chunk per task slot;
+    # chunks that draw the same base operands share a seed-group task.  An
+    # inline run has no pool to balance, so its groups stay whole.
+    representatives = [config_list[indices[0]] for _, indices in pending]
+    pooled = workers > 1 and backend_name != "serial"
+    groups = _seed_groups(representatives, workers if pooled else 1)
 
-    def _consume(computed: Iterable[ExperimentResult], span: int = 1) -> None:
-        """Fold computed chunks into ``results``: a configuration completes
+    def _consume(computed: Iterable[list[ExperimentResult]], span: int = 1) -> None:
+        """Fold computed groups into ``results``: a configuration completes
         (cache put, label stamp, progress) once its last chunk lands, with
-        its measurements concatenated in seed order.  Results arrive in
-        submission order, but a process-pool chunk fails as a unit (the
-        worker loses the results of the chunk's earlier tasks too), so with
-        ``span > 1`` the raising task is only known to lie somewhere in its
-        chunk — name the configs of that chunk's tasks, each once, and only
-        those (see :func:`_chunk_group`)."""
+        its measurements concatenated in seed order.  A member's failure
+        names its own configuration.  Any other failure of a process-pool
+        chunk (the worker loses the results of the chunk's earlier groups
+        too) only places the raising group somewhere in its chunk — name
+        the configs of that chunk's groups, each once, and only those (see
+        :func:`_chunk_group`)."""
         iterator = iter(computed)
-        parts: list[ExperimentResult] = []
-        completed = 0
-        for position, (config, _, stop) in enumerate(tasks):
+        parts: dict[int, list[ExperimentResult]] = {}
+        for position, group in enumerate(groups):
             try:
-                parts.append(next(iterator))
+                partials = next(iterator)
             except StopIteration:  # pragma: no cover - executor invariant
                 raise ExperimentError(
                     "executor returned fewer results than submitted tasks"
                 ) from None
+            except _PointFailure as exc:
+                label, detail = exc.args
+                raise ExperimentError(
+                    f"sweep point {label!r} failed: {detail}"
+                ) from (exc.__cause__ or exc)
             except Exception as exc:
                 labels = list(
                     dict.fromkeys(
-                        task_config.describe()["label"]
-                        for task_config, _, _ in _chunk_group(tasks, position, span)
+                        representatives[owner].describe()["label"]
+                        for chunk_group in _chunk_group(groups, position, span)
+                        for owner, _, _ in chunk_group
                     )
                 )
                 if len(labels) == 1:
@@ -338,49 +399,54 @@ def run_configs(
                         f"a sweep point in chunk {labels!r} failed: {exc}"
                     )
                 raise ExperimentError(message) from exc
-            if stop < config.seeds:
-                continue
-            result = parts[0]
-            if len(parts) > 1:
-                result = ExperimentResult(
-                    config=result.config,
-                    measurements=[m for part in parts for m in part.measurements],
-                )
-            parts = []
-            key, indices = pending[completed]
-            completed += 1
-            if resolved is not None:
-                resolved.put(key.split("#")[0], result)
-            stats.executed += 1
-            _complete(key, indices, result)
+            for (owner, _, stop), partial_result in zip(group, partials):
+                parts.setdefault(owner, []).append(partial_result)
+                if stop < representatives[owner].seeds:
+                    continue
+                chunks = parts.pop(owner)
+                result = chunks[0]
+                if len(chunks) > 1:
+                    result = ExperimentResult(
+                        config=result.config,
+                        measurements=[m for chunk in chunks for m in chunk.measurements],
+                    )
+                key, indices = pending[owner]
+                if resolved is not None:
+                    resolved.put(key.split("#")[0], result)
+                stats.executed += 1
+                _complete(key, indices, result)
 
-    if tasks:
-        if workers == 1 or len(tasks) == 1:
+    if groups:
+        if workers == 1 or len(groups) == 1:
             # A pool cannot help a single task, and workers=1 means "run
             # inline" whatever the backend — both collapse to serial.
             backend_name = "serial"
         stats.backend = backend_name
         if backend_name == "processes":
             if chunksize is None:
-                chunksize = max(1, len(tasks) // (workers * 4))
-            chunksize = min(chunksize, len(tasks))
+                chunksize = max(1, len(groups) // (workers * 4))
+            chunksize = min(chunksize, len(groups))
             # An explicit activity_cache=None is an instruction to really
             # recompute, so forward the disable into the workers; explicit
             # cache *instances* cannot cross the process boundary usefully
             # (state would not come back), so workers otherwise keep their
             # own process default.
             worker = (
-                partial(_run_task, activity_cache=None)
+                partial(_run_group, activity_cache=None)
                 if activity_cache is None
-                else _run_task
+                else _run_group
             )
             executor = get_executor("processes", workers, chunksize=chunksize)
         else:
             # serial and threads run in-process: an explicit activity cache
             # instance is honoured directly (threads share the parent's
             # memory, so warm entries flow both ways).
-            worker = partial(_run_task, activity_cache=resolved_activity)
+            worker = partial(_run_group, activity_cache=resolved_activity)
             executor = get_executor(backend_name, workers)
+        tasks = [
+            [(representatives[owner], start, stop) for owner, start, stop in group]
+            for group in groups
+        ]
         try:
             _consume(executor.map(worker, tasks), span=executor.chunk_span)
         except BaseException:

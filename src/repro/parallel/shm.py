@@ -194,19 +194,24 @@ def discard_chunk(handle: "ShmHandle | InlineChunk | None") -> None:
 
 # ------------------------------------------------- ExperimentResult codec
 
-def encode_experiment_results(values: "Sequence[ExperimentResult]") -> bytes:
-    """JSON-encode a chunk of results, exactly as the disk cache would.
+def encode_experiment_results(values: "Sequence[Sequence[ExperimentResult]]") -> bytes:
+    """JSON-encode a chunk of sweep task results, exactly as the disk cache
+    would.
 
-    ``float`` round-trips through ``repr`` losslessly, so the decoded
-    results are bit-for-bit identical to the originals — the same guarantee
-    the content-addressed disk cache relies on.
+    Each value is one seed-group task's list of partial results, one per
+    member.  ``float`` round-trips through ``repr`` losslessly, so the
+    decoded results are bit-for-bit identical to the originals — the same
+    guarantee the content-addressed disk cache relies on.
     """
-    return json.dumps([value.as_dict() for value in values]).encode("utf-8")
+    return json.dumps([[item.as_dict() for item in value] for value in values]).encode(
+        "utf-8"
+    )
 
 
-def decode_experiment_results(payload: bytes) -> "list[ExperimentResult]":
+def decode_experiment_results(payload: bytes) -> "list[list[ExperimentResult]]":
     from repro.experiments.results import ExperimentResult
 
     return [
-        ExperimentResult.from_dict(item) for item in json.loads(payload.decode("utf-8"))
+        [ExperimentResult.from_dict(item) for item in value]
+        for value in json.loads(payload.decode("utf-8"))
     ]

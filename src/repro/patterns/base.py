@@ -5,7 +5,11 @@ output is the matrix's bit patterns (*words*, see
 :meth:`~repro.dtypes.base.DTypeSpec.encode`): :meth:`Pattern.generate_words`
 draws raw ``float64`` values and encodes them once, and every switching
 activity estimator reads words only.  :meth:`Pattern.generate` is the float
-view of the same matrix, the decode of those words.
+view of the same matrix, the decode of those words.  Patterns whose draw
+fills rows in order (:attr:`Pattern.blockwise`: Gaussian and uniform) draw,
+clip and encode one block of rows at a time under the 1 MiB chunk budget,
+so no full-size ``float64`` matrix is ever staged; the words and the
+generator state afterwards are bit for bit those of one whole-matrix draw.
 
 A :class:`Transform` rewrites such a matrix (sorting it, sparsifying it,
 flipping bits, ...) while keeping it representable.  Each transform has one
@@ -20,6 +24,13 @@ The words are exactly the ones a float64-staged chain would produce
 (quantize, then ``apply`` each transform on values, then encode): the
 round trip ``encode(decode(w))`` is the identity except on NaN words, which
 bit transforms canonicalize (:meth:`~repro.dtypes.base.DTypeSpec.canonical`).
+
+Transforms never write into their input words.  The configurations of one
+sweep task that draw the same base pattern share its words (see
+:mod:`repro.core.pipeline`), so :meth:`TransformedPattern.transform_words`
+hands every transform a read-only input, and a transform that writes into
+it fails with a :class:`~repro.errors.PatternError` naming it instead of
+changing a sibling configuration's operand.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ import numpy as np
 from repro.dtypes.base import DTypeSpec
 from repro.dtypes.registry import get_dtype
 from repro.errors import PatternError
+from repro.parallel.calibrate import chunk_budget_bytes
 
 __all__ = ["Pattern", "Transform", "TransformedPattern"]
 
@@ -41,6 +53,11 @@ class Pattern(ABC):
 
     #: human-readable identifier used in experiment configs and reports
     name: str = "pattern"
+    #: ``_raw_values`` fills its rows in order from the RNG, so drawing a
+    #: matrix block of rows by block of rows gives the same values and
+    #: leaves the generator in the same state as one whole-matrix draw;
+    #: :meth:`generate_words` then stages one block at a time
+    blockwise: bool = False
 
     @abstractmethod
     def _raw_values(
@@ -57,6 +74,18 @@ class Pattern(ABC):
         """Generate a matrix of ``dtype`` as its bit patterns (unsigned words)."""
         spec = get_dtype(dtype)
         shape = _check_shape(shape)
+        if not self.blockwise:
+            return self._encoded_block(shape, spec, rng)
+        words = np.empty(shape, dtype=spec.word_dtype)
+        rows = max(1, chunk_budget_bytes() // (8 * shape[1]))
+        for start in range(0, shape[0], rows):
+            stop = min(start + rows, shape[0])
+            words[start:stop] = self._encoded_block((stop - start, shape[1]), spec, rng)
+        return words
+
+    def _encoded_block(
+        self, shape: tuple[int, int], spec: DTypeSpec, rng: np.random.Generator
+    ) -> np.ndarray:
         values = np.asarray(self._raw_values(shape, spec, rng), dtype=np.float64)
         if values.shape != shape:
             raise PatternError(
@@ -119,6 +148,11 @@ class Transform(ABC):
         ``words`` are ``dtype``'s bit patterns as :meth:`~repro.dtypes.base.
         DTypeSpec.encode` emits them; the result is, bit for bit,
         ``encode(apply(decode(words)))``.
+
+        ``words`` must not be modified: configurations that draw the same
+        base pattern share one read-only array of base words, so write
+        into a copy (or a fresh array).  Writing into the input raises a
+        :class:`~repro.errors.PatternError` naming the transform.
         """
         return dtype.encode(self.apply(dtype.decode(words), dtype, rng))
 
@@ -164,10 +198,31 @@ class TransformedPattern(Pattern):
     ) -> np.ndarray:
         spec = get_dtype(dtype)
         shape = _check_shape(shape)
-        words = self.base.generate_words(shape, spec, rng)
+        return self.transform_words(self.base.generate_words(shape, spec, rng), spec, rng)
+
+    def transform_words(
+        self, words: np.ndarray, dtype: DTypeSpec, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Apply the transforms, in order, to ``words`` drawn from :attr:`base`
+        with ``rng`` (which then continues into the transforms' draws).
+
+        Each transform's input is marked read-only first: it may be shared
+        with other configurations, so a transform that writes into it
+        raises a :class:`~repro.errors.PatternError` naming the transform.
+        """
+        shape = words.shape
         for transform in self.transforms:
-            words = np.asarray(transform.apply_words(words, spec, rng))
-            if words.shape != shape or words.dtype != spec.word_dtype:
+            words.flags.writeable = False
+            try:
+                words = np.asarray(transform.apply_words(words, dtype, rng))
+            except ValueError as exc:
+                if "read-only" not in str(exc):
+                    raise
+                raise PatternError(
+                    f"transform {transform.name!r} wrote into its input words; "
+                    "apply_words must leave its input unchanged and return new words"
+                ) from exc
+            if words.shape != shape or words.dtype != dtype.word_dtype:
                 raise PatternError(
                     f"transform {transform.name!r} returned {words.dtype} words of "
                     f"shape {words.shape}"

@@ -30,6 +30,8 @@ __all__ = [
 class GaussianPattern(Pattern):
     """Matrix of Gaussian random values, clipped into the datatype's range."""
 
+    blockwise = True
+
     def __init__(self, mean: float = 0.0, std: float = 1.0) -> None:
         if std < 0:
             raise PatternError(f"std must be >= 0, got {std}")
@@ -122,6 +124,8 @@ class ConstantRandomPattern(Pattern):
 
 class UniformPattern(Pattern):
     """Matrix of uniform random values in ``[low, high)`` (extension)."""
+
+    blockwise = True
 
     def __init__(self, low: float, high: float) -> None:
         if not high > low:

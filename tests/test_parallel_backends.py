@@ -494,9 +494,11 @@ class TestSharedMemoryTransfer:
         from repro.experiments.harness import run_experiment
 
         result = run_experiment(quiet_config(matrix_size=32), cache=None, activity_cache=None)
-        payload = shm.encode_experiment_results([result])
-        (decoded,) = shm.decode_experiment_results(payload)
-        assert decoded.as_dict() == result.as_dict()
+        payload = shm.encode_experiment_results([[result, result], [result]])
+        decoded = shm.decode_experiment_results(payload)
+        assert [[item.as_dict() for item in group] for group in decoded] == [
+            [result.as_dict()] * 2, [result.as_dict()]
+        ]
 
 
 # --------------------------------------------------------------- chunk budget

@@ -28,7 +28,9 @@ from repro.patterns.bitsim import (
     _random_words,
     resolve_bit_count,
 )
-from repro.patterns.distribution import ConstantRandomPattern, GaussianPattern
+from repro.dtypes.convert import clip_to_range
+from repro.parallel.calibrate import chunk_budget_bytes
+from repro.patterns.distribution import ConstantRandomPattern, GaussianPattern, UniformPattern
 from repro.patterns.library import PATTERN_FAMILIES, build_pattern
 from repro.patterns.sparsity import (
     SparsityTransform,
@@ -253,3 +255,79 @@ class TestTransformDomains:
         ):
             transform.apply_words(words, spec, rng)
         np.testing.assert_array_equal(words, original)
+
+
+class _ZeroInPlace(Transform):
+    """Breaks the no-mutation contract: zeroes its input's first row."""
+
+    name = "zero_in_place"
+
+    def apply_words(self, words, dtype, rng):
+        words[0] = 0
+        return words
+
+
+class TestNoMutationContract:
+    def test_writing_into_the_input_is_a_pattern_error(self):
+        pattern = TransformedPattern(GaussianPattern(0.0, 10.0), [_ZeroInPlace()])
+        with pytest.raises(PatternError, match="zero_in_place"):
+            pattern.generate_words((8, 8), "fp16", derive_rng(0))
+
+    def test_in_place_ufunc_is_caught_too(self):
+        class MaskInPlace(Transform):
+            name = "mask_in_place"
+
+            def apply_words(self, words, dtype, rng):
+                np.bitwise_and(words, dtype.word_dtype.type(0xFF00), out=words)
+                return words
+
+        pattern = TransformedPattern(
+            GaussianPattern(0.0, 10.0), [ZeroLowBitsTransform(count=1), MaskInPlace()]
+        )
+        with pytest.raises(PatternError, match="mask_in_place"):
+            pattern.generate_words((8, 8), "fp16", derive_rng(0))
+
+    def test_unrelated_value_errors_pass_through(self):
+        class Broken(Transform):
+            name = "broken"
+
+            def apply_words(self, words, dtype, rng):
+                raise ValueError("no good")
+
+        pattern = TransformedPattern(GaussianPattern(0.0, 10.0), [Broken()])
+        with pytest.raises(ValueError, match="no good"):
+            pattern.generate_words((8, 8), "fp16", derive_rng(0))
+
+
+def _whole_draw(pattern, shape, spec, rng):
+    """The draw blockwise generation replaced: every row in one call."""
+    if isinstance(pattern, GaussianPattern):
+        values = rng.normal(pattern.mean, pattern.std, size=shape)
+    else:
+        values = rng.uniform(pattern.low, pattern.high, size=shape)
+    return spec.encode(clip_to_range(values, spec, out=values))
+
+
+class TestBlockwiseDraws:
+    """Gaussian and uniform bases draw, clip and encode in row blocks under
+    the chunk budget; words and generator state match one whole draw."""
+
+    # 128 and 26 rows per block leave ragged last blocks of 44 and 11 rows;
+    # a row wider than the budget is a block of its own.
+    @pytest.mark.parametrize("shape", [(300, 1024), (37, 5000), (3, 200_000), (1, 1)])
+    @pytest.mark.parametrize("dtype", list_dtypes())
+    @pytest.mark.parametrize(
+        "pattern",
+        [GaussianPattern(0.0, 210.0), GaussianPattern(3.0, 1e6), UniformPattern(-1.0, 1.0)],
+        ids=["paper", "clipped", "uniform"],
+    )
+    def test_words_and_state_match_whole_draw(self, pattern, dtype, shape):
+        spec = get_dtype(dtype)
+        rows = max(1, chunk_budget_bytes() // (8 * shape[1]))
+        assert rows < shape[0] or shape[0] == 1
+        blockwise, whole = derive_rng(11, dtype), derive_rng(11, dtype)
+        words = pattern.generate_words(shape, spec, blockwise)
+        expected = _whole_draw(pattern, shape, spec, whole)
+        assert words.dtype == spec.word_dtype and words.shape == shape
+        np.testing.assert_array_equal(words, expected)
+        assert blockwise.bit_generator.state == whole.bit_generator.state
