@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.activity.sampler import SamplingConfig
 from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, encode_for_accumulator
+from repro.errors import ActivityError
 from repro.kernels.schedule import OperandStreams, StackedOperandStreams
 from repro.util.bits import popcount, toggle_fraction_along_axis, toggle_fraction_per_slice
 from repro.util.rng import derive_rng
@@ -101,7 +102,7 @@ def estimate_datapath_activity_batch(
         config = SamplingConfig()
     seed_list = list(seeds) if seeds is not None else list(range(streams.batch))
     if len(seed_list) != streams.batch:
-        raise ValueError(
+        raise ActivityError(
             f"got {len(seed_list)} seeds for a batch of {streams.batch} invocations"
         )
     if streams.batch == 0:

@@ -224,17 +224,14 @@ def estimate_activity_batch(
                 "pre-stacked streams cannot be combined with an activity cache; "
                 "pass the per-invocation operands instead"
             )
-        return _estimate_stacked(operands, sampling or SamplingConfig(), seeds)
+        seed_list = _seed_list(seeds, operands.batch)
+        return _estimate_stacked(operands, sampling or SamplingConfig(), seed_list)
 
     items: list[object] = list(operands)
     if not items:
         return []
     sampling = sampling or SamplingConfig()
-    seed_list = list(seeds) if seeds is not None else list(range(len(items)))
-    if len(seed_list) != len(items):
-        raise ActivityError(
-            f"got {len(seed_list)} seeds for a batch of {len(items)} invocations"
-        )
+    seed_list = _seed_list(seeds, len(items))
     if chunk is not None and chunk < 1:
         raise ActivityError(f"chunk must be >= 1, got {chunk}")
 
@@ -343,6 +340,14 @@ class ActivityEngine:
             cache=self.cache,
             keys=keys if self.cache is not None else None,
         )
+
+
+def _seed_list(seeds: "Sequence[int] | range | None", batch: int) -> "list[int]":
+    """One sampling seed per invocation; ``range(batch)`` by default."""
+    seed_list = list(seeds) if seeds is not None else list(range(batch))
+    if len(seed_list) != batch:
+        raise ActivityError(f"got {len(seed_list)} seeds for a batch of {batch} invocations")
+    return seed_list
 
 
 def _estimate_stacked(

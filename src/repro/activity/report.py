@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import dataclass, field
 
+from repro import wire
 from repro.errors import ActivityError
 
 __all__ = ["ActivityReport", "COMPONENT_NAMES"]
@@ -47,6 +47,9 @@ class ActivityReport:
     output_samples: int = 0
     extras: dict[str, float] = field(default_factory=dict)
 
+    #: cache rows written by newer code versions may carry more keys
+    _wire = wire.Wire(ignore_unknown=True)
+
     def __post_init__(self) -> None:
         for name in COMPONENT_NAMES:
             value = getattr(self, f"{name}_activity")
@@ -78,21 +81,6 @@ class ActivityReport:
 
     def as_dict(self) -> dict[str, object]:
         """JSON-serializable dictionary of every field."""
-        data = asdict(self)
-        data["shape"] = list(self.shape)
-        return data
+        return {**vars(self), "shape": list(self.shape), "extras": dict(self.extras)}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ActivityReport":
-        """Rebuild a report from :meth:`as_dict` output (e.g. a cache file).
-
-        Unknown keys are ignored so reports written by newer code versions
-        still load.
-        """
-        known = {f.name for f in fields(cls)}
-        kwargs = {key: value for key, value in data.items() if key in known}
-        if "shape" in kwargs:
-            kwargs["shape"] = tuple(kwargs["shape"])
-        if "extras" in kwargs and kwargs["extras"] is not None:
-            kwargs["extras"] = dict(kwargs["extras"])
-        return cls(**kwargs)
+    from_dict = wire.from_dict("activity", ActivityError)

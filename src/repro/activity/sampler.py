@@ -10,9 +10,9 @@ trends being measured.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
+from repro import wire
 from repro.errors import ActivityError
 
 __all__ = ["SamplingConfig"]
@@ -30,10 +30,9 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("output_samples", "max_k", "seed"):
-            value = getattr(self, name)
-            if not (name == "max_k" and value is None):  # None walks the full K
-                object.__setattr__(self, name, _require_int(name, value))
+        for name, kind in (("output_samples", int), ("max_k", int | None), ("seed", int)):
+            value = wire.decode(kind, getattr(self, name), name, ActivityError)
+            object.__setattr__(self, name, value)
         if self.output_samples < 1:
             raise ActivityError(
                 f"output_samples must be >= 1, got {self.output_samples}"
@@ -47,10 +46,3 @@ class SamplingConfig:
             return k
         return min(k, self.max_k)
 
-
-def _require_int(name: str, value: object) -> int:
-    """``value`` as a plain ``int``; floats (even integral ones), bools and
-    other non-integers raise :class:`ActivityError` naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ActivityError(f"{name} must be an integer, got {value!r}")
-    return int(value)

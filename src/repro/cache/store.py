@@ -310,7 +310,7 @@ class JsonDiskCache:
             return None
         try:
             return self._deserialize(json.loads(raw))
-        except (ValueError, KeyError, TypeError, ReproError):
+        except (ValueError, ReproError):  # bad JSON, or a row repro.wire rejects
             # A corrupt or incompatible entry is a miss; delete it so it
             # does not occupy space or trip every future lookup.
             with self._lock:

@@ -7,6 +7,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+from repro import wire
 from repro.activity.sampler import SamplingConfig
 from repro.dtypes.registry import get_dtype
 from repro.errors import ExperimentError, PatternError
@@ -62,17 +63,16 @@ class ExperimentConfig:
         get_dtype(self.dtype)          # raises on unknown dtype
         get_gpu_spec(self.gpu)         # raises on unknown GPU
         for name in ("matrix_size", "instance_id", "seeds", "base_seed", "iterations"):
-            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
+            count = wire.require_count(getattr(self, name), name, ExperimentError)
+            object.__setattr__(self, name, count)
         if self.matrix_size < 8:
             raise ExperimentError(f"matrix_size must be >= 8, got {self.matrix_size}")
         if self.seeds < 1:
             raise ExperimentError(f"seeds must be >= 1, got {self.seeds}")
         if self.iterations < 1:
             raise ExperimentError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0 <= self.warmup_trim_s < math.inf:  # NaN fails every comparison
-            raise ExperimentError(
-                f"warmup_trim_s must be finite and >= 0, got {self.warmup_trim_s}"
-            )
+        if wire.require_real(self.warmup_trim_s, "warmup_trim_s", ExperimentError) < 0:
+            raise ExperimentError(f"warmup_trim_s must be >= 0, got {self.warmup_trim_s}")
         latest_trim_s = latest_warmup_trim_s(self.telemetry)
         if self.warmup_trim_s > latest_trim_s:
             raise ExperimentError(
@@ -115,39 +115,9 @@ class ExperimentConfig:
         )
         return config.with_overrides(**overrides) if overrides else config
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
-        """Build a configuration from a JSON-shaped mapping.
-
-        Accepts the dataclass's own field names, with ``sampling`` and
-        ``telemetry`` optionally given as nested mappings (their dataclass
-        fields, e.g. ``{"sampling": {"output_samples": 64}}``).  This is the
-        inverse of :meth:`describe` for the fields :meth:`describe` carries,
-        and the wire format of the serving layer (:mod:`repro.serve`).
-        Unknown or ill-typed fields raise :class:`ExperimentError` — a
-        misspelled knob must not silently measure something else.
-        """
-        from dataclasses import fields as dataclass_fields
-
-        data = dict(payload)
-        known = {spec.name for spec in dataclass_fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ExperimentError(
-                f"unknown config field(s): {', '.join(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        for field_name, factory in (("sampling", SamplingConfig), ("telemetry", TelemetryConfig)):
-            value = data.get(field_name)
-            if isinstance(value, Mapping):
-                try:
-                    data[field_name] = factory(**dict(value))
-                except TypeError as exc:
-                    raise ExperimentError(f"invalid {field_name} config: {exc}") from exc
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ExperimentError(f"invalid config: {exc}") from exc
+    #: The JSON form, and the ``/estimate`` body: the dataclass's fields, with
+    #: ``sampling`` and ``telemetry`` as nested objects of theirs.
+    from_dict = wire.from_dict("config", ExperimentError)
 
     # ------------------------------------------------------------ utilities
 
@@ -172,14 +142,6 @@ class ExperimentConfig:
         params = ",".join(f"{k}={v}" for k, v in sorted(self.pattern_params.items()))
         suffix = f"({params})" if params else ""
         return f"{self.pattern_family}{suffix}/{self.dtype}/{self.gpu}/{self.matrix_size}"
-
-
-def _require_int(name: str, value: Any) -> int:
-    """``value`` as a plain ``int``; floats (even integral ones), bools and
-    other non-integers raise :class:`ExperimentError` naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ExperimentError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _has_non_finite(value: Any) -> bool:

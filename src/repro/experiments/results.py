@@ -7,12 +7,26 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from repro import wire
 from repro.activity.report import ActivityReport
 from repro.errors import ExperimentError
 from repro.util.stats import SummaryStats, summarize
 from repro.util.tables import format_series_chart, format_table
 
 __all__ = ["SeedMeasurement", "ExperimentResult", "SweepResult", "FigureResult"]
+
+#: Aggregate properties :meth:`ExperimentResult.as_dict` writes for readers;
+#: they derive from the measurements, so decoding skips them.
+_AGGREGATES = (
+    "mean_power_watts",
+    "power_std_watts",
+    "mean_iteration_time_s",
+    "mean_iteration_energy_j",
+    "mean_activity_factor",
+    "mean_bit_alignment",
+    "mean_hamming_fraction",
+    "any_throttled",
+)
 
 
 @dataclass(frozen=True)
@@ -30,32 +44,9 @@ class SeedMeasurement:
     activity: ActivityReport
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "power_watts": self.power_watts,
-            "unconstrained_power_watts": self.unconstrained_power_watts,
-            "iteration_time_s": self.iteration_time_s,
-            "iteration_energy_j": self.iteration_energy_j,
-            "activity_factor": self.activity_factor,
-            "throttled": self.throttled,
-            "clock_scale": self.clock_scale,
-            "activity": self.activity.as_dict(),
-        }
+        return {**vars(self), "activity": self.activity.as_dict()}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SeedMeasurement":
-        """Rebuild a measurement from :meth:`as_dict` output."""
-        return cls(
-            seed=int(data["seed"]),
-            power_watts=float(data["power_watts"]),
-            unconstrained_power_watts=float(data["unconstrained_power_watts"]),
-            iteration_time_s=float(data["iteration_time_s"]),
-            iteration_energy_j=float(data["iteration_energy_j"]),
-            activity_factor=float(data["activity_factor"]),
-            throttled=bool(data["throttled"]),
-            clock_scale=float(data["clock_scale"]),
-            activity=ActivityReport.from_dict(data["activity"]),
-        )
+    from_dict = wire.from_dict("measurement", ExperimentError)
 
 
 @dataclass
@@ -64,6 +55,8 @@ class ExperimentResult:
 
     config: Mapping[str, Any]
     measurements: list[SeedMeasurement]
+
+    _wire = wire.Wire(ignore=frozenset(_AGGREGATES))
 
     def __post_init__(self) -> None:
         if not self.measurements:
@@ -110,27 +103,13 @@ class ExperimentResult:
     def any_throttled(self) -> bool:
         return any(m.throttled for m in self.measurements)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        """Rebuild a result from :meth:`as_dict` output (the aggregate fields
-        of the serialized form are derived and therefore ignored)."""
-        return cls(
-            config=dict(data["config"]),
-            measurements=[SeedMeasurement.from_dict(m) for m in data["measurements"]],
-        )
+    from_dict = wire.from_dict("result", ExperimentError)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "config": dict(self.config),
             "measurements": [m.as_dict() for m in self.measurements],
-            "mean_power_watts": self.mean_power_watts,
-            "power_std_watts": self.power_std_watts,
-            "mean_iteration_time_s": self.mean_iteration_time_s,
-            "mean_iteration_energy_j": self.mean_iteration_energy_j,
-            "mean_activity_factor": self.mean_activity_factor,
-            "mean_bit_alignment": self.mean_bit_alignment,
-            "mean_hamming_fraction": self.mean_hamming_fraction,
-            "any_throttled": self.any_throttled,
+            **{name: getattr(self, name) for name in _AGGREGATES},
         }
 
 

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from repro import wire
 from repro.errors import ReproError
 from repro.fleet.scheduler import CapEvent, FleetSpec
 from repro.fleet.simulator import FleetResult, simulate
@@ -109,11 +110,7 @@ def _build_fleet(args: argparse.Namespace) -> FleetSpec:
 
 
 def _check_expected(result: FleetResult, expect_path: Path) -> int:
-    try:
-        expected = json.loads(expect_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"cannot read expected summary {expect_path}: {exc}", file=sys.stderr)
-        return 1
+    expected = wire.load_json(expect_path, "expected summary", ReproError)
     actual = result.summary()
     if actual == expected:
         print(f"replay OK: summary matches {expect_path}")
@@ -145,10 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     path = Path(args.path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"cannot read {path}: {exc}") from exc
+    payload = wire.load_json(path, "fleet document", ReproError)
     fmt = payload.get("format", "") if isinstance(payload, dict) else ""
     if fmt.startswith("repro.fleet.trace"):
         trace = Trace.from_dict(payload)

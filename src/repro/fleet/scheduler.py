@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping
 
+from repro import wire
 from repro.errors import FleetError
 from repro.gpu.clocks import ClockModel, ThrottleState
 from repro.gpu.specs import GPUSpec, get_gpu_spec
-from repro.fleet.trace import Trace, _require_fields
+from repro.fleet.trace import Trace
 
 __all__ = [
     "FleetGPU",
@@ -52,19 +53,14 @@ class FleetGPU:
             get_gpu_spec(self.model)
         except Exception as exc:
             raise FleetError(f"invalid fleet GPU: {exc}") from exc
-        if self.cap_watts is not None and self.cap_watts <= 0:
+        cap = self.cap_watts
+        if cap is not None and wire.require_real(cap, "cap_watts", FleetError) <= 0:
             raise FleetError(f"cap_watts must be positive, got {self.cap_watts}")
 
     def as_dict(self) -> "dict[str, Any]":
         return {"model": self.model, "cap_watts": self.cap_watts}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FleetGPU":
-        data = _require_fields(payload, {"model", "cap_watts"}, "fleet GPU")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise FleetError(f"invalid fleet GPU: {exc}") from exc
+    from_dict = wire.from_dict("fleet GPU", FleetError)
 
 
 @dataclass(frozen=True)
@@ -81,30 +77,19 @@ class CapEvent:
     gpus: "tuple[int, ...] | None" = None
 
     def __post_init__(self) -> None:
-        if self.tick < 0:
+        if wire.require_count(self.tick, "tick", FleetError) < 0:
             raise FleetError(f"cap event tick must be >= 0, got {self.tick}")
-        if self.cap_watts is not None and self.cap_watts <= 0:
+        cap = self.cap_watts
+        if cap is not None and wire.require_real(cap, "cap_watts", FleetError) <= 0:
             raise FleetError(f"cap event cap_watts must be positive, got {self.cap_watts}")
         if self.gpus is not None:
-            object.__setattr__(self, "gpus", tuple(int(g) for g in self.gpus))
+            gpus = wire.decode(tuple[int, ...], self.gpus, "gpus", FleetError)
+            object.__setattr__(self, "gpus", gpus)
 
     def as_dict(self) -> "dict[str, Any]":
-        return {
-            "tick": self.tick,
-            "cap_watts": self.cap_watts,
-            "gpus": list(self.gpus) if self.gpus is not None else None,
-        }
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CapEvent":
-        data = _require_fields(payload, {"tick", "cap_watts", "gpus"}, "cap event")
-        gpus = data.get("gpus")
-        if gpus is not None:
-            data["gpus"] = tuple(gpus)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise FleetError(f"invalid cap event: {exc}") from exc
+    from_dict = wire.from_dict("cap event", FleetError)
 
 
 @dataclass(frozen=True)
@@ -191,24 +176,9 @@ class FleetSpec:
         return tdp if cap is None else min(cap, tdp)
 
     def as_dict(self) -> "dict[str, Any]":
-        return {
-            "gpus": [gpu.as_dict() for gpu in self.gpus],
-            "cap_events": [event.as_dict() for event in self.cap_events],
-            "include_idle_power": self.include_idle_power,
-        }
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FleetSpec":
-        data = _require_fields(
-            payload, {"gpus", "cap_events", "include_idle_power"}, "fleet"
-        )
-        return cls(
-            gpus=tuple(FleetGPU.from_dict(entry) for entry in data.get("gpus", [])),
-            cap_events=tuple(
-                CapEvent.from_dict(entry) for entry in data.get("cap_events", [])
-            ),
-            include_idle_power=bool(data.get("include_idle_power", True)),
-        )
+    from_dict = wire.from_dict("fleet", FleetError)
 
 
 @dataclass(frozen=True)

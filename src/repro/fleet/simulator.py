@@ -27,11 +27,13 @@ and energy series on any backend at any worker count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
+from repro import wire
 from repro._deprecated import ignore_plan_cache
 from repro.cache.store import DEFAULT_CACHE
 from repro.errors import FleetError
@@ -44,7 +46,7 @@ from repro.fleet.scheduler import (
     FleetSpec,
     KernelEstimate,
 )
-from repro.fleet.trace import Trace, _require_fields
+from repro.fleet.trace import Trace
 from repro.gpu.specs import get_gpu_spec
 from repro.util.stats import summarize
 from repro.util.tables import format_series_chart, format_table
@@ -63,6 +65,10 @@ SUMMARY_DECIMALS = 6
 
 def _round(value: float) -> float:
     return round(float(value), SUMMARY_DECIMALS)
+
+
+def _as_arrays(series: "dict[str, list[float]]") -> "dict[str, np.ndarray]":
+    return {tenant: np.asarray(watts, dtype=np.float64) for tenant, watts in series.items()}
 
 
 @dataclass
@@ -89,6 +95,16 @@ class FleetResult:
     attribution: EnergyAttribution
     run_stats: "dict[str, Any]" = field(default_factory=dict)
     metadata: "dict[str, Any]" = field(default_factory=dict)
+
+    #: the wire form carries the attribution's per-tenant series (its tick
+    #: and horizon are the result's own) and the derived summary
+    _wire = wire.Wire(
+        tag=("format", RESULT_FORMAT),
+        tag_optional=True,
+        keys={"attribution": "tenant_power_watts"},
+        convert={"attribution": (dict[str, list[float]], _as_arrays)},
+        ignore=frozenset({"summary"}),
+    )
 
     # ------------------------------------------------------------ series
 
@@ -202,59 +218,20 @@ class FleetResult:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FleetResult":
-        import numpy as np
-
-        data = _require_fields(
-            payload,
-            {
-                "format", "trace_name", "tick_s", "horizon_ticks", "jobs",
-                "scheduled_kernels", "distinct_configs", "throttled_jobs",
-                "gpu_models", "tenant_power_watts", "run_stats", "metadata",
-                "summary",
-            },
-            "fleet result",
+        data = wire.read(cls, payload, "fleet result", FleetError)
+        data["attribution"] = EnergyAttribution(
+            tick_s=data["tick_s"],
+            horizon_ticks=data["horizon_ticks"],
+            tenant_power_watts=data["attribution"],
         )
-        fmt = data.get("format", RESULT_FORMAT)
-        if fmt != RESULT_FORMAT:
-            raise FleetError(
-                f"unsupported fleet result format {fmt!r}; expected {RESULT_FORMAT!r}"
-            )
-        attribution = EnergyAttribution(
-            tick_s=float(data["tick_s"]),
-            horizon_ticks=int(data["horizon_ticks"]),
-            tenant_power_watts={
-                tenant: np.asarray(series, dtype=np.float64)
-                for tenant, series in data.get("tenant_power_watts", {}).items()
-            },
-        )
-        return cls(
-            trace_name=str(data["trace_name"]),
-            tick_s=float(data["tick_s"]),
-            horizon_ticks=int(data["horizon_ticks"]),
-            jobs=int(data["jobs"]),
-            scheduled_kernels=int(data["scheduled_kernels"]),
-            distinct_configs=int(data["distinct_configs"]),
-            throttled_jobs=int(data["throttled_jobs"]),
-            gpu_models=dict(data.get("gpu_models", {})),
-            attribution=attribution,
-            run_stats=dict(data.get("run_stats", {})),
-            metadata=dict(data.get("metadata", {})),
-        )
+        return cls(**data)
 
     def save_json(self, path: "str | Path") -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
-        return target
+        return wire.save_json(path, self.as_dict())
 
     @classmethod
     def load(cls, path: "str | Path") -> "FleetResult":
-        source = Path(path)
-        try:
-            payload = json.loads(source.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise FleetError(f"cannot read fleet result {source}: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(wire.load_json(path, "fleet result", FleetError))
 
 
 def _estimate_from_result(

@@ -9,8 +9,7 @@ be replayed against different fleets, GPU generations and cap policies
 (the what-if axis of :mod:`repro.fleet.simulator`).
 
 The JSON wire format (:meth:`Trace.as_dict` / :meth:`Trace.from_dict`)
-follows the same discipline as
-:meth:`repro.experiments.config.ExperimentConfig.from_dict`: unknown or
+decodes through :mod:`repro.wire`, like every other format: unknown or
 ill-typed fields raise :class:`~repro.errors.FleetError` — a misspelled
 knob must not silently simulate something else.
 
@@ -26,13 +25,13 @@ exporting one variable.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from repro import wire
 from repro.errors import FleetError
 from repro.experiments.config import ExperimentConfig
 from repro.util.rng import derive_rng
@@ -73,21 +72,6 @@ def default_fleet_seed(environ: "Mapping[str, str] | None" = None) -> int:
     generations and get two different, individually reproducible traces.
     """
     return _env_int("REPRO_FLEET_SEED", 0, environ)
-
-
-def _require_fields(
-    payload: Mapping[str, Any], known: "set[str]", what: str
-) -> "dict[str, Any]":
-    """Copy ``payload`` rejecting unknown fields, like the config wire format."""
-    if not isinstance(payload, Mapping):
-        raise FleetError(f"{what} must be a mapping, got {type(payload).__name__}")
-    data = dict(payload)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise FleetError(
-            f"unknown {what} field(s): {', '.join(unknown)}; known: {sorted(known)}"
-        )
-    return data
 
 
 @dataclass(frozen=True)
@@ -135,26 +119,9 @@ class WorkloadSpec:
         return config.with_overrides(**overrides) if overrides else config
 
     def as_dict(self) -> "dict[str, Any]":
-        return {
-            "pattern_family": self.pattern_family,
-            "pattern_params": dict(self.pattern_params),
-            "dtype": self.dtype,
-            "matrix_size": self.matrix_size,
-            "iterations": self.iterations,
-            "seeds": self.seeds,
-        }
+        return {**vars(self), "pattern_params": dict(self.pattern_params)}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WorkloadSpec":
-        data = _require_fields(
-            payload,
-            {"pattern_family", "pattern_params", "dtype", "matrix_size", "iterations", "seeds"},
-            "workload",
-        )
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise FleetError(f"invalid workload: {exc}") from exc
+    from_dict = wire.from_dict("workload", FleetError)
 
 
 @dataclass(frozen=True)
@@ -167,6 +134,9 @@ class TraceJob:
     kernels: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("arrival_tick", "kernels"):
+            count = wire.require_count(getattr(self, name), name, FleetError)
+            object.__setattr__(self, name, count)
         if self.arrival_tick < 0:
             raise FleetError(f"arrival_tick must be >= 0, got {self.arrival_tick}")
         if self.kernels < 1:
@@ -177,22 +147,9 @@ class TraceJob:
             raise FleetError("workload must be a non-empty string")
 
     def as_dict(self) -> "dict[str, Any]":
-        return {
-            "arrival_tick": self.arrival_tick,
-            "tenant": self.tenant,
-            "workload": self.workload,
-            "kernels": self.kernels,
-        }
+        return dict(vars(self))
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TraceJob":
-        data = _require_fields(
-            payload, {"arrival_tick", "tenant", "workload", "kernels"}, "job"
-        )
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise FleetError(f"invalid job: {exc}") from exc
+    from_dict = wire.from_dict("job", FleetError)
 
 
 @dataclass(frozen=True)
@@ -205,11 +162,13 @@ class Trace:
     jobs: "tuple[TraceJob, ...]" = ()
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
+    _wire = wire.Wire(tag=("format", TRACE_FORMAT), tag_optional=True)
+
     def __post_init__(self) -> None:
         if not self.name:
             raise FleetError("a trace needs a non-empty name")
-        if not (self.tick_s > 0.0 and math.isfinite(self.tick_s)):
-            raise FleetError(f"tick_s must be positive and finite, got {self.tick_s}")
+        if wire.require_real(self.tick_s, "tick_s", FleetError) <= 0.0:
+            raise FleetError(f"tick_s must be positive, got {self.tick_s}")
         object.__setattr__(self, "workloads", dict(self.workloads))
         object.__setattr__(self, "jobs", tuple(self.jobs))
         object.__setattr__(self, "metadata", dict(self.metadata))
@@ -253,46 +212,16 @@ class Trace:
             "metadata": dict(self.metadata),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Trace":
-        data = _require_fields(
-            payload, {"format", "name", "tick_s", "workloads", "jobs", "metadata"}, "trace"
-        )
-        fmt = data.pop("format", TRACE_FORMAT)
-        if fmt != TRACE_FORMAT:
-            raise FleetError(f"unsupported trace format {fmt!r}; expected {TRACE_FORMAT!r}")
-        workloads_raw = data.get("workloads", {})
-        if not isinstance(workloads_raw, Mapping):
-            raise FleetError("trace 'workloads' must be a mapping of name -> workload")
-        jobs_raw = data.get("jobs", [])
-        if not isinstance(jobs_raw, (list, tuple)):
-            raise FleetError("trace 'jobs' must be a list")
-        return cls(
-            name=data.get("name", ""),
-            tick_s=data.get("tick_s", 0.0),
-            workloads={
-                key: WorkloadSpec.from_dict(value) for key, value in workloads_raw.items()
-            },
-            jobs=tuple(TraceJob.from_dict(entry) for entry in jobs_raw),
-            metadata=data.get("metadata", {}),
-        )
+    from_dict = wire.from_dict("trace", FleetError)
 
     def save_json(self, path: "str | Path") -> Path:
         """Write the trace to a JSON file and return its path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
-        return target
+        return wire.save_json(path, self.as_dict())
 
     @classmethod
     def load(cls, path: "str | Path") -> "Trace":
         """Read a trace written by :meth:`save_json`."""
-        source = Path(path)
-        try:
-            payload = json.loads(source.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise FleetError(f"cannot read trace {source}: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(wire.load_json(path, "trace", FleetError))
 
 
 # --------------------------------------------------------------- generators

@@ -28,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro import wire
 from repro.errors import ReproError
 from repro.optimize.engines.result import OptimizationResult
 from repro.optimize.engines.runner import OptimizationRunner, build_runner
@@ -37,11 +38,7 @@ __all__ = ["main"]
 
 
 def _check_expected(result: OptimizationResult, expect_path: Path) -> int:
-    try:
-        expected = json.loads(expect_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"cannot read expected summary {expect_path}: {exc}", file=sys.stderr)
-        return 1
+    expected = wire.load_json(expect_path, "expected summary", ReproError)
     actual = result.summary()
     if actual == expected:
         print(f"replay OK: summary matches {expect_path}")

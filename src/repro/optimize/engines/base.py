@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+from repro import wire
 from repro.errors import OptimizationError
 
 __all__ = [
@@ -55,6 +56,11 @@ Point = dict
 INFEASIBLE = math.inf
 
 
+def _infeasible_if_null(objective: "float | None") -> float:
+    """A wire objective: the ``null`` JSON writes for :data:`INFEASIBLE`."""
+    return INFEASIBLE if objective is None else objective
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """One evaluated point, as handed back to an engine.
@@ -71,23 +77,13 @@ class Evaluation:
     feasible: bool = True
     metrics: "Mapping[str, float]" = field(default_factory=dict)
 
-    def as_dict(self) -> "dict[str, Any]":
-        return {
-            "point": dict(self.point),
-            "objective": None if math.isinf(self.objective) else self.objective,
-            "feasible": self.feasible,
-            "metrics": dict(self.metrics),
-        }
+    _wire = wire.Wire(convert={"objective": (float | None, _infeasible_if_null)})
 
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, Any]") -> "Evaluation":
-        objective = data.get("objective")
-        return cls(
-            point=dict(data["point"]),
-            objective=INFEASIBLE if objective is None else float(objective),
-            feasible=bool(data.get("feasible", True)),
-            metrics=dict(data.get("metrics", {})),
-        )
+    def as_dict(self) -> "dict[str, Any]":
+        objective = None if math.isinf(self.objective) else self.objective
+        return {**asdict(self), "objective": objective}
+
+    from_dict = wire.from_dict("evaluation", OptimizationError)
 
 
 class OptimizationEngine(abc.ABC):

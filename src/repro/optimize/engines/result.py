@@ -12,12 +12,12 @@ and any cache temperature.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
+from repro import wire
 from repro.errors import OptimizationError
 from repro.optimize.engines.base import INFEASIBLE, Point
 
@@ -37,6 +37,11 @@ def _round(value: "float | None", digits: int = 6) -> "float | None":
     return None if value is None else round(float(value), digits)
 
 
+def _infeasible_if_nulls(objectives: "list[float | None]") -> "list[float]":
+    """Wire objectives: ``null`` is the :data:`INFEASIBLE` a filter wrote."""
+    return [INFEASIBLE if value is None else value for value in objectives]
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One propose → evaluate → ingest round."""
@@ -52,32 +57,16 @@ class IterationRecord:
     #: ``run_configs`` counters for this batch ({} for callable objectives)
     run_stats: "dict[str, int]" = field(default_factory=dict)
 
+    _wire = wire.Wire(convert={"objectives": (list[float | None], _infeasible_if_nulls)})
+
     def as_dict(self) -> "dict[str, Any]":
         return {
-            "index": self.index,
-            "proposals": [dict(p) for p in self.proposals],
+            **asdict(self),
             "objectives": [_encode_objective(v) for v in self.objectives],
-            "feasible": list(self.feasible),
-            "best_point": None if self.best_point is None else dict(self.best_point),
             "best_objective": _encode_objective(self.best_objective),
-            "run_stats": dict(self.run_stats),
         }
 
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, Any]") -> "IterationRecord":
-        return cls(
-            index=int(data["index"]),
-            proposals=[dict(p) for p in data["proposals"]],
-            objectives=[
-                INFEASIBLE if v is None else float(v) for v in data["objectives"]
-            ],
-            feasible=[bool(v) for v in data["feasible"]],
-            best_point=None if data.get("best_point") is None else dict(data["best_point"]),
-            best_objective=(
-                None if data.get("best_objective") is None else float(data["best_objective"])
-            ),
-            run_stats={k: int(v) for k, v in dict(data.get("run_stats", {})).items()},
-        )
+    from_dict = wire.from_dict("iteration", OptimizationError)
 
 
 @dataclass
@@ -100,6 +89,8 @@ class OptimizationResult:
     space: "list[dict[str, Any]] | None"
     objective: "dict[str, Any]"
     duration_s: float = 0.0
+
+    _wire = wire.Wire(tag=("format", RESULT_FORMAT))
 
     # ---------------------------------------------------------------- views
 
@@ -163,57 +154,16 @@ class OptimizationResult:
     def as_dict(self) -> "dict[str, Any]":
         return {
             "format": RESULT_FORMAT,
-            "engine": self.engine,
+            **asdict(self),
             "iterations": [record.as_dict() for record in self.iterations],
-            "best_point": None if self.best_point is None else dict(self.best_point),
             "best_objective": _encode_objective(self.best_objective),
-            "best_metrics": dict(self.best_metrics),
-            "best_feasible": self.best_feasible,
-            "converged": self.converged,
-            "evaluations": self.evaluations,
-            "engine_runs": self.engine_runs,
-            "cache_hits": self.cache_hits,
-            "space": self.space,
-            "objective": dict(self.objective),
-            "duration_s": self.duration_s,
         }
 
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, Any]") -> "OptimizationResult":
-        if data.get("format") != RESULT_FORMAT:
-            raise OptimizationError(
-                f"not an optimization result (format {data.get('format')!r}, "
-                f"expected {RESULT_FORMAT!r})"
-            )
-        return cls(
-            engine=str(data["engine"]),
-            iterations=[IterationRecord.from_dict(r) for r in data["iterations"]],
-            best_point=None if data.get("best_point") is None else dict(data["best_point"]),
-            best_objective=(
-                None if data.get("best_objective") is None else float(data["best_objective"])
-            ),
-            best_metrics={k: float(v) for k, v in dict(data.get("best_metrics", {})).items()},
-            best_feasible=bool(data["best_feasible"]),
-            converged=bool(data["converged"]),
-            evaluations=int(data["evaluations"]),
-            engine_runs=int(data["engine_runs"]),
-            cache_hits=int(data["cache_hits"]),
-            space=None if data.get("space") is None else [dict(d) for d in data["space"]],
-            objective=dict(data.get("objective", {})),
-            duration_s=float(data.get("duration_s", 0.0)),
-        )
+    from_dict = wire.from_dict("result", OptimizationError)
 
     def save_json(self, path: "str | Path") -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True))
-        return target
+        return wire.save_json(path, self.as_dict())
 
     @classmethod
     def load(cls, path: "str | Path") -> "OptimizationResult":
-        source = Path(path)
-        try:
-            payload = json.loads(source.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise OptimizationError(f"cannot read optimization result {source}: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(wire.load_json(path, "optimization result", OptimizationError))

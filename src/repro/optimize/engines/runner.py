@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from repro import wire
 from repro._deprecated import ignore_plan_cache
 from repro.cache.store import DEFAULT_CACHE
 from repro.errors import OptimizationError
@@ -52,7 +52,7 @@ from repro.optimize.engines.base import (
     get_engine,
 )
 from repro.optimize.engines.result import IterationRecord, OptimizationResult
-from repro.optimize.engines.space import ParameterSpace
+from repro.optimize.engines.space import Dimension, ParameterSpace
 
 __all__ = [
     "METRICS",
@@ -83,20 +83,6 @@ STUDY_FORMAT = "repro.optimize.study/v1"
 CHECKPOINT_FORMAT = "repro.optimize.checkpoint/v1"
 
 
-def _config_payload(config: ExperimentConfig) -> "dict[str, Any]":
-    """Full JSON round-trip of a config (inverse of ``from_dict``).
-
-    ``describe()`` substitutes the default label and drops the estimator
-    knobs; checkpoints need the exact field values back.
-    """
-    payload = config.describe()
-    payload["label"] = config.label
-    payload["include_process_variation"] = config.include_process_variation
-    payload["sampling"] = dataclasses.asdict(config.sampling)
-    payload["telemetry"] = dataclasses.asdict(config.telemetry)
-    return payload
-
-
 @dataclass(frozen=True)
 class ConfigObjective:
     """Minimize/maximize one result metric over experiment configurations."""
@@ -104,6 +90,8 @@ class ConfigObjective:
     base: ExperimentConfig
     metric: str = "mean_power_watts"
     mode: str = "min"
+
+    _wire = wire.Wire(tag=("kind", "config"), tag_optional=True, keys={"base": "base_config"})
 
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
@@ -125,16 +113,10 @@ class ConfigObjective:
             "kind": "config",
             "metric": self.metric,
             "mode": self.mode,
-            "base_config": _config_payload(self.base),
+            "base_config": dataclasses.asdict(self.base),
         }
 
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, Any]") -> "ConfigObjective":
-        return cls(
-            base=ExperimentConfig.from_dict(data["base_config"]),
-            metric=str(data.get("metric", "mean_power_watts")),
-            mode=str(data.get("mode", "min")),
-        )
+    from_dict = wire.from_dict("objective", OptimizationError)
 
 
 @dataclass(frozen=True)
@@ -161,11 +143,13 @@ class Constraint:
             )
         if self.upper is None and self.lower is None:
             raise OptimizationError("a constraint needs an upper and/or lower bound")
+        for bound in ("upper", "lower"):
+            wire.decode(float | None, getattr(self, bound), bound, OptimizationError)
         if self.mode not in ("penalty", "filter"):
             raise OptimizationError(
                 f"constraint mode must be 'penalty' or 'filter', got {self.mode!r}"
             )
-        if self.weight <= 0:
+        if wire.require_real(self.weight, "weight", OptimizationError) <= 0:
             raise OptimizationError(f"constraint weight must be positive, got {self.weight}")
 
     def violation(self, value: float) -> float:
@@ -177,26 +161,49 @@ class Constraint:
         return amount
 
     def as_dict(self) -> "dict[str, Any]":
-        return {
-            "metric": self.metric,
-            "upper": self.upper,
-            "lower": self.lower,
-            "mode": self.mode,
-            "weight": self.weight,
-        }
+        return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, Any]") -> "Constraint":
-        unknown = sorted(set(data) - {"metric", "upper", "lower", "mode", "weight"})
-        if unknown:
-            raise OptimizationError(f"unknown constraint field(s): {', '.join(unknown)}")
-        return cls(
-            metric=str(data["metric"]),
-            upper=None if data.get("upper") is None else float(data["upper"]),
-            lower=None if data.get("lower") is None else float(data["lower"]),
-            mode=str(data.get("mode", "penalty")),
-            weight=float(data.get("weight", 1000.0)),
-        )
+    from_dict = wire.from_dict("constraint", OptimizationError)
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    """The top-level fields of a checkpoint document."""
+
+    engine: str
+    engine_state: "dict[str, Any]"
+    objective: "dict[str, Any]"
+    constraint: "Constraint | None" = None
+    iterations: "list[IterationRecord]" = field(default_factory=list)
+    evaluations: int = 0
+    engine_runs: int = 0
+    cache_hits: int = 0
+    duration_s: float = 0.0
+
+    _wire = wire.Wire(tag=("format", CHECKPOINT_FORMAT))
+
+
+@dataclass(frozen=True)
+class _Study:
+    """The top-level fields of a study document (see :func:`load_study`)."""
+
+    engine: str
+    space: "list[dict[str, Any]]"
+    base_config: "dict[str, Any]"
+    description: str = ""
+    engine_params: "dict[str, Any]" = field(default_factory=dict)
+    objective: "dict[str, Any]" = field(default_factory=dict)
+    constraint: "dict[str, Any] | None" = None
+
+    _wire = wire.Wire(tag=("format", STUDY_FORMAT), tag_optional=True)
+
+
+@dataclass(frozen=True)
+class _StudyObjective:
+    """A study's ``objective``: a :class:`ConfigObjective` minus its base."""
+
+    metric: str = "mean_power_watts"
+    mode: str = "min"
 
 
 class OptimizationRunner:
@@ -414,10 +421,7 @@ class OptimizationRunner:
         }
 
     def save_checkpoint(self, path: "str | Path") -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.checkpoint(), indent=2, sort_keys=True))
-        return target
+        return wire.save_json(path, self.checkpoint())
 
     @classmethod
     def from_checkpoint(
@@ -441,37 +445,23 @@ class OptimizationRunner:
         and ignored.
         """
         ignore_plan_cache(plan_cache)
-        if isinstance(source, Mapping):
-            payload: "Mapping[str, Any]" = source
-        else:
-            path = Path(source)
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise OptimizationError(f"cannot read checkpoint {path}: {exc}") from exc
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise OptimizationError(
-                f"not an optimization checkpoint (format {payload.get('format')!r}, "
-                f"expected {CHECKPOINT_FORMAT!r})"
+        if not isinstance(source, Mapping):
+            source = wire.load_json(source, "checkpoint", OptimizationError)
+        state = wire.decode(_Checkpoint, source, "checkpoint", OptimizationError)
+        engine = engine_from_state(state.engine_state)
+        resolved: "ConfigObjective | Callable[[Point], float] | None" = objective
+        if state.objective.get("kind") != "callable":
+            resolved = wire.decode(
+                ConfigObjective, state.objective, "checkpoint.objective", OptimizationError
             )
-        engine = engine_from_state(payload["engine_state"])
-        spec = dict(payload.get("objective", {}))
-        kind = spec.get("kind")
-        if kind == "config":
-            resolved: "ConfigObjective | Callable[[Point], float]" = ConfigObjective.from_dict(spec)
-        elif kind == "callable":
-            if objective is None:
-                raise OptimizationError(
-                    "this checkpoint used a callable objective; pass objective= to resume"
-                )
-            resolved = objective
-        else:
-            raise OptimizationError(f"unknown objective kind {kind!r} in checkpoint")
-        constraint_spec = payload.get("constraint")
+        elif objective is None:
+            raise OptimizationError(
+                "this checkpoint used a callable objective; pass objective= to resume"
+            )
         runner = cls(
             engine,
             resolved,
-            constraint=None if constraint_spec is None else Constraint.from_dict(constraint_spec),
+            constraint=state.constraint,
             workers=workers,
             backend=backend,
             cache=cache,
@@ -479,11 +469,11 @@ class OptimizationRunner:
             keep_results=keep_results,
             checkpoint_path=checkpoint_path,
         )
-        runner.history = [IterationRecord.from_dict(r) for r in payload.get("iterations", [])]
-        runner._evaluations = int(payload.get("evaluations", 0))
-        runner._engine_runs = int(payload.get("engine_runs", 0))
-        runner._cache_hits = int(payload.get("cache_hits", 0))
-        runner._duration_s = float(payload.get("duration_s", 0.0))
+        runner.history = state.iterations
+        runner._evaluations = state.evaluations
+        runner._engine_runs = state.engine_runs
+        runner._cache_hits = state.cache_hits
+        runner._duration_s = state.duration_s
         return runner
 
 
@@ -502,18 +492,6 @@ def _env_int(name: str, fallback: int) -> int:
         raise OptimizationError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-_STUDY_FIELDS = {
-    "format",
-    "description",
-    "engine",
-    "engine_params",
-    "space",
-    "base_config",
-    "objective",
-    "constraint",
-}
-
-
 def load_study(source: "str | Path | Mapping[str, Any]") -> "dict[str, Any]":
     """Read and validate a study document (path or already-parsed mapping).
 
@@ -529,31 +507,13 @@ def load_study(source: "str | Path | Mapping[str, Any]") -> "dict[str, Any]":
           "constraint": {"metric": "mean_iteration_time_s", "upper": 0.01}
         }
 
-    Unknown top-level fields are rejected — a misspelled knob must not
-    silently optimize something else.
+    The top-level fields decode through :mod:`repro.wire`, so an unknown
+    one is rejected — a misspelled knob must not silently optimize
+    something else.  :func:`build_runner` decodes the nested ones.
     """
-    if isinstance(source, Mapping):
-        payload: "dict[str, Any]" = dict(source)
-    else:
-        path = Path(source)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise OptimizationError(f"cannot read study {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise OptimizationError(f"study {path} is not a JSON object")
-    declared = payload.get("format", STUDY_FORMAT)
-    if declared != STUDY_FORMAT:
-        raise OptimizationError(
-            f"unsupported study format {declared!r} (expected {STUDY_FORMAT!r})"
-        )
-    unknown = sorted(set(payload) - _STUDY_FIELDS)
-    if unknown:
-        raise OptimizationError(f"unknown study field(s): {', '.join(unknown)}")
-    for required in ("engine", "space", "base_config"):
-        if required not in payload:
-            raise OptimizationError(f"study is missing required field {required!r}")
-    return payload
+    if not isinstance(source, Mapping):
+        source = wire.load_json(source, "study", OptimizationError)
+    return wire.read(_Study, source, "study", OptimizationError)
 
 
 def build_runner(
@@ -576,8 +536,9 @@ def build_runner(
     """
     ignore_plan_cache(plan_cache)
     payload = load_study(study)
-    space = ParameterSpace.from_dict(payload["space"])
-    engine_cls = get_engine(str(payload["engine"]))
+    error = OptimizationError
+    space = ParameterSpace(wire.decode(list[Dimension], payload["space"], "study.space", error))
+    engine_cls = get_engine(payload["engine"])
     engine_params = dict(payload.get("engine_params", {}))
     signature = inspect.signature(engine_cls.__init__)
     if "seed" in signature.parameters and "seed" not in engine_params:
@@ -588,17 +549,16 @@ def build_runner(
         raise OptimizationError(
             f"invalid engine_params for {payload['engine']!r}: {exc}"
         ) from exc
-    objective_spec = dict(payload.get("objective", {}))
     objective = ConfigObjective(
-        base=ExperimentConfig.from_dict(payload["base_config"]),
-        metric=str(objective_spec.get("metric", "mean_power_watts")),
-        mode=str(objective_spec.get("mode", "min")),
+        base=wire.decode(ExperimentConfig, payload["base_config"], "study.base_config", error),
+        **wire.read(_StudyObjective, payload.get("objective", {}), "study.objective", error),
     )
-    constraint_spec = payload.get("constraint")
     return OptimizationRunner(
         engine,
         objective,
-        constraint=None if constraint_spec is None else Constraint.from_dict(constraint_spec),
+        constraint=wire.decode(
+            Constraint | None, payload.get("constraint"), "study.constraint", error
+        ),
         workers=workers,
         backend=backend,
         cache=cache,

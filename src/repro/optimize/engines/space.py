@@ -19,9 +19,10 @@ self-contained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro import wire
 from repro.errors import OptimizationError
 from repro.experiments.config import ExperimentConfig
 from repro.optimize.engines.base import Point
@@ -55,6 +56,8 @@ class Dimension:
     def __post_init__(self) -> None:
         if not self.name:
             raise OptimizationError("dimension name must be non-empty")
+        for bound in ("low", "high"):
+            wire.require_real(getattr(self, bound), bound, OptimizationError)
         if not self.low < self.high:
             raise OptimizationError(
                 f"dimension {self.name!r} needs low < high, got [{self.low}, {self.high}]"
@@ -85,29 +88,9 @@ class Dimension:
         return self.high - self.low
 
     def as_dict(self) -> "dict[str, Any]":
-        return {
-            "name": self.name,
-            "low": self.low,
-            "high": self.high,
-            "target": self.target,
-            "integer": self.integer,
-        }
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, Any]") -> "Dimension":
-        unknown = sorted(set(data) - {"name", "low", "high", "target", "integer"})
-        if unknown:
-            raise OptimizationError(f"unknown dimension field(s): {', '.join(unknown)}")
-        try:
-            return cls(
-                name=str(data["name"]),
-                low=float(data["low"]),
-                high=float(data["high"]),
-                target=str(data.get("target", "")),
-                integer=bool(data.get("integer", False)),
-            )
-        except KeyError as exc:
-            raise OptimizationError(f"dimension is missing field {exc}") from None
+    from_dict = wire.from_dict("dimension", OptimizationError)
 
 
 class ParameterSpace:
@@ -192,6 +175,4 @@ class ParameterSpace:
 
     @classmethod
     def from_dict(cls, data: "Sequence[Mapping[str, Any]]") -> "ParameterSpace":
-        if isinstance(data, Mapping):
-            raise OptimizationError("a parameter space is a list of dimensions")
-        return cls([Dimension.from_dict(entry) for entry in data])
+        return cls(wire.decode(list[Dimension], data, "space", OptimizationError))

@@ -158,13 +158,10 @@ class EstimationServer:
 
     async def _estimate(self, request: HttpRequest) -> "tuple[int, Any]":
         document = request.json()
-        if not isinstance(document, dict):
-            raise HttpError(400, "config document must be a JSON object")
-        config_fields = document.get("config", document)
-        if not isinstance(config_fields, dict):
-            raise HttpError(400, '"config" must be a JSON object')
+        if isinstance(document, dict) and "config" in document:
+            document = document["config"]
         try:
-            config = ExperimentConfig.from_dict(config_fields)
+            config = ExperimentConfig.from_dict(document)
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
         try:

@@ -19,6 +19,8 @@ side effect.  One module per rule:
                           use the bound exception, or log — never swallow
 ``engine-registry``       every registered optimization engine is imported
                           by the engines package, exported, and documented
+``wire-decoder``          every ``from_dict`` decodes through ``repro.wire``
+                          and coerces no field by hand
 ========================  ====================================================
 """
 
@@ -30,6 +32,7 @@ from repro.staticcheck.passes import (  # noqa: F401  (imported for registration
     locks,
     purity,
     swallow,
+    wire,
 )
 
-__all__ = ["purity", "blocking", "locks", "envvars", "exports", "swallow", "engines"]
+__all__ = ["purity", "blocking", "locks", "envvars", "exports", "swallow", "engines", "wire"]

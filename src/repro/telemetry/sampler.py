@@ -8,11 +8,12 @@ sensor noise, and the configured sampling period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
+from repro import wire
 from repro.errors import TelemetryError
 from repro.telemetry.trace import PowerTrace
 from repro.util.rng import derive_rng
@@ -61,10 +62,14 @@ class TelemetryConfig:
     drift_period_s: float = 7.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            wire.require_real(getattr(self, field.name), field.name, TelemetryError)
         if self.sample_period_s <= 0:
             raise TelemetryError("sample period must be positive")
         if self.warmup_time_constant_s <= 0:
             raise TelemetryError("warmup time constant must be positive")
+        if self.drift_period_s <= 0:  # it divides the sample times
+            raise TelemetryError("drift period must be positive")
         if self.noise_std_watts < 0 or self.drift_watts < 0:
             raise TelemetryError("noise and drift amplitudes must be non-negative")
 

@@ -137,6 +137,8 @@ class TestBatchEquivalence:
             estimate_activity_batch(operands, seeds=[1])
         with pytest.raises(ActivityError):
             estimate_activity_batch(operands, chunk=0)
+        with pytest.raises(ActivityError, match="1 seeds for a batch of 2"):
+            estimate_activity_batch(build_streams_stacked(operands), seeds=[0])
 
 
 class TestChunkLifetime:

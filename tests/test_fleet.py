@@ -15,6 +15,7 @@ from repro.errors import FleetError
 from repro.fleet import (
     CapEvent,
     DiscreteTimeScheduler,
+    FleetGPU,
     FleetSpec,
     KernelEstimate,
     Trace,
@@ -217,6 +218,20 @@ class TestFleetSpec:
             cap_events=[CapEvent(tick=3, cap_watts=120.0)],
         )
         assert FleetSpec.from_dict(fleet.as_dict()).as_dict() == fleet.as_dict()
+
+    @pytest.mark.parametrize("cap_watts", [float("nan"), float("inf")])
+    def test_non_finite_gpu_cap_rejected(self, cap_watts):
+        with pytest.raises(FleetError, match="cap_watts must be a finite number"):
+            FleetGPU(model="a100", cap_watts=cap_watts)
+
+    def test_non_finite_cap_event_rejected(self):
+        with pytest.raises(FleetError, match="cap_watts must be a finite number"):
+            CapEvent(tick=0, cap_watts=float("nan"))
+
+    def test_fractional_cap_event_gpu_rejected(self):
+        # int() would have truncated 0.7 to GPU 0.
+        with pytest.raises(FleetError, match=r"gpus\[0\] must be an integer, got 0.7"):
+            CapEvent(tick=0, cap_watts=100.0, gpus=(0.7,))
 
     def test_cap_event_bad_gpu_index_rejected(self):
         with pytest.raises(FleetError):

@@ -433,6 +433,16 @@ class TestRunner:
         with pytest.raises(OptimizationError, match="unknown study field"):
             run_study(study, **fresh_caches())
 
+    def test_misspelled_objective_field_rejected(self):
+        study = quiet_study()
+        study["objective"] = {"metirc": "mean_iteration_time_s"}
+        with pytest.raises(OptimizationError, match="unknown study.objective field"):
+            run_study(study, **fresh_caches())
+
+    def test_non_finite_constraint_weight_rejected(self):
+        with pytest.raises(OptimizationError, match="weight must be a finite number"):
+            Constraint(metric="objective", upper=1.0, weight=float("nan"))
+
     def test_result_json_round_trip(self, tmp_path):
         result = run_study(quiet_study(), **fresh_caches())
         path = result.save_json(tmp_path / "result.json")

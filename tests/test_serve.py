@@ -769,13 +769,22 @@ class TestEstimationServer:
         assert service.stats.requests == 0
         assert service.stats.batches == 0
 
-    def test_non_integer_seeds_rejected_before_admission(self):
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"seeds": 2.5}, "seeds must be an integer"),
+            ({"telemetry": 5}, "telemetry must be an object"),
+            ({"sampling": 5}, "sampling must be an object"),
+            ({"transpose_b": "no"}, "transpose_b must be true or false"),
+            ({"include_process_variation": "false"}, "include_process_variation must be true"),
+        ],
+    )
+    def test_non_integer_seeds_rejected_before_admission(self, body, message):
         service = nocache_service(CountingCompute())
-        body = {"seeds": 2.5}
 
         async def scenario(base, server):
             status, payload = await _client(_http_post, base, "/estimate", body)
-            assert status == 400 and "seeds must be an integer" in payload["error"]
+            assert status == 400 and message in payload["error"]
 
         run_with_server(scenario, service)
         assert service.stats.requests == 0

@@ -601,6 +601,93 @@ class TestEnginesPass:
         assert _run_rule(tmp_path, "engine-registry") == []
 
 
+class TestWirePass:
+    def test_declared_decoders_are_clean(self, tmp_path):
+        _write(
+            tmp_path,
+            "src/repro/mod.py",
+            """\
+            from repro import wire
+            from repro.wire import decode
+
+
+            class Job:
+                @classmethod
+                def from_dict(cls, payload):
+                    return wire.decode(cls, payload, "job", ValueError)
+
+
+            class Spec:
+                @classmethod
+                def from_dict(cls, payload):
+                    return decode(cls, payload, "spec", ValueError)
+
+                def as_dict(self):
+                    return {"n": int(self.n)}  # not a decoder
+
+
+            class Event:
+                from_dict = wire.from_dict("event", ValueError)
+            """,
+        )
+        assert _run_rule(tmp_path, "wire-decoder") == []
+
+    def test_declaration_not_from_wire_flagged(self, tmp_path):
+        _write(
+            tmp_path,
+            "src/repro/mod.py",
+            """\
+            import json
+
+
+            class Event:
+                from_dict = classmethod(lambda cls, payload: cls(**payload))
+            """,
+        )
+        findings = _run_rule(tmp_path, "wire-decoder")
+        assert [(f.line, f.detail) for f in findings] == [
+            (5, "repro.mod.Event.from_dict:no-wire")
+        ]
+
+    def test_hand_written_decoder_flagged(self, tmp_path):
+        _write(
+            tmp_path,
+            "src/repro/mod.py",
+            """\
+            class Job:
+                @classmethod
+                def from_dict(cls, payload):
+                    return cls(kernels=int(payload["kernels"]))
+            """,
+        )
+        findings = _run_rule(tmp_path, "wire-decoder")
+        assert [(f.rule, f.line, f.detail) for f in findings] == [
+            ("wire-decoder", 3, "repro.mod.Job.from_dict:no-wire"),
+            ("wire-decoder", 4, "repro.mod.Job.from_dict:int"),
+        ]
+
+    def test_coercion_beside_wire_call_flagged(self, tmp_path):
+        _write(
+            tmp_path,
+            "src/repro/mod.py",
+            """\
+            from repro import wire
+
+
+            class Job:
+                @classmethod
+                def from_dict(cls, payload):
+                    data = wire.read(cls, payload, "job", ValueError)
+                    data["flag"] = bool(payload.get("flag"))
+                    return cls(**data)
+            """,
+        )
+        findings = _run_rule(tmp_path, "wire-decoder")
+        assert [(f.line, f.detail) for f in findings] == [
+            (8, "repro.mod.Job.from_dict:bool")
+        ]
+
+
 class TestSwallowPass:
     def test_silent_broad_handlers_flagged(self, tmp_path):
         _write(
@@ -819,6 +906,7 @@ class TestCleanRepo:
             "fingerprint-purity",
             "lock-discipline",
             "no-silent-swallow",
+            "wire-decoder",
         ]
         assert report.modules > 100  # the loader actually saw the repo
 

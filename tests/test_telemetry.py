@@ -122,6 +122,14 @@ class TestSimulatedTrace:
             TelemetryConfig(sample_period_s=0.0)
         with pytest.raises(TelemetryError):
             TelemetryConfig(noise_std_watts=-1.0)
+        with pytest.raises(TelemetryError, match="drift period"):
+            TelemetryConfig(drift_period_s=0.0)
+
+    @pytest.mark.parametrize("knob", ["sample_period_s", "noise_std_watts", "drift_period_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_non_finite_knob_rejected(self, knob, value):
+        with pytest.raises(TelemetryError, match=f"{knob} must be a finite number"):
+            TelemetryConfig(**{knob: value})
 
 
 class TestSimulatedNVML:
