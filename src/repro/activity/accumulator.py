@@ -20,10 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.activity.sampler import SamplingConfig
-from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, encode_for_accumulator
+from repro.activity.toggles import (
+    RANDOM_TOGGLE_FRACTION,
+    encode_for_accumulator,
+    one_invocation,
+)
 from repro.errors import ActivityError
-from repro.kernels.schedule import OperandStreams, StackedOperandStreams
-from repro.util.bits import popcount, toggle_fraction_along_axis, toggle_fraction_per_slice
+from repro.kernels.schedule import OperandStreams
+from repro.util.bits import popcount, toggle_fraction_per_slice
 from repro.util.rng import derive_rng
 
 __all__ = [
@@ -47,56 +51,24 @@ class DatapathActivity:
 def estimate_datapath_activity(
     streams: OperandStreams, config: SamplingConfig | None = None, seed: int = 0
 ) -> DatapathActivity:
-    """Estimate product and accumulator switching activity on sampled outputs."""
-    if config is None:
-        config = SamplingConfig()
-    rng = derive_rng(config.seed, "datapath", seed)
-    rows, cols = streams.sample_output_positions(rng, config.output_samples)
-    k = config.effective_k(streams.k)
-
-    # Gather the operand words of each sampled output: (S, K).
-    a_rows = streams.a_words[rows, :k]
-    b_cols = streams.b_words[:k, cols].T
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = streams.dtype.decode(a_rows) * streams.dtype.decode(b_cols)
-        partial_sums = np.cumsum(products, axis=1)
-
-    product_words = encode_for_accumulator(products, streams.dtype)
-    sum_words = encode_for_accumulator(partial_sums, streams.dtype)
-
-    product_toggle = toggle_fraction_along_axis(product_words, axis=1)
-    accumulator_toggle = toggle_fraction_along_axis(sum_words, axis=1)
-
-    # Bit alignment between the operand pairs actually multiplied together
-    # (Figure 8's alignment metric), measured on the same sample.
-    mean_distance = float(popcount(np.bitwise_xor(a_rows, b_cols)).mean())
-    bit_alignment = 1.0 - mean_distance / streams.dtype.bits
-
-    activity = 0.5 * (product_toggle + accumulator_toggle) / RANDOM_TOGGLE_FRACTION
-    return DatapathActivity(
-        product_toggle=product_toggle,
-        accumulator_toggle=accumulator_toggle,
-        bit_alignment=bit_alignment,
-        output_samples=int(rows.size),
-        activity=activity,
-    )
+    """Estimate product and accumulator switching activity on sampled
+    outputs of one GEMM (a stack of one)."""
+    return estimate_datapath_activity_batch(one_invocation(streams), config, seeds=[seed])[0]
 
 
 def estimate_datapath_activity_batch(
-    streams: StackedOperandStreams,
+    streams: OperandStreams,
     config: SamplingConfig | None = None,
     seeds: "list[int] | range | None" = None,
 ) -> list[DatapathActivity]:
-    """Stacked fast path: datapath activity for a whole batch.
+    """Estimate product and accumulator switching activity on sampled
+    outputs, one entry per invocation.
 
-    Output positions are sampled per invocation with the same derived RNGs
-    as the scalar path; decoding the gathered operand words, the
-    product/partial-sum streams, accumulator encoding and toggle counting
-    then run in single vectorized passes over the ``(S, samples, K)``
-    stack.  Each entry matches
-    :func:`estimate_datapath_activity` with the corresponding seed bit for
-    bit.
+    Output positions are sampled per invocation, from an RNG derived from
+    the sampling seed and that invocation's seed (``range(batch)`` by
+    default).  Decoding the gathered operand words, the product/partial-sum
+    streams, accumulator encoding and toggle counting then run in single
+    vectorized passes over the ``(S, samples, K)`` stack.
     """
     if config is None:
         config = SamplingConfig()
@@ -114,10 +86,10 @@ def estimate_datapath_activity_batch(
     sample_counts = []
     for index, seed in enumerate(seed_list):
         rng = derive_rng(config.seed, "datapath", seed)
-        view = streams.slice(index)
-        rows, cols = view.sample_output_positions(rng, config.output_samples)
-        a_rows_parts.append(view.a_words[rows, :k])
-        b_cols_parts.append(view.b_words[:k, cols].T)
+        rows, cols = streams.sample_output_positions(rng, config.output_samples)
+        # Gather the operand words of each sampled output: (samples, k).
+        a_rows_parts.append(streams.a_words[index][rows, :k])
+        b_cols_parts.append(streams.b_words[index][:k, cols].T)
         sample_counts.append(int(rows.size))
 
     a_rows = np.stack(a_rows_parts)  # (S, samples, k) words
@@ -133,6 +105,8 @@ def estimate_datapath_activity_batch(
     product_toggles = toggle_fraction_per_slice(product_words, axis=2)
     accumulator_toggles = toggle_fraction_per_slice(sum_words, axis=2)
 
+    # Bit alignment between the operand pairs actually multiplied together
+    # (Figure 8's alignment metric), measured on the same sample.
     pair_distances = popcount(np.bitwise_xor(a_rows, b_cols))
 
     out = []

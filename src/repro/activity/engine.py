@@ -1,12 +1,13 @@
 """Top-level switching-activity engine.
 
-``estimate_activity`` combines the per-component estimators into a single
-:class:`~repro.activity.report.ActivityReport` for one GEMM invocation;
-``estimate_activity_batch`` does the same for a whole batch of same-shape
-invocations (e.g. the seeds of one sweep task) with a single
-stream build and stacked 3-D fast paths through every component estimator.
+``estimate_activity_batch`` combines the per-component estimators into one
+:class:`~repro.activity.report.ActivityReport` per invocation of a batch of
+same-shape GEMM invocations (e.g. the seeds of one sweep task): each
+operand is encoded once, a chunk of invocations is stacked along the seed
+axis, and every component estimator makes one pass over the stack.
+``estimate_activity`` is the same path for a batch of one.
 
-Both entry points are cache-aware: given an
+The engine is cache-aware: given an
 :class:`~repro.cache.store.ActivityCache` and per-invocation fingerprints
 (:func:`~repro.cache.fingerprint.activity_fingerprint`), previously
 estimated invocations are served from the cache and — when operands are
@@ -22,36 +23,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.activity.accumulator import (
-    DatapathActivity,
-    estimate_datapath_activity,
-    estimate_datapath_activity_batch,
-)
-from repro.activity.memory_traffic import (
-    MemoryActivity,
-    estimate_memory_activity,
-    estimate_memory_activity_batch,
-)
-from repro.activity.multiplier import (
-    MultiplierActivity,
-    estimate_multiplier_activity,
-    estimate_multiplier_activity_batch,
-)
-from repro.activity.operand_bus import (
-    OperandActivity,
-    estimate_operand_activity,
-    estimate_operand_activity_batch,
-)
+from repro.activity.accumulator import DatapathActivity, estimate_datapath_activity_batch
+from repro.activity.memory_traffic import MemoryActivity, estimate_memory_activity_batch
+from repro.activity.multiplier import MultiplierActivity, estimate_multiplier_activity_batch
+from repro.activity.operand_bus import OperandActivity, estimate_operand_activity_batch
 from repro.activity.report import ActivityReport
 from repro.activity.sampler import SamplingConfig
 from repro.errors import ActivityError
 from repro.kernels.gemm import GemmOperands, GemmProblem
-from repro.kernels.schedule import (
-    OperandStreams,
-    StackedOperandStreams,
-    build_streams,
-    build_streams_stacked,
-)
+from repro.kernels.schedule import OperandStreams, build_streams_stacked
 from repro.parallel.calibrate import chunk_budget_bytes
 
 __all__ = [
@@ -99,33 +79,19 @@ def estimate_activity(
     ----------
     operands:
         Either concrete :class:`~repro.kernels.gemm.GemmOperands` or
-        pre-built :class:`~repro.kernels.schedule.OperandStreams`.
+        pre-built :class:`~repro.kernels.schedule.OperandStreams` of one
+        invocation.
     sampling:
         Sampling configuration for the product/accumulator estimator.
     seed:
         Extra seed mixed into the sampling RNG so repeated invocations with
         different seeds sample different output positions.
     """
-    if isinstance(operands, GemmOperands):
-        streams = build_streams(operands)
-    elif isinstance(operands, OperandStreams):
-        streams = operands
-    else:
-        raise ActivityError(
-            f"estimate_activity expects GemmOperands or OperandStreams, got {type(operands).__name__}"
-        )
-    sampling = sampling or SamplingConfig()
-    return _report(
-        streams,
-        estimate_operand_activity(streams),
-        estimate_multiplier_activity(streams),
-        estimate_datapath_activity(streams, sampling, seed=seed),
-        estimate_memory_activity(streams),
-    )
+    return estimate_activity_batch([operands], sampling=sampling, seeds=[seed])[0]
 
 
 def _report(
-    streams: "OperandStreams | StackedOperandStreams",
+    streams: OperandStreams,
     operand: OperandActivity,
     multiplier: MultiplierActivity,
     datapath: DatapathActivity,
@@ -154,14 +120,17 @@ def _report(
 
 
 def _materialize(item: "object") -> "GemmOperands | OperandStreams":
-    """Invoke a factory item if needed and type-check the result."""
+    """Invoke a factory item if needed and check it is one invocation."""
     if callable(item) and not isinstance(item, (GemmOperands, OperandStreams)):
         item = item()
     if not isinstance(item, (GemmOperands, OperandStreams)):
         raise ActivityError(
             "estimate_activity_batch expects GemmOperands, OperandStreams, "
-            "factories returning them, or StackedOperandStreams; got "
-            f"{type(item).__name__}"
+            f"or factories returning them; got {type(item).__name__}"
+        )
+    if isinstance(item, OperandStreams) and item.batch != 1:
+        raise ActivityError(
+            f"each batch item must be one invocation, got a stack of {item.batch}"
         )
     return item
 
@@ -173,7 +142,7 @@ def _per_invocation_values(item: "GemmOperands | OperandStreams") -> int:
 
 
 def estimate_activity_batch(
-    operands: "Sequence[OperandSource] | StackedOperandStreams",
+    operands: "Sequence[OperandSource] | OperandStreams",
     sampling: SamplingConfig | None = None,
     seeds: "Sequence[int] | range | None" = None,
     chunk: int | None = None,
@@ -182,21 +151,22 @@ def estimate_activity_batch(
 ) -> list[ActivityReport]:
     """Estimate switching activity for a batch of same-shape GEMM invocations.
 
-    This is the vectorized counterpart of calling :func:`estimate_activity`
-    once per invocation: each operand is encoded once, the words of a chunk
-    are stacked and every component estimator runs its stacked fast path.
-    The returned reports are bit-for-bit identical to the sequential ones.
+    Each operand is encoded once, the words of a chunk are stacked along
+    the seed axis and every component estimator makes one pass over the
+    stack.  A report depends only on its own invocation and seed, never on
+    the chunking, so the reports are the same at any ``chunk``.
 
     Parameters
     ----------
     operands:
-        A sequence of :class:`~repro.kernels.gemm.GemmOperands` (or
-        pre-built :class:`~repro.kernels.schedule.OperandStreams`) sharing
-        shape, dtype and transposition, zero-argument factories returning
-        them, or an already-stacked
-        :class:`~repro.kernels.schedule.StackedOperandStreams`.  Factory
-        items are invoked only for invocations the cache cannot serve, so a
-        fully warm batch skips operand generation entirely.
+        A sequence of one-invocation items sharing shape, dtype and
+        transposition — :class:`~repro.kernels.gemm.GemmOperands`,
+        pre-built :class:`~repro.kernels.schedule.OperandStreams` stacks of
+        one, or zero-argument factories returning either — or one
+        :class:`~repro.kernels.schedule.OperandStreams` stack, whose slices
+        are the items.  Factory items are invoked only for invocations the
+        cache cannot serve, so a fully warm batch skips operand generation
+        entirely.
     sampling:
         Sampling configuration for the product/accumulator estimator.
     seeds:
@@ -218,22 +188,15 @@ def estimate_activity_batch(
     """
     from repro.cache.store import resolve_activity_cache
 
-    if isinstance(operands, StackedOperandStreams):
-        if cache is not None:
-            raise ActivityError(
-                "pre-stacked streams cannot be combined with an activity cache; "
-                "pass the per-invocation operands instead"
-            )
-        seed_list = _seed_list(seeds, operands.batch)
-        return _estimate_stacked(operands, sampling or SamplingConfig(), seed_list)
-
+    if chunk is not None and chunk < 1:
+        raise ActivityError(f"chunk must be >= 1, got {chunk}")
+    if isinstance(operands, OperandStreams):
+        operands = [operands.slice(index) for index in range(operands.batch)]
     items: list[object] = list(operands)
     if not items:
         return []
     sampling = sampling or SamplingConfig()
     seed_list = _seed_list(seeds, len(items))
-    if chunk is not None and chunk < 1:
-        raise ActivityError(f"chunk must be >= 1, got {chunk}")
 
     resolved = resolve_activity_cache(cache) if cache is not None else None
     reports: list[ActivityReport | None] = [None] * len(items)
@@ -313,18 +276,17 @@ class ActivityEngine:
         key: str | None = None,
     ) -> ActivityReport:
         """Estimate one invocation, consulting the cache when ``key`` is given."""
-        if self.cache is not None and key is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit
-        report = estimate_activity(_materialize(operands), sampling=self.sampling, seed=seed)
-        if self.cache is not None and key is not None:
-            self.cache.put(key, report)
-        return report
+        return estimate_activity_batch(
+            [operands],
+            sampling=self.sampling,
+            seeds=[seed],
+            cache=self.cache if key is not None else None,
+            keys=[key],
+        )[0]
 
     def estimate_batch(
         self,
-        operands: "Sequence[OperandSource] | StackedOperandStreams",
+        operands: "Sequence[OperandSource] | OperandStreams",
         seeds: "Sequence[int] | range | None" = None,
         keys: "Sequence[str] | None" = None,
         chunk: int | None = None,
@@ -351,13 +313,11 @@ def _seed_list(seeds: "Sequence[int] | range | None", batch: int) -> "list[int]"
 
 
 def _estimate_stacked(
-    stacked: StackedOperandStreams,
+    stacked: OperandStreams,
     sampling: SamplingConfig,
     seeds: "Sequence[int] | range | None",
 ) -> list[ActivityReport]:
-    """Run every component estimator's stacked fast path over one chunk."""
-    if stacked.batch == 0:
-        return []
+    """Run every component estimator over one chunk's stack."""
     return [
         _report(stacked, *components)
         for components in zip(
@@ -384,4 +344,4 @@ def activity_from_matrices(
     m = b_stored.shape[0] if transpose_b else b_stored.shape[1]
     problem = GemmProblem(n=n, m=m, k=k, dtype=dtype, transpose_b=transpose_b)
     operands = GemmOperands(problem=problem, a=a, b_stored=b_stored)
-    return estimate_activity(operands, sampling=sampling, seed=seed)
+    return estimate_activity_batch([operands], sampling=sampling, seeds=[seed])[0]

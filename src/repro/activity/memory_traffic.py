@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.activity.toggles import RANDOM_TOGGLE_FRACTION
-from repro.kernels.schedule import OperandStreams, StackedOperandStreams
-from repro.util.bits import toggle_fraction_along_axis, toggle_fraction_per_slice
+from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, one_invocation
+from repro.kernels.schedule import OperandStreams
+from repro.util.bits import toggle_fraction_per_slice
 
 __all__ = ["MemoryActivity", "estimate_memory_activity", "estimate_memory_activity_batch"]
 
@@ -29,24 +29,18 @@ class MemoryActivity:
 
 
 def estimate_memory_activity(streams: OperandStreams) -> MemoryActivity:
-    """Estimate memory-bus switching activity from storage-order adjacency."""
-    # A is stored row-major: consecutive words on the bus are row neighbours.
-    toggle_a = toggle_fraction_along_axis(streams.a_words, axis=1)
-    # B uses its *stored* layout (before any logical transpose).
-    toggle_b = toggle_fraction_along_axis(streams.b_stored_words, axis=1)
-    toggle = 0.5 * (toggle_a + toggle_b)
-    activity = toggle / RANDOM_TOGGLE_FRACTION
-    return MemoryActivity(
-        toggle_a=toggle_a, toggle_b=toggle_b, toggle=toggle, activity=activity
-    )
+    """Estimate memory-bus switching activity for one GEMM (a stack of one)."""
+    return estimate_memory_activity_batch(one_invocation(streams))[0]
 
 
-def estimate_memory_activity_batch(streams: StackedOperandStreams) -> list[MemoryActivity]:
-    """Stacked fast path: storage-order bus toggles for a whole batch.
+def estimate_memory_activity_batch(streams: OperandStreams) -> list[MemoryActivity]:
+    """Estimate memory-bus switching activity from storage-order adjacency,
+    one entry per invocation.
 
-    Toggle counts are integer sums computed in one pass over the 3-D word
-    stacks, so each entry matches :func:`estimate_memory_activity` on the
-    corresponding slice bit for bit.
+    A is stored row-major, so consecutive words on the bus are row
+    neighbours; B uses its *stored* layout (before any logical transpose).
+    Toggle counts are integer sums computed in one pass over the word
+    stacks.
     """
     toggles_a = toggle_fraction_per_slice(streams.a_words, axis=2)
     toggles_b = toggle_fraction_per_slice(streams.b_stored_words, axis=2)

@@ -20,9 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.activity.toggles import RANDOM_HAMMING_FRACTION
+from repro.activity.toggles import (
+    RANDOM_HAMMING_FRACTION,
+    ZERO_GATED_RESIDUAL,
+    one_invocation,
+)
 from repro.dtypes.base import DTypeSpec
-from repro.kernels.schedule import OperandStreams, StackedOperandStreams
+from repro.kernels.schedule import OperandStreams
 from repro.util.bits import popcount
 
 __all__ = [
@@ -30,9 +34,6 @@ __all__ = [
     "estimate_multiplier_activity",
     "estimate_multiplier_activity_batch",
 ]
-
-#: Residual activity of a zero-gated multiply (clocking and control overhead).
-ZERO_GATED_RESIDUAL = 0.04
 
 
 @dataclass(frozen=True)
@@ -47,26 +48,18 @@ class MultiplierActivity:
 
 
 def estimate_multiplier_activity(streams: OperandStreams) -> MultiplierActivity:
-    """Estimate multiplier-array switching activity for one GEMM (exact)."""
-    return _from_counts(
-        pc_a=popcount(streams.a_words),
-        pc_b=popcount(streams.b_words),
-        zero_a=_zero_words(streams.a_words, streams.dtype),
-        zero_b=_zero_words(streams.b_words, streams.dtype),
-        width=streams.dtype.bits,
-    )
+    """Estimate multiplier-array switching activity for one GEMM (a stack of one)."""
+    return estimate_multiplier_activity_batch(one_invocation(streams))[0]
 
 
-def estimate_multiplier_activity_batch(
-    streams: StackedOperandStreams,
-) -> list[MultiplierActivity]:
-    """Stacked fast path: multiplier activity for a whole batch.
+def estimate_multiplier_activity_batch(streams: OperandStreams) -> list[MultiplierActivity]:
+    """Estimate multiplier-array switching activity (exact), one entry per
+    invocation.
 
-    The popcount and zero tests (the expensive part) run once over the 3-D
-    word stacks; the cheap per-slice statistics then reuse the exact scalar
-    reduction code, so each entry matches
-    :func:`estimate_multiplier_activity` on the corresponding slice bit for
-    bit.
+    The popcount and zero tests (the expensive part) run once over the
+    word stacks; the cheap per-slice statistics are integer sums over each
+    slice, so an entry does not depend on what else is stacked with its
+    invocation.
     """
     pc_a = popcount(streams.a_words)  # (S, N, K)
     pc_b = popcount(streams.b_words)  # (S, K, M)
@@ -105,7 +98,7 @@ def _from_counts(
     zero_b: np.ndarray,
     width: int,
 ) -> MultiplierActivity:
-    """Shared reduction core on precomputed per-word popcounts and zero masks.
+    """Reduction core of one invocation on its per-word popcounts and zero masks.
 
     The counts are summed as integers and divided by ``width`` and by the
     element count only at the end.  Each per-word Hamming fraction is a

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.activity.toggles import RANDOM_TOGGLE_FRACTION
-from repro.kernels.schedule import OperandStreams, StackedOperandStreams
-from repro.util.bits import toggle_fraction_along_axis, toggle_fraction_per_slice
+from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, one_invocation
+from repro.kernels.schedule import OperandStreams
+from repro.util.bits import toggle_fraction_per_slice
 
 __all__ = ["OperandActivity", "estimate_operand_activity", "estimate_operand_activity_batch"]
 
@@ -30,22 +30,18 @@ class OperandActivity:
 
 
 def estimate_operand_activity(streams: OperandStreams) -> OperandActivity:
-    """Estimate operand-delivery switching activity for one GEMM."""
-    # A operands stream along the reduction dimension, i.e. along each row.
-    toggle_a = toggle_fraction_along_axis(streams.a_words, axis=1)
-    # B operands (as consumed, shape (K, M)) stream along the reduction
-    # dimension too, i.e. down each column.
-    toggle_b = toggle_fraction_along_axis(streams.b_words, axis=0)
-    activity = 0.5 * (toggle_a + toggle_b) / RANDOM_TOGGLE_FRACTION
-    return OperandActivity(toggle_a=toggle_a, toggle_b=toggle_b, activity=activity)
+    """Estimate operand-delivery switching activity for one GEMM (a stack of one)."""
+    return estimate_operand_activity_batch(one_invocation(streams))[0]
 
 
-def estimate_operand_activity_batch(streams: StackedOperandStreams) -> list[OperandActivity]:
-    """Stacked fast path: one estimate per invocation of the batch.
+def estimate_operand_activity_batch(streams: OperandStreams) -> list[OperandActivity]:
+    """Estimate operand-delivery switching activity, one entry per invocation.
 
-    The bit-level toggle counts are computed in a single pass over the 3-D
-    word stacks; because toggle counts are integer sums, each entry matches
-    :func:`estimate_operand_activity` on the corresponding slice bit for bit.
+    A operands stream along the reduction dimension, i.e. along each row;
+    B operands (as consumed, shape (K, M) per slice) stream along it too,
+    i.e. down each column.  The bit-level toggle counts are integer sums
+    computed in a single pass over the word stacks, so an entry does not
+    depend on what else is stacked with its invocation.
     """
     toggles_a = toggle_fraction_per_slice(streams.a_words, axis=2)
     toggles_b = toggle_fraction_per_slice(streams.b_words, axis=1)

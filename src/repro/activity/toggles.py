@@ -1,11 +1,18 @@
-"""Constants and the accumulator encoding shared by the activity estimators."""
+"""Constants, the accumulator encoding and the stack-of-one check shared by
+the activity estimators."""
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dtypes.base import DTypeSpec
 from repro.dtypes.registry import get_dtype
+from repro.errors import ActivityError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels.schedule import OperandStreams
 
 __all__ = ["encode_for_accumulator"]
 
@@ -15,6 +22,22 @@ RANDOM_TOGGLE_FRACTION = 0.5
 
 #: Expected Hamming-weight fraction of an i.i.d.-random word.
 RANDOM_HAMMING_FRACTION = 0.5
+
+#: Residual activity of a zero-gated multiply (clocking and control overhead).
+ZERO_GATED_RESIDUAL = 0.04
+
+
+def one_invocation(streams: "OperandStreams") -> "OperandStreams":
+    """``streams`` if it stacks exactly one GEMM invocation.
+
+    The single-GEMM estimators run their batch body on a stack of one;
+    anything larger would silently drop every estimate but the first.
+    """
+    if streams.batch != 1:
+        raise ActivityError(
+            f"a single-GEMM estimate needs a stack of one invocation, got {streams.batch}"
+        )
+    return streams
 
 
 def encode_for_accumulator(values: np.ndarray, dtype: DTypeSpec) -> np.ndarray:

@@ -53,11 +53,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro._deprecated import ignore_plan_cache
-from repro.activity.engine import (
-    ActivityEngine,
-    estimate_activity,
-    recommended_chunk,
-)
+from repro.activity.engine import ActivityEngine, recommended_chunk
 from repro.activity.report import ActivityReport
 from repro.cache.fingerprint import activity_fingerprint
 from repro.cache.store import DEFAULT_CACHE
@@ -72,7 +68,7 @@ from repro.experiments.plan import (
 )
 from repro.experiments.results import ExperimentResult, SeedMeasurement
 from repro.kernels.gemm import GemmOperands, GemmProblem
-from repro.kernels.launch import KernelLaunch, plan_launch
+from repro.kernels.launch import KernelLaunch
 from repro.kernels.schedule import OperandStreams
 from repro.patterns.base import Pattern, TransformedPattern
 from repro.power.energy import EnergyEstimate
@@ -328,7 +324,7 @@ class EstimationPipeline:
         self, problem: GemmProblem, seed_index: int, pattern: Pattern | None = None
     ) -> OperandStreams:
         """Draw one seed's A/B operand pair from the workload pattern, as
-        the words the estimators read (each operand encoded once).  The
+        the stack of one the estimators read (each operand encoded once).  The
         plan's pattern draws its bases through :attr:`shared_bases` when
         the pipeline has one."""
         spec = get_dtype(self.config.dtype)
@@ -367,26 +363,9 @@ class EstimationPipeline:
         spec = streams.dtype
         return GemmOperands(
             problem=problem,
-            a=spec.decode(streams.a_words),
-            b_stored=spec.decode(streams.b_stored_words),
+            a=spec.decode(streams.a_words[0]),
+            b_stored=spec.decode(streams.b_stored_words[0]),
         )
-
-    def run_seed_reference(self, seed_index: int) -> SeedMeasurement:
-        """Run a single seed end to end (the unbatched reference path).
-
-        Deliberately bypasses the plan: problem, pattern, launch and
-        monitor are rebuilt from scratch so this path stays an independent
-        reference for the plan-sharing equivalence tests.
-        """
-        config = self.config
-        problem = build_problem(config)
-        operands = self.generate_operands(
-            problem, seed_index, pattern=build_workload_pattern(config)
-        )
-        launch = plan_launch(problem, self.device)
-        activity = estimate_activity(operands, sampling=config.sampling, seed=seed_index)
-        monitor = DcgmMonitor(self.device, config=config.telemetry)
-        return self.measure_seed(seed_index, launch, activity, monitor)
 
     def measure_seed(
         self,

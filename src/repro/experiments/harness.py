@@ -29,9 +29,7 @@ from repro.cache.store import DEFAULT_CACHE, resolve_cache
 from repro.core.pipeline import EstimationPipeline
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.plan import ExperimentPlan
-from repro.experiments.results import ExperimentResult, SeedMeasurement
-from repro.kernels.gemm import GemmOperands, GemmProblem
-from repro.patterns.base import Pattern
+from repro.experiments.results import ExperimentResult
 
 __all__ = ["ExperimentRunner", "run_experiment"]
 
@@ -88,18 +86,6 @@ class ExperimentRunner:
     def run(self) -> ExperimentResult:
         """Run all seeds through the batched core pipeline."""
         return self.pipeline.run()
-
-    # ------------------------------------------------------------- internals
-    # Delegates kept for backward compatibility; the implementations live in
-    # repro.core.pipeline.
-
-    def _generate_operands(
-        self, problem: GemmProblem, seed_index: int, pattern: Pattern | None = None
-    ) -> GemmOperands:
-        return self.pipeline.generate_operands(problem, seed_index, pattern=pattern)
-
-    def _run_seed(self, seed_index: int) -> SeedMeasurement:
-        return self.pipeline.run_seed_reference(seed_index)
 
 
 def run_experiment(

@@ -5,7 +5,8 @@ Routes (all responses JSON; one request per connection):
 ``POST /estimate``
     Body: an experiment configuration —
     :meth:`~repro.experiments.config.ExperimentConfig.from_dict` fields,
-    either bare or wrapped as ``{"config": {...}}``.  Response 200:
+    either bare or wrapped as ``{"config": {...}}`` (a wrapper holds no
+    other key).  Response 200:
     ``{"fingerprint": ..., "result": {...}}`` where ``result`` is the
     :meth:`~repro.experiments.results.ExperimentResult.as_dict` document.
     Response 429 (with a ``Retry-After`` header) when admission control
@@ -159,6 +160,13 @@ class EstimationServer:
     async def _estimate(self, request: HttpRequest) -> "tuple[int, Any]":
         document = request.json()
         if isinstance(document, dict) and "config" in document:
+            extra = sorted(map(str, set(document) - {"config"}))
+            if extra:
+                raise HttpError(
+                    400,
+                    f"unknown key(s) beside the config wrapper: {', '.join(extra)}; "
+                    'put config fields inside "config"',
+                )
             document = document["config"]
         try:
             config = ExperimentConfig.from_dict(document)

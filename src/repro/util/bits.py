@@ -192,8 +192,7 @@ def toggle_fraction_per_slice(words: np.ndarray, axis: int) -> np.ndarray:
     ``float64`` array of ``S`` toggle fractions, where entry ``s`` equals
     ``toggle_fraction_along_axis(words[s], axis - 1)`` bit for bit (toggle
     counts are integer sums, so the reduction order cannot change the
-    result).  This is the stacked fast path used by the batched activity
-    estimators.
+    result).  The activity estimators count every toggle stream with it.
     """
     arr = _require_unsigned(words)
     if arr.ndim < 2:

@@ -7,25 +7,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.activity.accumulator import estimate_datapath_activity
+import oracle
 from repro.activity.engine import activity_from_matrices, estimate_activity
-from repro.activity.memory_traffic import estimate_memory_activity
 from repro.activity.multiplier import (
     estimate_multiplier_activity,
     estimate_multiplier_activity_batch,
 )
-from repro.activity.operand_bus import estimate_operand_activity
 from repro.activity.report import ActivityReport, COMPONENT_NAMES
 from repro.activity.sampler import SamplingConfig
 from repro.errors import ActivityError
 from repro.kernels.gemm import GemmOperands, GemmProblem
 from repro.dtypes import get_dtype, list_dtypes
-from repro.kernels.schedule import (
-    OperandStreams,
-    StackedOperandStreams,
-    build_streams,
-    build_streams_stacked,
-)
+from repro.kernels.schedule import OperandStreams, build_streams, build_streams_stacked
 from repro.util.bits import toggle_fraction_per_slice
 
 
@@ -57,48 +50,46 @@ class TestSamplingConfig:
 
 
 class TestOperandActivity:
-    def test_constant_matrices_have_zero_toggle(self):
-        streams = _streams(np.full((16, 16), 3.0), np.full((16, 16), 5.0))
-        activity = estimate_operand_activity(streams)
+    def test_constant_matrices_have_zero_toggle(self, estimators):
+        streams = estimators.streams(np.full((16, 16), 3.0), np.full((16, 16), 5.0))
+        activity = estimators.operand(streams)
         assert activity.toggle_a == 0.0
         assert activity.toggle_b == 0.0
         assert activity.activity == 0.0
 
-    def test_random_matrices_near_one(self, gaussian_matrices):
-        streams = _streams(*gaussian_matrices)
-        activity = estimate_operand_activity(streams)
+    def test_random_matrices_near_one(self, gaussian_matrices, estimators):
+        activity = estimators.operand(estimators.streams(*gaussian_matrices))
         assert 0.6 < activity.activity <= 1.1
 
-    def test_sorted_lower_than_random(self, gaussian_matrices):
+    def test_sorted_lower_than_random(self, gaussian_matrices, estimators):
         a, b = gaussian_matrices
-        random_activity = estimate_operand_activity(_streams(a, b)).activity
-        sorted_activity = estimate_operand_activity(
-            _streams(np.sort(a.reshape(-1)).reshape(a.shape), np.sort(b.reshape(-1)).reshape(b.shape))
+        random_activity = estimators.operand(estimators.streams(a, b)).activity
+        sorted_activity = estimators.operand(
+            estimators.streams(
+                np.sort(a.reshape(-1)).reshape(a.shape), np.sort(b.reshape(-1)).reshape(b.shape)
+            )
         ).activity
         assert sorted_activity < random_activity
 
 
 class TestMultiplierActivity:
-    def test_zero_matrices(self):
-        streams = _streams(np.zeros((8, 8)), np.zeros((8, 8)))
-        activity = estimate_multiplier_activity(streams)
+    def test_zero_matrices(self, estimators):
+        activity = estimators.multiplier(estimators.streams(np.zeros((8, 8)), np.zeros((8, 8))))
         assert activity.hw_product == 0.0
         assert activity.zero_mac_fraction == pytest.approx(1.0)
         assert activity.activity == pytest.approx(0.04, abs=0.01)
 
-    def test_factorized_mean_matches_bruteforce(self, rng):
+    def test_factorized_mean_matches_bruteforce(self, rng, estimators):
         # The factorized estimator must equal the brute-force mean over all MACs.
-        from repro.dtypes import get_dtype
         from repro.util.bits import popcount
 
         a = rng.normal(0, 210, size=(6, 5))
         b = rng.normal(0, 210, size=(7, 5))  # stored transposed
-        streams = _streams(a, b, dtype="fp16")
-        activity = estimate_multiplier_activity(streams)
+        activity = estimators.multiplier(estimators.streams(a, b, dtype="fp16"))
 
         spec = get_dtype("fp16")
-        hw_a = popcount(streams.a_words) / spec.bits
-        hw_b = popcount(streams.b_words) / spec.bits
+        hw_a = popcount(spec.encode(a)) / spec.bits
+        hw_b = popcount(spec.encode(b).T) / spec.bits
         brute = np.mean(
             [
                 hw_a[i, kk] * hw_b[kk, j]
@@ -109,84 +100,86 @@ class TestMultiplierActivity:
         )
         assert activity.hw_product == pytest.approx(brute, rel=1e-12)
 
-    def test_zero_mac_fraction_exact(self, rng):
+    def test_zero_mac_fraction_exact(self, rng, estimators):
         a = rng.normal(0, 210, size=(4, 8))
         b = rng.normal(0, 210, size=(4, 8))
         a[:, :4] = 0.0  # half of A's reduction slices are zero
-        streams = _streams(a, b, dtype="fp16")
-        activity = estimate_multiplier_activity(streams)
+        activity = estimators.multiplier(estimators.streams(a, b, dtype="fp16"))
         assert activity.zero_mac_fraction == pytest.approx(0.5)
 
     @pytest.mark.parametrize("dtype", ["fp16", "fp16_t", "bf16", "fp32", "fp64"])
-    def test_negative_zero_counts_as_zero(self, rng, dtype):
+    def test_negative_zero_counts_as_zero(self, rng, dtype, estimators):
         # -0.0 keeps its sign bit in the words; it still gates the multiply.
         a = rng.normal(0, 210, size=(4, 8))
         b = rng.normal(0, 210, size=(4, 8))
         a[:, :4] = -0.0
-        streams = _streams(a, b, dtype=dtype)
-        assert np.all(streams.dtype.sign_field(streams.a_words[:, :4]) == 1)
-        scalar = estimate_multiplier_activity(streams)
+        spec = get_dtype(dtype)
+        assert np.all(spec.sign_field(spec.encode(a)[:, :4]) == 1)
+        scalar = estimators.multiplier(estimators.streams(a, b, dtype=dtype))
         assert scalar.zero_mac_fraction == 0.5
+        streams = _streams(a, b, dtype=dtype)
         stacked = build_streams_stacked([streams, streams])
-        assert estimate_multiplier_activity_batch(stacked) == [scalar, scalar]
+        assert [dataclasses.asdict(x) for x in estimate_multiplier_activity_batch(stacked)] == [
+            dataclasses.asdict(scalar)
+        ] * 2
 
-    def test_underflow_to_negative_zero_counts_as_zero(self, rng):
+    def test_underflow_to_negative_zero_counts_as_zero(self, rng, estimators):
         # fp16 rounds -1e-30 to -0.0 (word 0x8000).
         a = rng.normal(0, 210, size=(4, 8))
         a[:, :2] = -1e-30
-        streams = _streams(a, rng.normal(0, 210, size=(4, 8)), dtype="fp16")
-        assert np.all(streams.a_words[:, :2] == 0x8000)
-        assert estimate_multiplier_activity(streams).zero_mac_fraction == 0.25
+        assert np.all(get_dtype("fp16").encode(a)[:, :2] == 0x8000)
+        streams = estimators.streams(a, rng.normal(0, 210, size=(4, 8)), dtype="fp16")
+        assert estimators.multiplier(streams).zero_mac_fraction == 0.25
 
-    def test_hamming_fractions_reported(self, gaussian_matrices):
-        streams = _streams(*gaussian_matrices)
-        activity = estimate_multiplier_activity(streams)
+    def test_hamming_fractions_reported(self, gaussian_matrices, estimators):
+        activity = estimators.multiplier(estimators.streams(*gaussian_matrices))
         assert 0.3 < activity.a_hamming_fraction < 0.7
         assert 0.3 < activity.b_hamming_fraction < 0.7
 
 
 class TestDatapathActivity:
-    def test_constant_inputs_low_product_toggle(self):
-        streams = _streams(np.full((16, 16), 2.0), np.full((16, 16), 3.0))
-        activity = estimate_datapath_activity(streams, SamplingConfig(output_samples=16))
+    def test_constant_inputs_low_product_toggle(self, estimators):
+        streams = estimators.streams(np.full((16, 16), 2.0), np.full((16, 16), 3.0))
+        activity = estimators.datapath(streams, SamplingConfig(output_samples=16))
         assert activity.product_toggle == 0.0
 
-    def test_random_inputs_positive_toggles(self, gaussian_matrices):
-        streams = _streams(*gaussian_matrices)
-        activity = estimate_datapath_activity(streams, SamplingConfig(output_samples=32))
+    def test_random_inputs_positive_toggles(self, gaussian_matrices, estimators):
+        streams = estimators.streams(*gaussian_matrices)
+        activity = estimators.datapath(streams, SamplingConfig(output_samples=32))
         assert activity.product_toggle > 0.2
         assert activity.accumulator_toggle > 0.1
 
-    def test_alignment_of_identical_matrices_is_one(self):
+    def test_alignment_of_identical_matrices_is_one(self, estimators):
         value = np.full((8, 8), 7.0)
-        streams = _streams(value, value)
-        activity = estimate_datapath_activity(streams, SamplingConfig(output_samples=8))
+        activity = estimators.datapath(
+            estimators.streams(value, value), SamplingConfig(output_samples=8)
+        )
         assert activity.bit_alignment == pytest.approx(1.0)
 
-    def test_output_samples_capped_by_space(self):
-        streams = _streams(np.ones((4, 4)), np.ones((4, 4)))
-        activity = estimate_datapath_activity(streams, SamplingConfig(output_samples=1000))
+    def test_output_samples_capped_by_space(self, estimators):
+        streams = estimators.streams(np.ones((4, 4)), np.ones((4, 4)))
+        activity = estimators.datapath(streams, SamplingConfig(output_samples=1000))
         assert activity.output_samples == 16
 
-    def test_deterministic_given_seed(self, gaussian_matrices):
-        streams = _streams(*gaussian_matrices)
-        one = estimate_datapath_activity(streams, SamplingConfig(output_samples=32), seed=5)
-        two = estimate_datapath_activity(streams, SamplingConfig(output_samples=32), seed=5)
+    def test_deterministic_given_seed(self, gaussian_matrices, estimators):
+        streams = estimators.streams(*gaussian_matrices)
+        one = estimators.datapath(streams, SamplingConfig(output_samples=32), seed=5)
+        two = estimators.datapath(streams, SamplingConfig(output_samples=32), seed=5)
         assert one.accumulator_toggle == two.accumulator_toggle
 
 
 class TestMemoryActivity:
-    def test_constant_matrix_zero(self):
-        streams = _streams(np.full((8, 8), 1.5), np.full((8, 8), 2.5))
-        assert estimate_memory_activity(streams).activity == 0.0
+    def test_constant_matrix_zero(self, estimators):
+        streams = estimators.streams(np.full((8, 8), 1.5), np.full((8, 8), 2.5))
+        assert estimators.memory(streams).activity == 0.0
 
-    def test_uses_storage_layout_for_b(self, rng):
+    def test_uses_storage_layout_for_b(self, rng, estimators):
         # B stored with constant rows (zero row-major toggle) but consumed
         # transposed; memory activity must see the *stored* layout.
         a = np.full((8, 8), 1.0)
         b_stored = np.tile(rng.normal(0, 210, size=(8, 1)), (1, 8))
-        streams = _streams(a, b_stored, transpose_b=True)
-        assert estimate_memory_activity(streams).toggle_b == 0.0
+        streams = estimators.streams(a, b_stored, transpose_b=True)
+        assert estimators.memory(streams).toggle_b == 0.0
 
 
 class TestEngine:
@@ -290,8 +283,7 @@ def _reference_popcount(words):
 
 def _reference_multiplier(a_words, b_words, spec):
     """Multiplier statistics from per-word float64 Hamming fractions."""
-    from repro.activity.multiplier import ZERO_GATED_RESIDUAL
-    from repro.activity.toggles import RANDOM_HAMMING_FRACTION
+    from repro.activity.toggles import RANDOM_HAMMING_FRACTION, ZERO_GATED_RESIDUAL
 
     width = spec.bits
     hw_a = _reference_popcount(a_words).astype(np.float64) / width
@@ -332,7 +324,8 @@ def _tricky_words(rng, spec, shape):
 
 
 class TestIntegerDomainReductions:
-    """Integer-count reductions equal the per-word float64 ones bit for bit."""
+    """Integer-count reductions equal the per-word float64 ones bit for bit,
+    in the library's batched body and in the scalar oracle alike."""
 
     #: (N, K, M) for the multiplier, (S, N, K) for the toggles
     SHAPES = [(1, 1, 1), (5, 9, 3), (67, 300, 41), (256, 256, 256)]
@@ -344,7 +337,7 @@ class TestIntegerDomainReductions:
         spec = get_dtype(dtype)
         for n, k, m in self.SHAPES:
             stored_shape = (3, m, k) if transpose_b else (3, k, m)
-            stacked = StackedOperandStreams(
+            stacked = OperandStreams(
                 dtype=spec,
                 a_words=_tricky_words(rng, spec, (3, n, k)),
                 b_stored_words=_tricky_words(rng, spec, stored_shape),
@@ -352,10 +345,11 @@ class TestIntegerDomainReductions:
             )
             batch = estimate_multiplier_activity_batch(stacked)
             for index in range(stacked.batch):
-                view = stacked.slice(index)
-                expected = _reference_multiplier(view.a_words, view.b_words, spec)
-                single = estimate_multiplier_activity(view)
-                assert dataclasses.asdict(single) == expected
+                scalar = oracle.ScalarStreams(
+                    spec, stacked.a_words[index], stacked.b_stored_words[index], transpose_b
+                )
+                expected = _reference_multiplier(scalar.a_words, scalar.b_words, spec)
+                assert dataclasses.asdict(oracle.multiplier(scalar)) == expected
                 assert dataclasses.asdict(batch[index]) == expected
 
     @pytest.mark.parametrize("dtype", list_dtypes())
@@ -375,6 +369,8 @@ class TestIntegerDomainReductions:
         width = spec.bits
         for fill in (0, 2**width - 1, 1 << (width - 1)):
             a_words = np.full((8, 8), fill, dtype=np.uint64).astype(spec.word_dtype)
+            expected = _reference_multiplier(a_words, a_words.T, spec)
             view = OperandStreams(spec, a_words, a_words.copy(), transpose_b=True)
-            expected = _reference_multiplier(view.a_words, view.b_words, spec)
+            scalar = oracle.ScalarStreams(spec, a_words, a_words.copy(), transpose_b=True)
             assert dataclasses.asdict(estimate_multiplier_activity(view)) == expected
+            assert dataclasses.asdict(oracle.multiplier(scalar)) == expected

@@ -1,4 +1,5 @@
-"""Batched activity engine: bit-for-bit equivalence with the scalar path."""
+"""Batched activity engine: bit-for-bit equivalence with single-GEMM
+estimates, the library's and the scalar oracle's (``tests/oracle.py``)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,15 @@ import weakref
 import numpy as np
 import pytest
 
+import oracle
+from repro.activity import (
+    estimate_datapath_activity,
+    estimate_memory_activity,
+    estimate_multiplier_activity,
+    estimate_operand_activity,
+)
 from repro.activity.engine import (
+    ActivityEngine,
     estimate_activity,
     estimate_activity_batch,
     recommended_chunk,
@@ -18,6 +27,7 @@ from repro.errors import ActivityError, KernelError
 from repro.experiments.harness import ExperimentRunner
 from repro.kernels.gemm import GemmOperands, GemmProblem
 from repro.kernels.schedule import (
+    OperandStreams,
     StackedOperandStreams,
     build_streams,
     build_streams_stacked,
@@ -42,9 +52,12 @@ def make_operands(size=96, dtype="fp16_t", transpose_b=True, count=3, family="ga
 
 
 def assert_reports_identical(batch, sequential):
+    """``sequential`` holds reports or their ``as_dict()`` documents."""
     assert len(batch) == len(sequential)
     for got, expected in zip(batch, sequential):
-        got_dict, expected_dict = got.as_dict(), expected.as_dict()
+        got_dict = got.as_dict()
+        expected_dict = expected if isinstance(expected, dict) else expected.as_dict()
+        assert got_dict.keys() == expected_dict.keys()
         for field in expected_dict:
             assert got_dict[field] == expected_dict[field], field
 
@@ -62,11 +75,11 @@ class TestBatchEquivalence:
             ("int32", False),
         ],
     )
-    def test_matches_sequential_bit_for_bit(self, dtype, transpose_b):
+    def test_matches_sequential_bit_for_bit(self, dtype, transpose_b, estimators):
         operands = make_operands(dtype=dtype, transpose_b=transpose_b)
         sampling = SamplingConfig(output_samples=64)
         sequential = [
-            estimate_activity(op, sampling=sampling, seed=index)
+            estimators.activity(op, sampling, seed=index)
             for index, op in enumerate(operands)
         ]
         assert_reports_identical(
@@ -74,22 +87,22 @@ class TestBatchEquivalence:
         )
 
     @pytest.mark.parametrize("family", ["sparsity", "sorted_rows", "constant_random"])
-    def test_matches_for_structured_patterns(self, family):
+    def test_matches_for_structured_patterns(self, family, estimators):
         operands = make_operands(family=family)
         sampling = SamplingConfig(output_samples=64)
         sequential = [
-            estimate_activity(op, sampling=sampling, seed=index)
+            estimators.activity(op, sampling, seed=index)
             for index, op in enumerate(operands)
         ]
         assert_reports_identical(
             estimate_activity_batch(operands, sampling=sampling), sequential
         )
 
-    def test_explicit_chunking_matches(self):
+    def test_explicit_chunking_matches(self, estimators):
         operands = make_operands(count=5)
         sampling = SamplingConfig(output_samples=32)
         sequential = [
-            estimate_activity(op, sampling=sampling, seed=index)
+            estimators.activity(op, sampling, seed=index)
             for index, op in enumerate(operands)
         ]
         for chunk in (1, 2, 5, 7):
@@ -98,11 +111,12 @@ class TestBatchEquivalence:
                 sequential,
             )
 
-    def test_custom_seeds_respected(self):
+    def test_custom_seeds_respected(self, estimators):
         operands = make_operands(count=2)
-        sampling = SamplingConfig(output_samples=32)
+        # max_k below K: each sampled output walks a prefix of its k-stream.
+        sampling = SamplingConfig(output_samples=32, max_k=40)
         sequential = [
-            estimate_activity(op, sampling=sampling, seed=seed)
+            estimators.activity(op, sampling, seed=seed)
             for seed, op in zip([7, 11], operands)
         ]
         assert_reports_identical(
@@ -110,11 +124,11 @@ class TestBatchEquivalence:
             sequential,
         )
 
-    def test_accepts_prebuilt_streams(self):
+    def test_accepts_prebuilt_streams(self, estimators):
         operands = make_operands(count=2)
         sampling = SamplingConfig(output_samples=32)
         sequential = [
-            estimate_activity(op, sampling=sampling, seed=index)
+            estimators.activity(op, sampling, seed=index)
             for index, op in enumerate(operands)
         ]
         streams = [build_streams(op) for op in operands]
@@ -122,9 +136,10 @@ class TestBatchEquivalence:
             estimate_activity_batch(streams, sampling=sampling), sequential
         )
         stacked = build_streams_stacked(operands)
-        assert_reports_identical(
-            estimate_activity_batch(stacked, sampling=sampling), sequential
-        )
+        for chunk in (None, 1, 2):
+            assert_reports_identical(
+                estimate_activity_batch(stacked, sampling=sampling, chunk=chunk), sequential
+            )
 
     def test_empty_batch(self):
         assert estimate_activity_batch([]) == []
@@ -137,8 +152,29 @@ class TestBatchEquivalence:
             estimate_activity_batch(operands, seeds=[1])
         with pytest.raises(ActivityError):
             estimate_activity_batch(operands, chunk=0)
+        stacked = build_streams_stacked(operands)
         with pytest.raises(ActivityError, match="1 seeds for a batch of 2"):
-            estimate_activity_batch(build_streams_stacked(operands), seeds=[0])
+            estimate_activity_batch(stacked, seeds=[0])
+        # A stack takes the same chunk check as a list.
+        with pytest.raises(ActivityError, match="chunk must be >= 1"):
+            estimate_activity_batch(stacked, chunk=0)
+        # The single-GEMM names take a stack of one, never more.
+        sampling = SamplingConfig(output_samples=8)
+        for single in (
+            estimate_operand_activity,
+            estimate_multiplier_activity,
+            lambda streams: estimate_datapath_activity(streams, sampling),
+            estimate_memory_activity,
+            estimate_activity,
+            lambda streams: ActivityEngine(sampling).estimate(streams),
+        ):
+            with pytest.raises(ActivityError, match="stack of"):
+                single(stacked)
+
+    def test_factory_returning_a_stack_rejected(self):
+        stacked = build_streams_stacked(make_operands(count=2))
+        with pytest.raises(ActivityError, match="one invocation, got a stack of 2"):
+            estimate_activity_batch([lambda: stacked])
 
 
 class TestChunkLifetime:
@@ -188,8 +224,9 @@ class TestStackedStreams:
         for index, op in enumerate(operands):
             view = stacked.slice(index)
             scalar = build_streams(op)
-            assert np.array_equal(spec.decode(view.a_words), spec.quantize(op.a))
-            assert np.array_equal(spec.decode(view.b_words), spec.quantize(op.b_used))
+            assert view.batch == scalar.batch == 1
+            assert np.array_equal(spec.decode(view.a_words[0]), spec.quantize(op.a))
+            assert np.array_equal(spec.decode(view.b_words[0]), spec.quantize(op.b_used))
             assert np.array_equal(view.b_stored_words, scalar.b_stored_words)
             assert np.array_equal(view.a_words, scalar.a_words)
             assert np.array_equal(view.b_words, scalar.b_words)
@@ -244,7 +281,41 @@ class TestStackedStreams:
         stacked = build_streams_stacked(make_operands(size=64, count=3))
         assert stacked.batch == 3
         assert (stacked.n, stacked.k, stacked.m) == (64, 64, 64)
+        assert StackedOperandStreams is OperandStreams
         assert isinstance(stacked, StackedOperandStreams)
+
+    def test_stack_of_one_is_a_view(self):
+        op = make_operands(size=64, count=1)[0]
+        spec = op.problem.dtype_spec
+        a_words, b_words = spec.encode(op.a), spec.encode(op.b_stored)
+        streams = OperandStreams(spec, a_words, b_words, transpose_b=True)
+        assert streams.a_words.shape == (1, 64, 64)
+        assert np.shares_memory(streams.a_words, a_words)
+        assert np.shares_memory(streams.b_stored_words, b_words)
+        # One invocation is stacked without a copy.
+        assert build_streams_stacked([streams]) is streams
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, transpose_b, message",
+        [
+            ((2, 8, 16), (3, 8, 16), True, "A stacks 2 invocations but B stacks 3"),
+            ((8, 16), (8, 12), True, "A has K=16 but B has K=12"),
+            ((8, 16), (12, 8), False, "A has K=16 but B has K=12"),
+            ((16,), (8, 16), True, "2-D .* or 3-D"),
+            ((1, 1, 8, 16), (1, 8, 16), True, "2-D .* or 3-D"),
+        ],
+    )
+    def test_constructor_rejects_inconsistent_words(
+        self, a_shape, b_shape, transpose_b, message
+    ):
+        spec = get_dtype("fp16_t")
+        with pytest.raises(KernelError, match=message):
+            OperandStreams(
+                spec,
+                np.zeros(a_shape, dtype=spec.word_dtype),
+                np.zeros(b_shape, dtype=spec.word_dtype),
+                transpose_b=transpose_b,
+            )
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(KernelError):
@@ -298,10 +369,10 @@ class TestToggleFractionPerSlice:
 
 class TestBatchedHarness:
     def test_run_matches_per_seed_reference(self, quiet_config):
-        """The batched runner is bit-for-bit the old seed-by-seed loop."""
+        """The batched runner is bit-for-bit the oracle's seed-by-seed loop."""
         runner = ExperimentRunner(quiet_config(seeds=3))
         batched = runner.run()
-        reference = [runner._run_seed(index) for index in range(3)]
+        reference = [oracle.run_seed_reference(runner.pipeline, index) for index in range(3)]
         assert [m.as_dict() for m in batched.measurements] == [
             m.as_dict() for m in reference
         ]

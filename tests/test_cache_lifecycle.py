@@ -261,7 +261,7 @@ class TestActivityCacheTier:
 
         config = quiet_config()
         runner = ExperimentRunner(config, activity_cache=None)
-        operands = runner._generate_operands(runner.plan.problem, 0)
+        operands = runner.pipeline.generate_operands(runner.plan.problem, 0)
         engine = ActivityEngine(sampling=config.sampling, cache=ActivityCache())
         first = engine.estimate(operands, seed=0, key="k")
         second = engine.estimate(operands, seed=0, key="k")

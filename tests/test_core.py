@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+import oracle
 from repro.core import (
     MIN_MEASUREMENT_DURATION_S,
     EstimationPipeline,
@@ -55,13 +56,13 @@ class TestPipelineEquivalence:
         assert runner.activity_engine is runner.pipeline.activity_engine
 
     def test_reference_seed_path_matches_batched(self, quiet_config):
-        # The per-seed reference path (kept for the old _run_seed hook) must
+        # The oracle's seed-by-seed path (no plan, scalar estimators) must
         # agree with the batched pipeline the seeds normally go through.
         config = quiet_config(seeds=2)
         pipeline = EstimationPipeline(config, activity_cache=None)
         batched = pipeline.run()
         reference = [
-            pipeline.run_seed_reference(index) for index in range(config.seeds)
+            oracle.run_seed_reference(pipeline, index) for index in range(config.seeds)
         ]
         assert [m.as_dict() for m in batched.measurements] == [
             m.as_dict() for m in reference

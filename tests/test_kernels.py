@@ -149,10 +149,10 @@ class TestSchedule:
             problem=problem, a=rng.normal(size=(8, 32)), b_stored=rng.normal(size=(16, 32))
         )
         streams = build_streams(operands)
-        assert streams.a_words.shape == (8, 32)
-        assert streams.b_words.shape == (32, 16)
-        assert streams.b_stored_words.shape == (16, 32)
-        assert (streams.n, streams.m, streams.k) == (8, 16, 32)
+        assert streams.a_words.shape == (1, 8, 32)
+        assert streams.b_words.shape == (1, 32, 16)
+        assert streams.b_stored_words.shape == (1, 16, 32)
+        assert (streams.batch, streams.n, streams.m, streams.k) == (1, 8, 16, 32)
 
     def test_streams_quantized(self, rng):
         problem = GemmProblem(n=8, m=8, k=8, dtype="int8", transpose_b=False)

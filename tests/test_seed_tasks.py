@@ -210,11 +210,15 @@ class TestSingleConfiguration:
 
 
 class TestPoolFaults:
-    """A ``pool.worker`` fault lands mid-config: some of the config's chunks
-    are consumed, the rest resubmitted, and assembly stays exact."""
+    """``pool.worker`` faults land inside a config's seed chunks, and
+    assembly stays exact wherever the chunks end up running."""
 
     def test_kill_mid_config_rebuilds_and_assembles(self, large, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@3")
+        # The kill count is per process, so only kill@1 has one outcome on
+        # a loaded machine: every fresh worker dies on its first chunk, the
+        # rebuilt pool breaks too, and all seven chunks run on threads.
+        # (With kill@3 a rebuilt worker may or may not reach a third chunk.)
+        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@1")
         faults.reset()
         stats = RunStats()
         results = run_configs(
@@ -223,7 +227,8 @@ class TestPoolFaults:
         )
         assert [result.as_dict() for result in results] == [_whole(large)]
         assert stats.pool_rebuilds == 1
-        assert 0 < stats.chunks_resubmitted < 7
+        assert stats.degraded_backend == "threads"
+        assert stats.chunks_resubmitted == 7 + 7
 
     @pytest.mark.parametrize("seed", [AMBIENT_SEED, AMBIENT_SEED + 1])
     def test_random_kills_identical_or_typed_error(self, mixed, seed, monkeypatch):
@@ -511,7 +516,8 @@ class TestGroupPoolFaults:
     def test_kill_mid_group_rebuilds_and_assembles(self, siblings, monkeypatch):
         configs = siblings(seeds=8)
         assert [len(group) for group in _seed_groups(configs, workers=2)] == [3] * 8
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@3")
+        # kill@1, as in TestPoolFaults: one outcome whatever the load.
+        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@1")
         faults.reset()
         stats = RunStats()
         results = run_configs(
@@ -520,4 +526,5 @@ class TestGroupPoolFaults:
         )
         assert [result.as_dict() for result in results] == [_whole(c) for c in configs]
         assert stats.pool_rebuilds == 1
-        assert 0 < stats.chunks_resubmitted < 8
+        assert stats.degraded_backend == "threads"
+        assert stats.chunks_resubmitted == 8 + 8

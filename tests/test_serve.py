@@ -777,6 +777,7 @@ class TestEstimationServer:
             ({"sampling": 5}, "sampling must be an object"),
             ({"transpose_b": "no"}, "transpose_b must be true or false"),
             ({"include_process_variation": "false"}, "include_process_variation must be true"),
+            ({"config": {}, "seeds": 1}, "unknown key(s) beside the config wrapper: seeds"),
         ],
     )
     def test_non_integer_seeds_rejected_before_admission(self, body, message):
