@@ -5,8 +5,8 @@ paths of the library: bit-level popcount/toggle kernels, pattern generation,
 switching-activity estimation (sequential and batched), a full harness run,
 cold-versus-warm sweep execution through the content-addressed result
 cache, the sweep runner's execution-backend axis (serial vs released-GIL
-threads vs shared-memory processes on a warm activity tier), and the
-thread-scaling of the nogil toggle kernel.
+threads on a warm activity tier), and the thread-scaling of the nogil
+toggle kernel.
 They guard against regressions that would make the paper-scale (2048^2)
 reproduction impractically slow.
 
@@ -35,7 +35,6 @@ from repro.cache.store import (
     ACTIVITY_SUBDIR,
     ActivityCache,
     ExperimentCache,
-    set_default_activity_cache,
 )
 from repro.dtypes import get_dtype
 from repro.experiments.config import ExperimentConfig
@@ -162,32 +161,18 @@ def bench_sweep_warm_cache(benchmark):
 
 # --------------------------------------------------------------- backend axis
 #
-# The three execution backends run the same warm-activity-cache multi-seed
-# sweep: every point re-runs the measurement pipeline but reuses the per-seed
+# Both execution backends run the same warm-activity-cache multi-seed sweep:
+# every point re-runs the measurement pipeline but reuses the per-seed
 # activity estimates, which is the steady state of repeated figure runs.
-# ``threads`` should stay well ahead of ``processes`` here (no pool start-up,
-# no result transfer), and all three return bit-for-bit identical results.
+# Both return bit-for-bit identical results.
 
 
 @pytest.fixture(scope="module")
 def backend_sweep_state():
-    """Prime one disk-backed activity tier shared by the backend benchmarks.
-
-    ``REPRO_CACHE_DIR`` is pointed at a fresh temp directory so process-pool
-    workers (which resolve their own default caches) see the same warm disk
-    tier the in-process backends read through memory.  Everything touched —
-    the environment variable, the process-wide default activity cache, the
-    temp directory — is restored on teardown so later benchmark modules
-    measure the same configuration they would in isolation.
-    """
-    import repro.cache.store as store
-
-    saved_env = os.environ.get("REPRO_CACHE_DIR")
-    saved_state = (store._default_activity_cache, store._default_activity_initialized)
+    """Prime one disk-backed activity tier shared by the backend benchmarks;
+    its temp directory is removed on teardown."""
     root = tempfile.mkdtemp(prefix="repro-bench-backends-")
-    os.environ["REPRO_CACHE_DIR"] = root
     cache = ActivityCache(max_entries=4096, disk_dir=os.path.join(root, ACTIVITY_SUBDIR))
-    set_default_activity_cache(cache)
     configs = sweep_configs(
         _quiet_config(
             pattern_family="sparsity",
@@ -199,11 +184,6 @@ def backend_sweep_state():
     )
     run_configs(configs, cache=None, activity_cache=cache)  # warm the tier
     yield configs, cache
-    if saved_env is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = saved_env
-    store._default_activity_cache, store._default_activity_initialized = saved_state
     shutil.rmtree(root, ignore_errors=True)
 
 
@@ -227,11 +207,6 @@ def bench_sweep_backend_serial(benchmark, backend_sweep_state):
 def bench_sweep_backend_threads(benchmark, backend_sweep_state):
     """Warm-activity-cache sweep over the released-GIL thread pool."""
     benchmark(_run_backend_sweep, "threads", *backend_sweep_state)
-
-
-def bench_sweep_backend_processes(benchmark, backend_sweep_state):
-    """Warm-activity-cache sweep over the shared-memory process pool."""
-    benchmark(_run_backend_sweep, "processes", *backend_sweep_state)
 
 
 # ------------------------------------------------------- nogil thread scaling

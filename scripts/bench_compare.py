@@ -62,7 +62,7 @@ AXES = {
         "figure",
         "activity",
     ),
-    "backend": ("serial", "threads", "processes", "nogil"),
+    "backend": ("serial", "threads", "nogil"),
     "temperature": ("cold", "warm"),
 }
 

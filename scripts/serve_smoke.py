@@ -18,16 +18,15 @@ Runs the serving contract end to end, twice:
 4. ``POST /shutdown`` stops the server, which must exit 0.
 
 **Fault-injected phase** — the same flow under a deterministic
-``REPRO_FAULTS`` schedule (a busy sqlite cache write plus killed pool
-workers) with a disk cache and the ``processes`` backend.  The burst's
-queued batch of three distinct configurations is what goes through the
-process pool (a single pending configuration deliberately collapses to
-serial); the killed workers then force a pool rebuild and the threads
-fallback.  Every response must be
-**bit-for-bit identical** to the healthy phase's, the resilience
-counters must be visible on ``/stats``, and ``/healthz`` must flip to
-``degraded`` — the resilience layer's whole contract: absorb the fault,
-keep the answer, raise a flag.
+``REPRO_FAULTS`` schedule with a disk cache and a two-thread pool
+(``REPRO_PARALLEL_WORKERS=2``): the first sqlite cache write comes back
+busy (absorbed by a retry), and a later write finds the disk full, which
+drops that cache tier to memory-only.  The burst's queued batch must run
+on the ``threads`` backend.  Every response must be **bit-for-bit
+identical** to the healthy phase's, the cache retry must be visible on
+``/stats``, and ``/healthz`` must flip to ``degraded`` with a ``cache.``
+reason — the resilience layer's whole contract: absorb the fault, keep
+the answer, raise a flag.
 
 Usage::
 
@@ -71,9 +70,11 @@ SMOKE_CONFIG = {
 BLOCKER_CONFIG = dict(SMOKE_CONFIG, matrix_size=1024, seeds=4)
 
 #: The fault-phase schedule: the first sqlite cache write comes back
-#: busy (absorbed by retry), and every pool worker dies on its first
-#: chunk (pool rebuild, then threads fallback → a degraded /healthz).
-FAULT_SCHEDULE = "cache.sqlite.write:busy@1;pool.worker:kill@1"
+#: busy (absorbed by retry), and the fourth finds the disk full (that
+#: tier drops to memory-only → a degraded /healthz).  The single request
+#: makes three writes (two activity seeds, then its result) plus the
+#: retry, so the full disk lands within it.
+FAULT_SCHEDULE = "cache.sqlite.write:busy@1;cache.sqlite.write:full@4"
 
 
 def _variant(iterations: int) -> dict:
@@ -210,6 +211,10 @@ def run_phase(
                 time.sleep(0.01)
             docs = list(pool.map(lambda cfg: post(base, "/estimate", cfg), BURST))
             record("blocker", blocker.result())
+        if reference is not None:
+            # The burst was the last batch to compute; it ran on the pool.
+            ran_on = get(base, "/stats")["service"]["run"]["backend"]
+            assert ran_on == "threads", f"the burst batch ran on {ran_on!r}"
         assert docs[0] == docs[1], "duplicate responses must be bit-for-bit identical"
         later = post(base, "/estimate", BURST[0])
         assert later == docs[0], "coalesced responses must match a later single request"
@@ -224,17 +229,6 @@ def run_phase(
         print(f"[{phase}] stats:", json.dumps(stats["service"]))
 
         if reference is not None:
-            run = stats["service"]["run"]
-            if run["pool_rebuilds"] < 1:
-                print(
-                    f"error [{phase}]: the queued batch never reached the process pool",
-                    file=sys.stderr,
-                )
-                print(json.dumps(stats, indent=2), file=sys.stderr)
-                _dump_server_log(log_path)
-                raise SmokeFailure(phase)
-            assert run["chunks_resubmitted"] >= 1, run
-            assert run["degraded_backend"] == "threads", run
             retries = sum(
                 tier.get("resilience", {}).get("retries", 0)
                 for tier in stats["caches"].values()
@@ -242,12 +236,8 @@ def run_phase(
             assert retries >= 1, stats["caches"]
             health = get(base, "/healthz")
             assert health["status"] == "degraded", health
-            assert any("threads" in reason for reason in health["reasons"]), health
-            print(
-                f"[{phase}] absorbed faults: pool_rebuilds={run['pool_rebuilds']} "
-                f"chunks_resubmitted={run['chunks_resubmitted']} "
-                f"cache_retries={retries}"
-            )
+            assert any(reason.startswith("cache.") for reason in health["reasons"]), health
+            print(f"[{phase}] absorbed faults: cache_retries={retries}")
             print(f"[{phase}] degraded as expected: {health['reasons']}")
 
         assert post(base, "/shutdown", {}) == {"status": "stopping"}
@@ -288,7 +278,6 @@ def main() -> int:
                     "REPRO_FAULTS": FAULT_SCHEDULE,
                     "REPRO_FAULTS_SEED": "0",
                     "REPRO_CACHE_DIR": cache_dir,
-                    "REPRO_PARALLEL_BACKEND": "processes",
                     "REPRO_PARALLEL_WORKERS": "2",
                 },
                 reference=healthy,

@@ -18,7 +18,14 @@ configuration and shares it across that configuration's seeds.  Under the
 ``ServiceConfig(batch_window_s=)`` follows the same rule through
 :func:`ignore_batch_window`: the estimation service has no batch timer.
 So does ``ExperimentCache``/``ActivityCache(disk_backend=)`` through
-:func:`ignore_disk_backend`: SQLite is the only disk layout.
+:func:`ignore_disk_backend`: SQLite is the only disk layout, and
+``run_configs(chunksize=)`` through :func:`ignore_chunksize`: only the
+removed process pool submitted work in chunks.
+
+The ``processes`` backend (a process pool with shared-memory result
+transfer) was removed: on the NumPy-bound estimators, whose kernels
+release the GIL, threads kept pace with it.  :func:`processes_backend`
+maps the old name, wherever a backend is named, to ``threads``.
 
 The fleet CLI, the optimize CLI and the server used to read their own
 backend and worker knobs; :data:`RENAMED_ENV` maps each old name to the one
@@ -34,8 +41,10 @@ from typing import Any, Mapping
 __all__ = [
     "RENAMED_ENV",
     "ignore_batch_window",
+    "ignore_chunksize",
     "ignore_disk_backend",
     "ignore_plan_cache",
+    "processes_backend",
     "removed_attribute",
     "renamed_env",
 ]
@@ -99,6 +108,27 @@ def ignore_batch_window(value: object) -> None:
 def ignore_disk_backend(value: object) -> None:
     """Accept a cache's ``disk_backend=``; called from its ``__post_init__``."""
     _ignore(value, "disk_backend", "the disk tier is always SQLite", stacklevel=4)
+
+
+def ignore_chunksize(value: object) -> None:
+    """Accept ``run_configs(chunksize=)``; called first thing in it."""
+    _ignore(value, "chunksize", "every backend submits one task at a time")
+
+
+def processes_backend(name: str, source: str = "backend") -> str:
+    """``name``, or ``"threads"`` with a warning when it is ``"processes"``.
+
+    ``source`` names where the value came from (an argument or a variable).
+    """
+    if name != "processes":
+        return name
+    warnings.warn(
+        f"{source}='processes' is deprecated and runs on threads: the process "
+        "backend was removed; the name will be removed in a future release",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+    return "threads"
 
 
 def _ignore(value: object, keyword: str, reason: str, stacklevel: int = 3) -> None:

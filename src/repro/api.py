@@ -36,7 +36,7 @@ from repro.cache.store import (
     peek_default_caches,
 )
 from repro.core import estimate_experiment
-from repro._deprecated import ignore_plan_cache, removed_attribute
+from repro._deprecated import ignore_chunksize, ignore_plan_cache, removed_attribute
 from repro.errors import ReproError
 from repro.experiments import harness as _harness
 from repro.experiments import sweep as _sweep
@@ -111,7 +111,7 @@ def run_configs(
     activity_cache: "object | None" = DEFAULT_CACHE,
     plan_cache: object = None,
     dedupe: bool = True,
-    chunksize: "int | None" = None,
+    chunksize: object = None,
     progress: "Any | None" = None,
     stats: "RunStats | None" = None,
     backend: str = "auto",
@@ -119,16 +119,17 @@ def run_configs(
     """Measure a batch of configurations, optionally across a worker pool.
 
     Façade over :func:`repro.experiments.sweep.run_configs` with every
-    tuning argument keyword-only.
+    tuning argument keyword-only.  ``plan_cache`` and ``chunksize`` are
+    deprecated and ignored.
     """
     ignore_plan_cache(plan_cache)
+    ignore_chunksize(chunksize)
     return _sweep.run_configs(
         configs,
         workers=workers,
         cache=cache,
         activity_cache=activity_cache,
         dedupe=dedupe,
-        chunksize=chunksize,
         progress=progress,
         stats=stats,
         backend=backend,

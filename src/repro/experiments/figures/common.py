@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro._deprecated import processes_backend
 from repro.dtypes.registry import PAPER_DTYPES, get_dtype
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
@@ -39,6 +40,7 @@ class FigureSettings:
             raise ExperimentError(f"seeds must be >= 1, got {self.seeds}")
         if self.sweep_points < 2:
             raise ExperimentError(f"sweep_points must be >= 2, got {self.sweep_points}")
+        object.__setattr__(self, "backend", processes_backend(self.backend))
         if self.backend not in BACKENDS + ("auto",):
             raise ExperimentError(
                 f"backend must be one of {BACKENDS + ('auto',)}, got {self.backend!r}"

@@ -20,21 +20,16 @@ worker.  Grouping never leaves a pool fewer tasks than
 ``min(ungrouped chunk count, 4 × workers)``: the largest groups are
 halved until there are that many (see :func:`_seed_groups`).
 
-``workers > 1`` distributes the tasks over one of the
-:mod:`repro.parallel` backends.  ``backend="auto"`` — the default —
-resolves to a thread pool: the estimation kernels release the GIL inside
+``workers > 1`` distributes the tasks over a thread pool
+(:mod:`repro.parallel`): the estimation kernels release the GIL inside
 NumPy, so threads scale without pickling configs out or results back.
-``backend="processes"`` keeps a process pool available for GIL-holding
-workloads; its results return through shared memory
-(:mod:`repro.parallel.shm`) rather than the executor's pickle pipe.
-Results are bit-for-bit identical across backends at any worker count.
+Results are bit-for-bit identical to the serial run at any worker count.
 
 The runner is cache- and duplicate-aware: every configuration is
 fingerprinted (:mod:`repro.cache.fingerprint`), physically identical points
 are computed once, previously computed points are served from the
 content-addressed result cache, and only the remainder is split into
-tasks — submitted in chunks for the process pool, to amortize start-up
-costs.  Beneath the result cache sits the per-seed activity tier: points
+tasks.  Beneath the result cache sits the per-seed activity tier: points
 that differ only in GPU model, clocks or measurement procedure reuse one
 switching-activity estimate per seed, so a warm cross-device sweep skips
 estimation entirely, and a partly warm configuration computes only its
@@ -51,7 +46,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from repro._deprecated import ignore_plan_cache
+from repro._deprecated import ignore_chunksize, ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_activity_cache, resolve_cache
 from repro.core.pipeline import run_seed_group, seed_chunk, shared_base_key
@@ -88,13 +83,6 @@ class RunStats:
     #: execution backend the computed points actually ran on (``"serial"``
     #: when everything was inline or served from the cache)
     backend: str = "serial"
-    #: times the process pool was rebuilt after breakage (dead worker)
-    pool_rebuilds: int = 0
-    #: chunks resubmitted (or rerun on the fallback) after pool breakage
-    chunks_resubmitted: int = 0
-    #: non-empty when the executor abandoned its native pool mid-run (e.g.
-    #: ``"threads"`` after the rebuilt process pool broke again)
-    degraded_backend: str = ""
 
     def as_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -157,8 +145,8 @@ def _seed_groups(
     key gets groups of its own.  Groups come in order of first appearance,
     so each configuration's chunks stay in seed order.  Balance rule: with
     ``workers > 1`` grouping never leaves fewer tasks than ``min(ungrouped
-    chunk count, 4 × workers)`` — the same "about four tasks per worker"
-    the process pool's default chunk size aims at.  While there are fewer,
+    chunk count, 4 × workers)`` — about four tasks per worker.  While
+    there are fewer,
     the first of the largest groups is halved in place (members keep their
     order), so the split costs as little sharing as it can.
     """
@@ -179,10 +167,8 @@ def _seed_groups(
 
 
 class _PointFailure(Exception):
-    """A seed-group member's failure, tagged with its configuration's label.
-
-    ``args`` is ``(label, detail)``, so it pickles back from a process-pool
-    worker intact."""
+    """A seed-group member's failure, tagged with its configuration's label;
+    ``args`` is ``(label, detail)``."""
 
 
 def _run_group(
@@ -194,9 +180,7 @@ def _run_group(
     Returns one partial result per member, holding only that chunk's
     measurements.  A failing member raises :class:`_PointFailure` naming
     its own label.  Workers never see the result cache, but do consult the
-    activity tier — each process pool worker uses its own default, which
-    shares warm per-seed estimates through ``REPRO_CACHE_DIR`` when one is
-    configured."""
+    activity tier."""
     runs = run_seed_group(group, activity_cache=activity_cache)
     results = []
     for config, _, _ in group:
@@ -213,20 +197,6 @@ def _stamp_label(result: ExperimentResult, config: ExperimentConfig) -> Experime
     return result
 
 
-def _chunk_group(tasks: "Sequence[Any]", position: int, span: int) -> "list[Any]":
-    """The tasks submitted in the same executor chunk as ``position``.
-
-    Chunks tile the task list from the front in steps of ``span``, so the
-    chunk containing ``position`` starts at the previous multiple of ``span``
-    and ends at most ``span`` entries later — clamped to the list, because
-    the last chunk may be partial.  Blame for a chunk failure must cover
-    exactly that chunk: naming points past its boundary would accuse sweep
-    points that were never even submitted together with the failing one.
-    """
-    start = position - (position % span)
-    return list(tasks[start : min(start + span, len(tasks))])
-
-
 def run_configs(
     configs: Iterable[ExperimentConfig],
     workers: int = 1,
@@ -234,7 +204,7 @@ def run_configs(
     activity_cache: "object | None" = DEFAULT_CACHE,
     plan_cache: object = None,
     dedupe: bool = True,
-    chunksize: int | None = None,
+    chunksize: object = None,
     progress: ProgressHook | None = None,
     stats: RunStats | None = None,
     backend: str = "auto",
@@ -256,24 +226,16 @@ def run_configs(
         Per-seed activity tier (:class:`~repro.cache.store.ActivityCache`,
         ``None``, or the default sentinel).  Points that only differ in GPU
         model, clocks or measurement procedure share one activity estimate
-        per seed through it.  ``None`` disables the tier everywhere,
-        including pool workers.  An explicit cache *instance* is honoured by
-        the in-process backends (``serial`` and ``threads``); process-pool
-        workers cannot usefully share an in-memory instance, so they use
-        their own process default (which still shares warm entries via
-        ``REPRO_CACHE_DIR``).
+        per seed through it.  ``None`` disables the tier; pool threads share
+        the instance (or the default) with the caller.
     plan_cache:
         Deprecated and ignored (the plan tier was removed).
     dedupe:
         Compute physically identical configurations (same fingerprint,
         labels aside) only once and fan the result back out.
     chunksize:
-        Process-backend submission chunk size, in tasks (one task per seed
-        group: one seed chunk of every computed configuration that draws
-        the same base operands); defaults to roughly four chunks per worker
-        (and never more than the number of tasks), which amortizes worker
-        start-up without starving the pool.  The in-process backends submit
-        per task and ignore it.
+        Deprecated and ignored (only the removed process pool submitted
+        work in chunks).
     progress:
         Optional ``(done, total, label)`` hook invoked as distinct
         configurations complete (see :data:`ProgressHook`).
@@ -281,21 +243,19 @@ def run_configs(
         Optional :class:`RunStats` instance filled in place with what the
         call did (useful alongside the returned results).
     backend:
-        ``"serial"``, ``"threads"``, ``"processes"``, or ``"auto"`` (see
+        ``"serial"``, ``"threads"``, or ``"auto"`` (see
         :func:`repro.parallel.resolve_backend`).  ``auto`` picks ``threads``
         for ``workers > 1`` — the estimation kernels release the GIL inside
         NumPy — and collapses to ``serial`` otherwise; set
         ``REPRO_PARALLEL_BACKEND`` to steer ``auto`` globally.  Results are
-        bit-for-bit identical whatever the choice.
+        bit-for-bit identical whatever the choice.  The deprecated
+        ``"processes"`` warns and runs on threads.
     """
     ignore_plan_cache(plan_cache)
+    ignore_chunksize(chunksize)
     config_list = list(configs)
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
-    if chunksize is not None and chunksize < 1:
-        raise ExperimentError(
-            f"chunksize must be >= 1 (or None for the automatic choice), got {chunksize}"
-        )
     backend_name = resolve_backend(backend, workers=workers)
     stats = stats if stats is not None else RunStats()
     # Reset every counter: a reused RunStats instance must describe this
@@ -306,9 +266,6 @@ def run_configs(
     stats.executed = 0
     stats.duration_s = 0.0
     stats.backend = "serial"
-    stats.pool_rebuilds = 0
-    stats.chunks_resubmitted = 0
-    stats.degraded_backend = ""
     started = time.perf_counter()
 
     resolved = resolve_cache(cache)
@@ -361,18 +318,14 @@ def run_configs(
     pooled = workers > 1 and backend_name != "serial"
     groups = _seed_groups(representatives, workers if pooled else 1)
 
-    def _consume(computed: Iterable[list[ExperimentResult]], span: int = 1) -> None:
+    def _consume(computed: Iterable[list[ExperimentResult]]) -> None:
         """Fold computed groups into ``results``: a configuration completes
         (cache put, label stamp, progress) once its last chunk lands, with
         its measurements concatenated in seed order.  A member's failure
-        names its own configuration.  Any other failure of a process-pool
-        chunk (the worker loses the results of the chunk's earlier groups
-        too) only places the raising group somewhere in its chunk — name
-        the configs of that chunk's groups, each once, and only those (see
-        :func:`_chunk_group`)."""
+        names its own configuration."""
         iterator = iter(computed)
         parts: dict[int, list[ExperimentResult]] = {}
-        for position, group in enumerate(groups):
+        for group in groups:
             try:
                 partials = next(iterator)
             except StopIteration:  # pragma: no cover - executor invariant
@@ -384,21 +337,6 @@ def run_configs(
                 raise ExperimentError(
                     f"sweep point {label!r} failed: {detail}"
                 ) from (exc.__cause__ or exc)
-            except Exception as exc:
-                labels = list(
-                    dict.fromkeys(
-                        representatives[owner].describe()["label"]
-                        for chunk_group in _chunk_group(groups, position, span)
-                        for owner, _, _ in chunk_group
-                    )
-                )
-                if len(labels) == 1:
-                    message = f"sweep point {labels[0]!r} failed: {exc}"
-                else:
-                    message = (
-                        f"a sweep point in chunk {labels!r} failed: {exc}"
-                    )
-                raise ExperimentError(message) from exc
             for (owner, _, stop), partial_result in zip(group, partials):
                 parts.setdefault(owner, []).append(partial_result)
                 if stop < representatives[owner].seeds:
@@ -422,46 +360,20 @@ def run_configs(
             # inline" whatever the backend — both collapse to serial.
             backend_name = "serial"
         stats.backend = backend_name
-        if backend_name == "processes":
-            if chunksize is None:
-                chunksize = max(1, len(groups) // (workers * 4))
-            chunksize = min(chunksize, len(groups))
-            # An explicit activity_cache=None is an instruction to really
-            # recompute, so forward the disable into the workers; explicit
-            # cache *instances* cannot cross the process boundary usefully
-            # (state would not come back), so workers otherwise keep their
-            # own process default.
-            worker = (
-                partial(_run_group, activity_cache=None)
-                if activity_cache is None
-                else _run_group
-            )
-            executor = get_executor("processes", workers, chunksize=chunksize)
-        else:
-            # serial and threads run in-process: an explicit activity cache
-            # instance is honoured directly (threads share the parent's
-            # memory, so warm entries flow both ways).
-            worker = partial(_run_group, activity_cache=resolved_activity)
-            executor = get_executor(backend_name, workers)
+        # Threads share the parent's memory, so an explicit activity cache
+        # instance is honoured directly and warm entries flow both ways.
+        worker = partial(_run_group, activity_cache=resolved_activity)
+        executor = get_executor(backend_name, workers)
         tasks = [
             [(representatives[owner], start, stop) for owner, start, stop in group]
             for group in groups
         ]
         try:
-            _consume(executor.map(worker, tasks), span=executor.chunk_span)
+            _consume(executor.map(worker, tasks))
         except BaseException:
-            # Don't let queued tasks keep computing (or leak worker
-            # processes / shared-memory segments) after one task failed.
+            # Don't let queued tasks keep computing after one task failed.
             executor.shutdown(cancel=True)
             raise
-        # Surface what the executor had to absorb (process-pool rebuilds,
-        # chunk resubmissions, a threads fallback) in this run's stats —
-        # results are identical either way, but the events must be loud.
-        resilience = getattr(executor, "resilience", None)
-        if resilience is not None:
-            stats.pool_rebuilds = resilience.pool_rebuilds
-            stats.chunks_resubmitted = resilience.chunks_resubmitted
-            stats.degraded_backend = resilience.fallback_backend
         executor.shutdown()
 
     stats.duration_s = time.perf_counter() - started

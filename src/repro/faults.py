@@ -1,18 +1,19 @@
 """Deterministic fault injection for chaos-testing the repro stack.
 
-The resilience layer (cache retry/degrade, pool rebuild, serve deadlines)
-is only trustworthy if its failure paths are exercised on purpose.  This
-module provides *named injection points* — call sites in the cache, pool,
-and serve layers invoke :func:`fault_point` with a stable dotted name —
+The resilience layer (cache retry/degrade, serve batch isolation and
+deadlines) is only trustworthy if its failure paths are exercised on
+purpose.  This module provides *named injection points* — call sites in
+the cache and serve layers invoke :func:`fault_point` with a stable dotted
+name —
 driven by a *seeded schedule* parsed from the ``REPRO_FAULTS`` environment
 variable, e.g.::
 
-    REPRO_FAULTS="cache.sqlite.write:busy@0.1;pool.worker:kill@3"
+    REPRO_FAULTS="cache.sqlite.write:busy@0.1;cache.sqlite.read:eio@3"
 
 Each ``;``-separated entry is ``point:mode[@arg]``:
 
 * no ``@arg``   — fire on every invocation of the point,
-* ``@N`` (int)  — fire exactly on the N-th invocation (1-based, per process),
+* ``@N`` (int)  — fire exactly on the N-th invocation (1-based),
 * ``@p`` (float in ``(0, 1]``) — fire with probability *p* per invocation,
   drawn from a per-spec RNG seeded from ``REPRO_FAULTS_SEED`` and the spec
   identity, so the same seed replays the same fault sequence bit-for-bit.
@@ -195,14 +196,8 @@ def _oserror(code: int) -> OSError:
     return OSError(code, os.strerror(code))
 
 
-def _worker_kill() -> None:
-    # Mimic an OOM-killed / segfaulted pool worker: die without cleanup.
-    os._exit(86)
-
-
-# Injection-point catalogue: point -> mode -> builder.  A builder either
-# returns the exception to raise at the call site or performs an abrupt
-# action (e.g. killing the process) and returns None.
+# Injection-point catalogue: point -> mode -> builder.  A builder returns
+# the exception to raise at the call site, or None to only record the hit.
 CATALOGUE: "dict[str, dict[str, Callable[[], Optional[BaseException]]]]" = {
     "cache.sqlite.open": {
         "busy": lambda: sqlite3.OperationalError("database is locked"),
@@ -227,10 +222,6 @@ CATALOGUE: "dict[str, dict[str, Callable[[], Optional[BaseException]]]]" = {
         "full": lambda: _oserror(errno.ENOSPC),
         "readonly": lambda: _oserror(errno.EROFS),
         "error": lambda: InjectedFaultError("injected cache.sqlite.write fault"),
-    },
-    "pool.worker": {
-        "kill": _worker_kill,
-        "raise": lambda: InjectedFaultError("injected pool.worker fault"),
     },
     "serve.batch": {
         "error": lambda: InjectedFaultError("injected serve.batch fault"),
@@ -284,8 +275,7 @@ def schedule_from_env(environ: "Optional[Mapping[str, str]]" = None) -> "Optiona
 
 
 # The active schedule resolves lazily from the environment on the first
-# fault_point() hit, so spawned pool workers pick the schedule up from the
-# inherited environment without any explicit plumbing.
+# fault_point() hit.
 _UNRESOLVED = object()
 _active: object = _UNRESOLVED
 

@@ -7,7 +7,7 @@ strictly separated phases so every phase's determinism argument is local:
    models become :class:`~repro.experiments.config.ExperimentConfig`\\ s and
    resolve through :func:`~repro.experiments.sweep.run_configs` — the
    cached estimation engine with both tiers (result and per-seed
-   activity) and all three execution backends.  However many million
+   activity) and both execution backends.  However many million
    kernels the trace schedules, this phase issues at most one engine run
    per distinct fingerprint; a warm simulation issues none.
 2. **Schedule.**  :class:`~repro.fleet.scheduler.DiscreteTimeScheduler`
@@ -18,8 +18,8 @@ strictly separated phases so every phase's determinism argument is local:
    the placements into per-tenant power series whose sorted-order sum *is*
    the cluster series, making per-tenant energy conservation structural.
 
-Because phase 1 is bit-for-bit identical across ``serial``/``threads``/
-``processes`` (the repo's long-standing executor invariant) and phases 2–3
+Because phase 1 is bit-for-bit identical across ``serial`` and ``threads``
+(the repo's long-standing executor invariant) and phases 2–3
 are pure deterministic Python/NumPy over phase 1's output, the whole
 simulation replays bit-for-bit: same trace + same seed ⇒ the same power
 and energy series on any backend at any worker count.

@@ -4,8 +4,8 @@
 proposed batch is mapped onto :class:`ExperimentConfig` objects by the
 engine's :class:`~repro.optimize.engines.space.ParameterSpace` and
 submitted through :func:`repro.experiments.sweep.run_configs` — so every
-evaluation consults all three cache tiers, deduplicates, and fans out
-over the serial/threads/processes backends exactly like a sweep point.
+evaluation consults both cache tiers, deduplicates, and fans out
+over the serial/threads backends exactly like a sweep point.
 A re-run of a deterministic study is therefore free: iteration N+1
 re-proposals cost zero engine runs (asserted in
 ``benchmarks/bench_optimize.py``).

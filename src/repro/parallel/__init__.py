@@ -2,21 +2,18 @@
 
 This package is the single place sweep/figure parallelism goes through:
 
-* :mod:`repro.parallel.backends` — the ``Executor`` protocol and the
-  ``serial`` / ``threads`` / ``processes`` backends, plus the ``auto``
-  per-workload selection the sweep runner uses.
-* :mod:`repro.parallel.shm` — shared-memory result transfer for the
-  process backend (with a transparent pickle fallback).
+* :mod:`repro.parallel.backends` — the ``Executor`` protocol, the
+  ``serial`` and ``threads`` backends, and the ``auto`` selection the
+  sweep runner uses.
 * :mod:`repro.parallel.calibrate` — the batched engine's fixed 1 MiB
   per-chunk working-set budget.
 
 See ``docs/parallel.md`` for the full subsystem guide (backend selection,
-the ``Executor`` contract, worker persistence and the shared-memory result
-path); the one-line version is: the default ``auto`` resolves to
-``threads`` for the built-in estimation workloads (their NumPy kernels
-release the GIL) and ``serial`` for ``workers=1``, while ``processes``
-remains available for GIL-holding pattern generators.  Results are
-bit-for-bit identical across backends at any worker count.
+the ``Executor`` contract, worker persistence); the one-line version is:
+the default ``auto`` resolves to ``threads`` when ``workers > 1`` (the
+estimation kernels release the GIL inside NumPy) and ``serial``
+otherwise.  The deprecated ``processes`` name warns and runs on threads.
+Results are bit-for-bit identical across backends at any worker count.
 """
 
 from repro.parallel.backends import (
@@ -24,10 +21,8 @@ from repro.parallel.backends import (
     ENV_BACKEND,
     ENV_WORKERS,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    choose_backend,
     executor_defaults,
     get_executor,
     resolve_backend,
@@ -41,8 +36,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "choose_backend",
     "executor_defaults",
     "resolve_backend",
     "get_executor",

@@ -41,9 +41,9 @@ how long any one waiter blocks: past the deadline it gets
 :class:`~repro.errors.ServiceTimeoutError` (HTTP 504 upstream) while the
 shielded computation keeps running for later duplicates and the cache.
 :meth:`EstimationService.health` rolls up the sticky degradations the
-resilience layer records — a cache tier fallen back to memory-only, a
-process pool abandoned for threads — into the ``/healthz`` body, so "still
-correct but needs attention" is observable without grepping logs.
+resilience layer records — a cache tier fallen back to memory-only — into
+the ``/healthz`` body, so "still correct but needs attention" is
+observable without grepping logs.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import InitVar, asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping
 
-from repro._deprecated import ignore_batch_window, ignore_plan_cache
+from repro._deprecated import ignore_batch_window, ignore_plan_cache, processes_backend
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, peek_default_caches
 from repro.errors import ServiceOverloadedError, ServiceTimeoutError, ServingError
@@ -112,6 +112,8 @@ class ServiceConfig:
             raise ServingError(f"workers must be >= 1, got {self.workers}")
         if not (math.isfinite(self.timeout_s) and self.timeout_s >= 0):
             raise ServingError(f"timeout_s must be finite and >= 0, got {self.timeout_s}")
+        # A deprecated "processes" warns here, once, and is kept as threads.
+        object.__setattr__(self, "backend", processes_backend(self.backend))
         resolve_backend(self.backend, self.workers)  # ExperimentError if unknown
 
     @classmethod
@@ -283,8 +285,7 @@ class EstimationService:
         """Degradation roll-up for ``/healthz``.
 
         ``status`` is ``"degraded"`` when any cache tier fell back to
-        memory-only operation or the sweep runner abandoned its process
-        pool; ``reasons`` lists every sticky degradation.  Degraded means
+        memory-only operation; ``reasons`` lists every sticky degradation.  Degraded means
         "answers are still bit-for-bit correct but the deployment needs
         attention" — hard failures surface on requests, not here.
         """
@@ -293,14 +294,6 @@ class EstimationService:
             resilience = getattr(cache, "resilience", None)
             if resilience is not None and resilience.degraded:
                 reasons.append(f"cache.{name}: {resilience.degraded_reason}")
-        # Sticky: _accumulate sets it on the first degraded batch and
-        # never clears it, so it is reported until the process restarts.
-        degraded_backend = self.stats.run.degraded_backend
-        if degraded_backend:
-            reasons.append(
-                f"pool: fell back to the {degraded_backend} backend "
-                "after repeated process-pool breakage"
-            )
         return {"status": "degraded" if reasons else "ok", "reasons": reasons}
 
     def _cache_tiers(self) -> dict[str, Any]:
@@ -432,7 +425,3 @@ class EstimationService:
         total.executed += run_stats.executed
         total.duration_s += run_stats.duration_s
         total.backend = run_stats.backend
-        total.pool_rebuilds += run_stats.pool_rebuilds
-        total.chunks_resubmitted += run_stats.chunks_resubmitted
-        if run_stats.degraded_backend:
-            total.degraded_backend = run_stats.degraded_backend

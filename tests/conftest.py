@@ -22,6 +22,7 @@ from repro.activity.sampler import SamplingConfig
 from repro.experiments.config import ExperimentConfig
 from repro.kernels.gemm import GemmOperands, GemmProblem
 from repro.kernels.schedule import build_streams
+from repro.parallel import BACKENDS
 from repro.telemetry.sampler import TelemetryConfig
 
 
@@ -101,3 +102,9 @@ def gaussian_matrices(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
     a = rng.normal(0.0, 210.0, size=(96, 96))
     b = rng.normal(0.0, 210.0, size=(96, 96))
     return a, b
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request) -> str:
+    """Every execution backend in turn: results must not depend on which."""
+    return request.param

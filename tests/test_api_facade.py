@@ -10,7 +10,6 @@ import pytest
 from repro import api
 from repro.core import EstimationPipeline
 from repro.experiments import ExperimentRunner
-from repro.parallel import BACKENDS
 
 
 class TestExports:
@@ -230,15 +229,15 @@ class TestPlanCacheDeprecation:
         with pytest.warns(DeprecationWarning, match="PlanCache"):
             return api.PlanCache(max_entries=8)
 
-    @pytest.fixture(params=BACKENDS)
-    def run_batch(self, request):
+    @pytest.fixture
+    def run_batch(self, backend):
         """Run a batch of configs on each backend and return its documents."""
 
         def inner(configs, **kwargs):
             results = api.run_configs(
                 configs,
                 workers=2,
-                backend=request.param,
+                backend=backend,
                 cache=None,
                 activity_cache=None,
                 **kwargs,

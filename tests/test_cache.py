@@ -326,10 +326,6 @@ class TestSweepOrchestration:
         assert (stats.executed, stats.cache_hits) == (0, 2)
         assert stats.executed + stats.cache_hits == stats.unique == 2
 
-    def test_invalid_chunksize(self, quiet_config):
-        with pytest.raises(ExperimentError):
-            run_configs([quiet_config()], chunksize=0)
-
     def test_pool_matches_serial_with_cache(self, quiet_config):
         base = quiet_config(pattern_family="sparsity")
         configs = sweep_configs(base, "sparsity", [0.0, 0.5, 1.0])

@@ -567,7 +567,7 @@ class TestSweepRobustness:
     def _failing_config(self, quiet_config):
         # Configs reject unknown pattern params when built, so the bad one
         # goes in afterwards: the point then fails inside the harness (and
-        # thus inside pool workers) when the pattern is built.
+        # thus inside the pool's threads) when the pattern is built.
         config = quiet_config(label="the bad point")
         object.__setattr__(config, "pattern_params", {"bogus_param": 1.0})
         return config
@@ -585,20 +585,6 @@ class TestSweepRobustness:
         ]
         with pytest.raises(ExperimentError, match="the bad point"):
             run_configs(configs, workers=2, cache=None, activity_cache=None)
-
-    def test_chunked_pool_failure_names_the_chunk(self, quiet_config):
-        # With chunksize > 1 a failing chunk loses its earlier results too,
-        # so the error must name every candidate point, not blame the first.
-        configs = [
-            quiet_config(label="good point"),
-            self._failing_config(quiet_config),
-            quiet_config(matrix_size=256),
-            quiet_config(base_seed=7),
-        ]
-        with pytest.raises(ExperimentError, match="the bad point"):
-            run_configs(
-                configs, workers=2, chunksize=2, cache=None, activity_cache=None
-            )
 
     def test_pool_usable_after_failure(self, quiet_config):
         with pytest.raises(ExperimentError):
@@ -619,10 +605,10 @@ class TestSweepRobustness:
     def test_pool_honours_explicit_activity_cache_disable(
         self, quiet_config, tmp_path, monkeypatch, reset_default_caches
     ):
-        # Workers resolve their default caches lazily from the environment;
-        # an explicit activity_cache=None must override that and fully
-        # disable the tier (no entries written), while the default sentinel
-        # lets workers populate the shared disk tier.
+        # The default caches resolve lazily from the environment; an
+        # explicit activity_cache=None must override that and fully disable
+        # the tier (no entries written), while the default sentinel lets the
+        # pool's threads populate the shared disk tier.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         configs = [quiet_config(), quiet_config(matrix_size=256)]
         run_configs(configs, workers=2, cache=None, activity_cache=None)
@@ -630,22 +616,6 @@ class TestSweepRobustness:
 
         run_configs(configs, workers=2, cache=None)
         assert [e for e in scan_cache_dir(tmp_path) if e.tier == "activity"]
-
-    def test_oversized_chunksize_is_capped(self, quiet_config):
-        configs = [
-            quiet_config(),
-            quiet_config(matrix_size=256),
-            quiet_config(base_seed=7),
-        ]
-        results = run_configs(
-            configs, workers=2, chunksize=99, cache=None, activity_cache=None
-        )
-        assert len(results) == 3
-
-    def test_zero_and_negative_chunksize_rejected(self, quiet_config):
-        for bad in (0, -3):
-            with pytest.raises(ExperimentError, match="chunksize"):
-                run_configs([quiet_config()], chunksize=bad, cache=None)
 
 
 class TestCostWeightedPrune:

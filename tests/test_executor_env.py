@@ -119,6 +119,23 @@ class TestEntryPoints:
                 monkeypatch.setenv(old, "serial" if old.endswith("BACKEND") else "4")
         assert _quietly(ENTRY_POINTS[entry][1], monkeypatch) == ("auto", 1)
 
+    def test_old_backend_name_set_to_processes_runs_on_threads(self, entry, monkeypatch):
+        prefix, run = ENTRY_POINTS[entry]
+        old = prefix + "BACKEND"
+        monkeypatch.setenv(old, "processes")
+        with pytest.warns(DeprecationWarning) as record:
+            assert run(monkeypatch) == ("threads", 1)
+        messages = [str(w.message) for w in record]
+        assert len([m for m in messages if old in m]) == 1
+        assert len([m for m in messages if "backend='processes'" in m]) == 1
+
+
+@pytest.mark.parametrize("entry", ["fleet", "optimize"])
+def test_processes_flag_warns_once_and_runs_on_threads(entry, monkeypatch):
+    with pytest.warns(DeprecationWarning) as record:
+        assert ENTRY_POINTS[entry][1](monkeypatch, ["--backend", "processes"]) == ("threads", 1)
+    assert ["backend='processes'" in str(w.message) for w in record] == [True]
+
 
 @pytest.mark.parametrize("entry", ["fleet", "optimize"])
 def test_flags_beat_every_environment_name(entry, monkeypatch):

@@ -4,31 +4,26 @@ The invariant asserted throughout (and in CI's ``chaos`` job, which runs
 this file under two fixed ``REPRO_FAULTS_SEED`` values): under any fault
 schedule, a run either completes with results **bit-for-bit identical**
 to the fault-free path or raises a **typed** :class:`ReproError` — never
-a hang, a wrong answer, or a stuck future.  Degradations (memory-only
-cache, threads fallback) must raise their sticky flags.
+a hang, a wrong answer, or a stuck future.  Degradations (a memory-only
+cache tier) must raise their sticky flags.
 
-Process-pool fault tests drive the schedule through the environment
-(``REPRO_FAULTS`` + :func:`repro.faults.reset`): workers resolve the
-schedule lazily from their inherited environ, which is exactly the
-production path.  In-process tests install schedules directly.
+Tests install schedules directly, or set ``REPRO_FAULTS`` and call
+:func:`repro.faults.reset` to drive the lazy environment path.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
-import json
 import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import repro.faults as faults
 from repro.cache.resilience import ResilienceStats, RetryPolicy
 from repro.cache.sqlite_store import DB_FILENAME, SqliteStore
-from repro.cache.store import ExperimentCache, JsonDiskCache
+from repro.cache.store import ActivityCache, ExperimentCache, JsonDiskCache
 from repro.errors import (
     FaultInjectionError,
     InjectedFaultError,
@@ -36,7 +31,7 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 from repro.experiments.harness import run_experiment
-from repro.experiments.sweep import RunStats, run_configs, sweep_configs
+from repro.experiments.sweep import run_configs, sweep_configs
 from repro.faults import (
     FaultSchedule,
     FaultSpec,
@@ -47,8 +42,6 @@ from repro.faults import (
     schedule_from_env,
     uninstall_schedule,
 )
-from repro.parallel import backends
-from repro.parallel.backends import ProcessExecutor
 from repro.serve.service import EstimationService, ServiceConfig
 
 
@@ -74,19 +67,6 @@ def _install(text: str, seed: int = 0) -> FaultSchedule:
 AMBIENT_SEED = int(os.environ.get("REPRO_FAULTS_SEED", "0") or "0")
 
 
-# Top-level helpers for the process-pool tests (must be picklable).
-def _double(x):
-    return x * 2
-
-
-def _encode_json(values):
-    return json.dumps(list(values)).encode()
-
-
-def _decode_json(payload):
-    return json.loads(payload)
-
-
 class _StrCache(JsonDiskCache):
     """Minimal concrete cache for exercising the disk tiers directly."""
 
@@ -106,7 +86,7 @@ class _StrCache(JsonDiskCache):
 class TestSpecParsing:
     def test_three_trigger_forms_round_trip(self):
         always = FaultSpec.parse("cache.sqlite.write:busy")
-        nth = FaultSpec.parse("pool.worker:kill@3")
+        nth = FaultSpec.parse("cache.sqlite.read:eio@3")
         bernoulli = FaultSpec.parse("cache.sqlite.read:corrupt@0.25")
         assert (always.at, always.probability) == (None, None)
         assert (nth.at, nth.probability) == (3, None)
@@ -140,10 +120,10 @@ class TestSpecParsing:
         assert schedule_from_env({}) is None
         assert schedule_from_env({"REPRO_FAULTS": "  "}) is None
         schedule = schedule_from_env(
-            {"REPRO_FAULTS": "pool.worker:kill@2", "REPRO_FAULTS_SEED": "7"}
+            {"REPRO_FAULTS": "cache.sqlite.write:busy@2", "REPRO_FAULTS_SEED": "7"}
         )
         assert schedule.seed == 7
-        assert [str(spec) for spec in schedule.specs] == ["pool.worker:kill@2"]
+        assert [str(spec) for spec in schedule.specs] == ["cache.sqlite.write:busy@2"]
         with pytest.raises(FaultInjectionError):
             schedule_from_env(
                 {"REPRO_FAULTS": "a.b:x", "REPRO_FAULTS_SEED": "not-an-int"}
@@ -190,6 +170,28 @@ class TestReplayDeterminism:
             {"point": "demo.replay", "mode": "record", "invocation": 5}
         ]
         assert schedule.hits("demo.replay") == 20
+
+    @pytest.mark.parametrize("nth", [1, 2, 7])
+    def test_nth_invocation_fires_once_across_threads(self, nth):
+        """Every thread of a pool shares the one process-wide count, so an
+        ``@N`` schedule fires exactly once, on the N-th hit overall."""
+        schedule = FaultSchedule(parse_schedule(f"demo.replay:record@{nth}"))
+        barrier = threading.Barrier(4)
+
+        def hammer():
+            barrier.wait()
+            for _ in range(25):
+                schedule.hit("demo.replay")
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert schedule.fired == [
+            {"point": "demo.replay", "mode": "record", "invocation": nth}
+        ]
+        assert schedule.hits("demo.replay") == 100
 
     def test_describe_reports_schedule_state(self):
         schedule = FaultSchedule(parse_schedule("demo.replay:record@1"), seed=3)
@@ -298,6 +300,30 @@ class TestMemoryOnlyDegradation:
         assert "Read-only file system" in cache.resilience.degraded_reason
         assert cache.get("k") == "v"
 
+    def test_enospc_inside_a_pool_degrades_and_stays_correct(
+        self, quiet_config, tmp_path, backend
+    ):
+        """The activity tier is written from inside the pool's tasks; a
+        full disk there turns the tier memory-only, loudly, and the sweep's
+        answers do not change."""
+        configs = sweep_configs(
+            quiet_config(pattern_family="sparsity", matrix_size=32, seeds=2),
+            "sparsity",
+            [0.0, 0.5, 1.0],
+        )
+        baseline = [
+            r.as_dict()
+            for r in run_configs(configs, workers=1, cache=None, activity_cache=None)
+        ]
+        activity = ActivityCache(disk_dir=tmp_path)
+        _install("cache.sqlite.write:full@1")
+        results = run_configs(
+            configs, workers=2, backend=backend, cache=None, activity_cache=activity
+        )
+        assert [r.as_dict() for r in results] == baseline
+        assert activity.resilience.degraded
+        assert activity.resilience.degraded_reason.startswith("memory-only:")
+
     def test_per_entry_read_error_does_not_degrade(self, tmp_path):
         cache = _StrCache(disk_dir=tmp_path)
         cache.put("k", "v")
@@ -306,151 +332,6 @@ class TestMemoryOnlyDegradation:
         assert fresh.get("k") is None  # unreadable entry is a miss...
         assert not fresh.resilience.degraded  # ...not a dead tier
         assert fresh.stats.disk_errors == 1
-
-
-# ------------------------------------------------------------ pool resilience
-
-
-def _pool_failing_submit_at(nth: int) -> type:
-    """A pool whose ``nth`` submit, counted across every instance, raises
-    :class:`BrokenProcessPool` — what ``submit`` does once a worker has died
-    while chunks are still being handed out."""
-    calls = itertools.count(1)
-
-    class FlakySubmitPool(ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            if next(calls) == nth:
-                raise BrokenProcessPool("a worker died during submission")
-            return super().submit(*args, **kwargs)
-
-    return FlakySubmitPool
-
-
-class TestPoolResilience:
-    def _executor(self) -> ProcessExecutor:
-        return ProcessExecutor(
-            workers=1,
-            chunksize=1,
-            transfer="pickle",
-            encode=_encode_json,
-            decode=_decode_json,
-        )
-
-    def test_single_breakage_rebuilds_and_resubmits(self, monkeypatch):
-        # kill@2: the first worker dies on its second chunk; the rebuilt
-        # pool's fresh worker (invocation counter restarts per process)
-        # finishes the resubmitted chunk on its first.
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@2")
-        faults.reset()
-        executor = self._executor()
-        try:
-            results = list(executor.map(_double, [1, 2]))
-        finally:
-            executor.shutdown()
-        assert results == [2, 4]
-        assert executor.resilience.pool_rebuilds == 1
-        assert executor.resilience.chunks_resubmitted == 1
-        assert executor.resilience.fallback_backend == ""
-
-    def test_repeated_breakage_falls_back_to_threads(self, monkeypatch):
-        # kill@1: every fresh worker dies on its first chunk, so the
-        # rebuilt pool breaks too and the remaining items run on threads
-        # in-process (where no pool.worker point fires).
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@1")
-        faults.reset()
-        executor = self._executor()
-        try:
-            results = list(executor.map(_double, [1, 2, 3]))
-        finally:
-            executor.shutdown()
-        assert results == [2, 4, 6]
-        assert executor.resilience.pool_rebuilds == 1
-        assert executor.resilience.fallback_backend == "threads"
-        assert executor.resilience.chunks_resubmitted == 6  # 3 + 3
-
-    @pytest.mark.parametrize("nth, resubmitted", [(1, 3), (2, 2), (3, 1)])
-    def test_submit_time_breakage_rebuilds_and_resubmits(
-        self, monkeypatch, nth, resubmitted
-    ):
-        monkeypatch.setattr(backends, "ProcessPoolExecutor", _pool_failing_submit_at(nth))
-        executor = self._executor()
-        try:
-            results = list(executor.map(_double, [1, 2, 3]))
-        finally:
-            executor.shutdown()
-        assert results == [_double(x) for x in [1, 2, 3]]
-        assert executor.resilience.pool_rebuilds == 1
-        assert executor.resilience.chunks_resubmitted == resubmitted
-        assert executor.resilience.fallback_backend == ""
-
-    def test_sweep_survives_submit_time_breakage(self, quiet_config, monkeypatch):
-        configs = sweep_configs(
-            quiet_config(pattern_family="sparsity", matrix_size=32),
-            "sparsity",
-            [0.0, 0.5, 1.0],
-        )
-        serial = [
-            r.as_dict()
-            for r in run_configs(configs, workers=1, cache=None, activity_cache=None)
-        ]
-        monkeypatch.setattr(backends, "ProcessPoolExecutor", _pool_failing_submit_at(2))
-        stats = RunStats()
-        chaotic = [
-            r.as_dict()
-            for r in run_configs(
-                configs,
-                workers=2,
-                backend="processes",
-                chunksize=1,
-                cache=None,
-                activity_cache=None,
-                stats=stats,
-            )
-        ]
-        assert chaotic == serial
-        assert stats.pool_rebuilds == 1
-        assert stats.degraded_backend == ""
-
-    def test_worker_raise_propagates_typed_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:raise@1")
-        faults.reset()
-        executor = self._executor()
-        try:
-            with pytest.raises(InjectedFaultError):
-                list(executor.map(_double, [1, 2]))
-        finally:
-            executor.shutdown(cancel=True)
-
-    def test_sweep_results_identical_under_worker_kills(
-        self, quiet_config, monkeypatch
-    ):
-        configs = sweep_configs(
-            quiet_config(pattern_family="sparsity", matrix_size=32),
-            "sparsity",
-            [0.0, 0.5, 1.0],
-        )
-        baseline = [
-            r.as_dict()
-            for r in run_configs(configs, workers=1, cache=None, activity_cache=None)
-        ]
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@1")
-        faults.reset()
-        stats = RunStats()
-        chaotic = [
-            r.as_dict()
-            for r in run_configs(
-                configs,
-                workers=2,
-                backend="processes",
-                cache=None,
-                activity_cache=None,
-                stats=stats,
-            )
-        ]
-        assert chaotic == baseline
-        assert stats.pool_rebuilds == 1
-        assert stats.degraded_backend == "threads"
-        assert stats.chunks_resubmitted > 0
 
 
 # ----------------------------------------------------------- serve resilience
@@ -554,10 +435,9 @@ CHAOS_SCHEDULES = [
 
 
 class TestChaosSchedules:
-    @pytest.mark.parametrize("schedule_text", CHAOS_SCHEDULES)
-    @pytest.mark.parametrize("seed", [AMBIENT_SEED, AMBIENT_SEED + 1])
-    def test_results_identical_or_typed_error(
-        self, schedule_text, seed, quiet_config, tmp_path, fast_retry, monkeypatch
+    def _check(
+        self, schedule_text, seed, quiet_config, tmp_path, monkeypatch,
+        activity=None, **pool,
     ):
         # Keep injected busy-retry backoff fast.
         monkeypatch.setenv("REPRO_CACHE_RETRIES", "3")
@@ -576,15 +456,35 @@ class TestChaosSchedules:
         try:
             chaotic = [
                 r.as_dict()
-                for r in run_configs(
-                    configs, workers=1, cache=cache, activity_cache=None
-                )
+                for r in run_configs(configs, cache=cache, activity_cache=activity, **pool)
             ]
         except ReproError:
             return  # a typed failure is an accepted outcome; wrong data is not
         assert chaotic == baseline
         if "full@1" in schedule_text:
-            assert cache.resilience.degraded  # loud, never silent
+            tiers = [cache] if activity is None else [cache, activity]
+            assert any(tier.resilience.degraded for tier in tiers)  # loud, never silent
+
+    @pytest.mark.parametrize("schedule_text", CHAOS_SCHEDULES)
+    @pytest.mark.parametrize("seed", [AMBIENT_SEED, AMBIENT_SEED + 1])
+    def test_results_identical_or_typed_error(
+        self, schedule_text, seed, quiet_config, tmp_path, monkeypatch
+    ):
+        self._check(schedule_text, seed, quiet_config, tmp_path, monkeypatch, workers=1)
+
+    @pytest.mark.parametrize("schedule_text", CHAOS_SCHEDULES)
+    @pytest.mark.parametrize("seed", [AMBIENT_SEED, AMBIENT_SEED + 1])
+    def test_thread_pool_results_identical_or_typed_error(
+        self, schedule_text, seed, quiet_config, tmp_path, monkeypatch
+    ):
+        """The same schedules with the sweep on a two-thread pool and a disk
+        activity tier, which the pool's tasks consult: their hits interleave
+        on the one schedule, and the answers must still not change."""
+        self._check(
+            schedule_text, seed, quiet_config, tmp_path, monkeypatch,
+            activity=ActivityCache(disk_dir=tmp_path / "activity"),
+            workers=2, backend="threads",
+        )
 
     def test_replayed_schedule_reproduces_the_fault_log(
         self, quiet_config, tmp_path, monkeypatch

@@ -93,19 +93,34 @@ class TestBackendDeterminism:
                 estimation_overrides=QUIET,
             )
         )
-        for workers, backend in ((2, "threads"), (2, "processes")):
-            candidate = comparable(
-                simulate(
-                    trace,
-                    fleet,
-                    workers=workers,
-                    backend=backend,
-                    cache=None,
-                    activity_cache=None,
-                    estimation_overrides=QUIET,
-                )
+        candidate = comparable(
+            simulate(
+                trace,
+                fleet,
+                workers=2,
+                backend="threads",
+                cache=None,
+                activity_cache=None,
+                estimation_overrides=QUIET,
             )
-            assert candidate == reference, f"{backend} diverged from serial"
+        )
+        assert candidate == reference, "threads diverged from serial"
+
+    def test_deprecated_processes_name_replays_on_threads(self, trace):
+        fleet = FleetSpec.from_counts({"a100": 2})
+        reference = comparable(
+            simulate(
+                trace, fleet, workers=1, cache=None, activity_cache=None,
+                estimation_overrides=QUIET,
+            )
+        )
+        with pytest.warns(DeprecationWarning, match="backend='processes'"):
+            result = simulate(
+                trace, fleet, workers=2, backend="processes", cache=None,
+                activity_cache=None, estimation_overrides=QUIET,
+            )
+        assert result.run_stats["backend"] == "threads"
+        assert comparable(result) == reference
 
     def test_fleet_seed_env_replays_the_generator(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLEET_SEED", "777")

@@ -528,6 +528,16 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary == json.loads(golden.read_text())
 
+    def test_processes_flag_replays_the_golden_summary(self, capsys):
+        study_path = DATA_DIR / "optimize_study.json"
+        golden = DATA_DIR / "optimize_golden_summary.json"
+        with pytest.warns(DeprecationWarning, match="backend='processes'"):
+            assert optimize_main(
+                ["run", str(study_path), "--no-cache", "--backend", "processes",
+                 "--workers", "2", "--expect", str(golden)]
+            ) == 0
+        assert "replay OK" in capsys.readouterr().out
+
     def test_expect_mismatch_fails_with_diff(self, tmp_path, capsys):
         study_path = DATA_DIR / "optimize_study.json"
         wrong = json.loads((DATA_DIR / "optimize_golden_summary.json").read_text())

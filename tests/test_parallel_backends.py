@@ -1,15 +1,15 @@
 """Tests for the pluggable sweep execution backends (:mod:`repro.parallel`).
 
-Covers the three pillars of the subsystem:
+Covers the pillars of the subsystem:
 
-* **Equivalence** — `serial`, `threads` and `processes` return bit-for-bit
-  identical results (and identical :class:`RunStats`) at any worker count,
-  with and without the result/activity cache tiers.
+* **Equivalence** — `serial` and `threads` return bit-for-bit identical
+  results (and identical :class:`RunStats`) at any worker count, with and
+  without the result/activity cache tiers.
 * **Failure semantics** — a failing sweep point propagates with its label
-  attached, blames only its own submission chunk, cancels queued work, and
-  leaves the runner reusable (no leaked pools or shared-memory segments).
-* **Calibration** — the chunk-budget probe honours the environment
-  override, persists to the cache directory, and reloads what it persisted.
+  attached, cancels queued work, and leaves the runner reusable.
+* **Resolution** — ``auto``, the environment override, and the deprecated
+  ``processes`` name and ``chunksize=`` keyword.
+* **Chunk budget** — the engine's fixed per-chunk working-set budget.
 
 Plus the premise the ``threads`` backend rests on: the bit-level kernels
 release the GIL (asserted in a way that works even on a single-core host).
@@ -17,44 +17,30 @@ release the GIL (asserted in a way that works even on a single-core host).
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.cache.store as store
+import repro.experiments.sweep as sweep_module
+from repro import api
 from repro.cache.store import ActivityCache, ExperimentCache
 from repro.errors import ExperimentError
 from repro.experiments.figures.common import FigureSettings
-from repro.experiments.sweep import RunStats, _chunk_group, run_configs, sweep_configs
-from repro.parallel import (
-    BACKENDS,
-    choose_backend,
-    get_executor,
-    resolve_backend,
-)
-from repro.parallel import shm
-from repro.parallel.backends import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.experiments.sweep import RunStats, run_configs, sweep_configs
+from repro.fleet.__main__ import main as fleet_main
+from repro.parallel import get_executor, resolve_backend
+from repro.parallel.backends import SerialExecutor, ThreadExecutor
+from repro.serve.service import ServiceConfig
 from repro.util.bits import toggle_fraction_along_axis
 from repro.util.rng import derive_rng
 
-
-# Top-level helpers for the process-executor tests (must be picklable).
-def _identity(x):
-    return x
-
-
-def _encode_json(values):
-    return json.dumps(list(values)).encode()
-
-
-def _decode_json(payload):
-    return json.loads(payload)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -73,7 +59,7 @@ def failing_sweep(quiet_config):
 
     Configs reject an out-of-range sparsity when built, so the fifth
     point's ``sparsity=3.0`` goes in afterwards; it then fails inside the
-    runner (and inside pool workers) when the pattern is built.
+    runner when the pattern is built.
     """
     configs = sweep_configs(
         quiet_config(pattern_family="sparsity", matrix_size=32),
@@ -97,8 +83,7 @@ class TestBackendEquivalence:
     def reference(self, sweep):
         return _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_results_bit_for_bit_identical(self, sweep, reference, backend, workers):
         stats = RunStats()
         results = run_configs(
@@ -113,7 +98,6 @@ class TestBackendEquivalence:
         assert stats.executed == 4
         assert stats.backend == backend
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_stats_match_serial(self, sweep, backend):
         serial_stats, backend_stats = RunStats(), RunStats()
         run_configs(sweep, workers=1, cache=None, activity_cache=None, stats=serial_stats)
@@ -129,7 +113,6 @@ class TestBackendEquivalence:
             assert getattr(backend_stats, field) == getattr(serial_stats, field)
         assert "backend" in backend_stats.as_dict()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_result_cache_interaction(self, sweep, reference, backend):
         """Every backend fills an explicit result cache (puts happen in the
         parent) and a warm second pass is served entirely from it."""
@@ -163,42 +146,27 @@ class TestBackendEquivalence:
         assert activity.stats.hits > 0
         assert _as_dicts(warm) == reference
 
-    def test_processes_shm_and_pickle_transfer_agree(self, sweep, reference, monkeypatch):
-        """The shared-memory return path and the pickle fallback both
-        reproduce the serial results exactly."""
-        via_shm = run_configs(
-            sweep, workers=2, backend="processes", cache=None, activity_cache=None
-        )
-        monkeypatch.setenv(shm.ENV_DISABLE_SHM, "0")
-        via_pickle = run_configs(
-            sweep, workers=2, backend="processes", cache=None, activity_cache=None
-        )
-        assert _as_dicts(via_shm) == reference
-        assert _as_dicts(via_pickle) == reference
-
-    def test_dedupe_off_matches(self, quiet_config):
+    def test_dedupe_off_matches(self, quiet_config, backend):
         config = quiet_config(pattern_family="sparsity", matrix_size=32)
         configs = sweep_configs(config, "sparsity", [0.5, 0.5, 0.5])
         reference = _as_dicts(
             run_configs(configs, workers=1, cache=None, activity_cache=None, dedupe=False)
         )
-        for backend in ("threads", "processes"):
-            results = run_configs(
-                configs,
-                workers=2,
-                backend=backend,
-                cache=None,
-                activity_cache=None,
-                dedupe=False,
-            )
-            assert _as_dicts(results) == reference
+        results = run_configs(
+            configs,
+            workers=2,
+            backend=backend,
+            cache=None,
+            activity_cache=None,
+            dedupe=False,
+        )
+        assert _as_dicts(results) == reference
 
 
 # ----------------------------------------------------------- failure handling
 
 
 class TestFailurePropagation:
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_failure_carries_label(self, failing_sweep, backend):
         with pytest.raises(ExperimentError, match="sparsity=3.0"):
             run_configs(
@@ -209,70 +177,25 @@ class TestFailurePropagation:
                 activity_cache=None,
             )
 
-    def test_runner_reusable_after_failure(self, failing_sweep, sweep):
-        for backend in BACKENDS:
-            with pytest.raises(ExperimentError):
-                run_configs(
-                    failing_sweep, workers=2, backend=backend, cache=None, activity_cache=None
-                )
+    def test_runner_reusable_after_failure(self, failing_sweep, sweep, backend):
+        with pytest.raises(ExperimentError):
+            run_configs(
+                failing_sweep, workers=2, backend=backend, cache=None, activity_cache=None
+            )
         results = run_configs(sweep, workers=2, cache=None, activity_cache=None)
         assert len(results) == 4
 
-    def test_process_chunk_blame_does_not_cross_chunks(self, failing_sweep):
-        """With chunksize 2 the failing point (index 4) shares a chunk with
-        index 5 only; indices 0-3 must not be blamed."""
+    def test_blame_does_not_cross_configs(self, failing_sweep, backend):
+        """Only the failing point (index 4) is named; the points around it,
+        finished or still queued, are not blamed."""
         with pytest.raises(ExperimentError) as excinfo:
             run_configs(
-                failing_sweep,
-                workers=2,
-                backend="processes",
-                chunksize=2,
-                cache=None,
-                activity_cache=None,
+                failing_sweep, workers=2, backend=backend, cache=None, activity_cache=None
             )
         message = str(excinfo.value)
         assert "sparsity=3.0" in message
-        for innocent in ("sparsity=0.0", "sparsity=0.2", "sparsity=0.4", "sparsity=0.6"):
-            assert innocent not in message
-
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"),
-        reason="POSIX shared memory is only directly observable under /dev/shm",
-    )
-    def test_no_leaked_shm_segments_after_failure(self, failing_sweep):
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
-        with pytest.raises(ExperimentError):
-            run_configs(
-                failing_sweep,
-                workers=2,
-                backend="processes",
-                chunksize=1,
-                cache=None,
-                activity_cache=None,
-            )
-        after = set(glob.glob("/dev/shm/psm_*"))
-        assert after - before == set()
-
-
-class TestChunkGroupHelper:
-    PENDING = [(str(i), [i]) for i in range(10)]
-
-    def test_aligned_position_names_own_chunk(self):
-        assert _chunk_group(self.PENDING, 4, 4) == self.PENDING[4:8]
-
-    def test_mid_chunk_position_does_not_bleed_into_next_chunk(self):
-        # Old behaviour was pending[5:9], crossing the chunk boundary at 8.
-        assert _chunk_group(self.PENDING, 5, 4) == self.PENDING[4:8]
-
-    def test_last_partial_chunk_is_clamped(self):
-        assert _chunk_group(self.PENDING, 8, 4) == self.PENDING[8:10]
-        assert _chunk_group(self.PENDING, 9, 4) == self.PENDING[8:10]
-
-    def test_span_one(self):
-        assert _chunk_group(self.PENDING, 7, 1) == [self.PENDING[7]]
-
+        for innocent in ("0.0", "0.2", "0.4", "0.6", "0.8"):
+            assert f"sparsity={innocent}" not in message
 
 # ------------------------------------------------------------------ executors
 
@@ -323,107 +246,48 @@ class TestExecutors:
             get_executor("bogus", 2)
         with pytest.raises(ExperimentError):
             ThreadExecutor(0)
-        with pytest.raises(ExperimentError):
-            ProcessExecutor(2, chunksize=0)
-        with pytest.raises(ExperimentError):
-            ProcessExecutor(2, transfer="carrier-pigeon")
 
-    def test_chunk_span_reflects_chunksize(self):
-        executor = ProcessExecutor(2, chunksize=3)
-        assert executor.chunk_span == 3
-        executor.shutdown()
-        assert SerialExecutor().chunk_span == 1
+    def test_get_executor_builds_each_backend(self, backend):
+        expected = {"serial": SerialExecutor, "threads": ThreadExecutor}[backend]
+        with get_executor(backend, 2) as executor:
+            assert type(executor) is expected
+            assert list(executor.map(abs, [-1, -2, -3])) == [1, 2, 3]
 
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"),
-        reason="POSIX shared memory is only directly observable under /dev/shm",
-    )
-    def test_abandoned_iterator_does_not_leak_segments(self):
-        """Breaking out of the result stream early (clean shutdown, no
-        cancellation) must still free the unconsumed chunks' segments."""
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
-        with ProcessExecutor(2, chunksize=1, encode=_encode_json, decode=_decode_json) as executor:
-            for value in executor.map(_identity, list(range(6))):
+    def test_abandoned_stream_leaves_no_threads_behind(self):
+        """Breaking out of the result stream early and leaving the block
+        joins every pool thread: no worker outlives its executor."""
+        before = set(threading.enumerate())
+        with ThreadExecutor(2) as executor:
+            for value in executor.map(abs, list(range(6))):
                 if value == 0:
                     break  # abandon the rest of the stream
-        after = set(glob.glob("/dev/shm/psm_*"))
-        assert after - before == set()
+        assert set(threading.enumerate()) - before == set()
 
-
-#: Workers of a pool whose parent runs an asyncio loop with signal
-#: handlers, each sent SIGTERM the moment it forks (an at-fork hook that
-#: runs before anything of the worker's own) — as a pool terminates a
-#: just-forked worker after a sibling died.  Prints the results, the
-#: fallback backend, and the signals the parent's loop saw.
-EARLY_SIGTERM_SCRIPT = """
-import asyncio, json, os, signal
-from repro.parallel.backends import ProcessExecutor
-
-os.register_at_fork(after_in_child=lambda: os.kill(os.getpid(), signal.SIGTERM))
-
-async def main():
-    loop = asyncio.get_running_loop()
-    seen = []
-    loop.add_signal_handler(signal.SIGTERM, seen.append, int(signal.SIGTERM))
-    executor = ProcessExecutor(2, transfer="pickle")
-    try:
-        results = await loop.run_in_executor(
-            None, lambda: list(executor.map(abs, [-1, -2, -3]))
-        )
-    finally:
-        executor.shutdown()
-    for _ in range(5):  # let the loop read anything a worker reported
-        await asyncio.sleep(0)
-    fallback = executor.resilience.fallback_backend
-    print(json.dumps({"results": results, "fallback": fallback, "seen": seen}))
-
-asyncio.run(main())
-"""
-
-
-def test_worker_signalled_before_init_does_not_signal_the_parent():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", EARLY_SIGTERM_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert completed.returncode == 0, completed.stderr
-    # The SIGTERM killed each worker (so the pool fell back to threads)
-    # instead of reaching the parent's event loop.
-    assert json.loads(completed.stdout) == {
-        "results": [1, 2, 3],
-        "fallback": "threads",
-        "seen": [],
-    }
+def _deprecations(record) -> "list[str]":
+    return [str(w.message) for w in record if issubclass(w.category, DeprecationWarning)]
 
 
 class TestBackendResolution:
-    def test_explicit_names_pass_through(self):
-        for name in BACKENDS:
-            assert resolve_backend(name, workers=1) == name
+    def test_explicit_names_pass_through(self, backend):
+        assert resolve_backend(backend, workers=1) == backend
 
     def test_auto_collapses_to_serial_for_one_worker(self):
         assert resolve_backend("auto", workers=1) == "serial"
 
-    def test_auto_prefers_threads_for_estimation(self):
+    def test_auto_is_threads_for_a_pool(self):
         assert resolve_backend("auto", workers=4) == "threads"
-        assert resolve_backend("auto", workers=4, workload="generation") == "processes"
 
-    def test_choose_backend(self):
-        assert choose_backend("estimation") == "threads"
-        assert choose_backend("generation") == "processes"
-        with pytest.raises(ExperimentError):
-            choose_backend("interpretive-dance")
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_processes_resolves_to_threads_at_any_width(self, workers):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert resolve_backend("processes", workers=workers) == "threads"
+        warned = _deprecations(record)
+        assert len(warned) == 1 and "backend='processes'" in warned[0]
 
     def test_env_override_steers_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
-        assert resolve_backend("auto", workers=4) == "processes"
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "serial")
+        assert resolve_backend("auto", workers=4) == "serial"
         assert resolve_backend("threads", workers=4) == "threads"
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "bogus")
         with pytest.raises(ExperimentError):
@@ -439,66 +303,92 @@ class TestBackendResolution:
 
     def test_figure_settings_validate_backend(self):
         assert FigureSettings.quick(backend="threads").backend == "threads"
+        with pytest.warns(DeprecationWarning, match="processes"):
+            assert FigureSettings.quick(backend="processes").backend == "threads"
         with pytest.raises(ExperimentError):
             FigureSettings.quick(backend="bogus")
 
+    def test_service_config_keeps_processes_as_threads(self):
+        with pytest.warns(DeprecationWarning, match="processes"):
+            assert ServiceConfig(backend="processes").backend == "threads"
 
-# --------------------------------------------------------------- shm transfer
+    # The removed process backend: its name warns once and runs on threads.
 
+    def _run_recording(self, configs, run=run_configs, **kwargs):
+        stats = RunStats()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            results = run(
+                configs, workers=2, cache=None, activity_cache=None, stats=stats, **kwargs
+            )
+        return _as_dicts(results), stats.backend, _deprecations(record)
 
-class TestSharedMemoryTransfer:
-    @staticmethod
-    def _encode(values):
-        return json.dumps(list(values)).encode()
+    def test_processes_argument_warns_once_and_runs_on_threads(self, sweep):
+        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
+        results, ran_on, warned = self._run_recording(sweep, backend="processes")
+        assert len(warned) == 1 and "backend='processes'" in warned[0]
+        assert ran_on == "threads"
+        assert results == reference
 
-    @staticmethod
-    def _decode(payload):
-        return json.loads(payload)
+    def test_processes_argument_through_the_facade(self, sweep):
+        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
+        results, ran_on, warned = self._run_recording(
+            sweep, run=api.run_configs, backend="processes"
+        )
+        assert len(warned) == 1 and "backend='processes'" in warned[0]
+        assert ran_on == "threads"
+        assert results == reference
 
-    def test_roundtrip(self):
-        handle = shm.share_chunk([1, 2, 3], self._encode)
-        assert isinstance(handle, shm.ShmHandle)
-        assert handle.count == 3
-        assert shm.receive_chunk(handle, self._decode) == [1, 2, 3]
+    def test_processes_env_warns_once_and_runs_on_threads(self, sweep, monkeypatch):
+        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
+        results, ran_on, warned = self._run_recording(sweep)
+        assert len(warned) == 1 and "REPRO_PARALLEL_BACKEND='processes'" in warned[0]
+        assert ran_on == "threads"
+        assert results == reference
 
-    def test_receive_unlinks_segment(self):
-        handle = shm.share_chunk(["x"], self._encode)
-        shm.receive_chunk(handle, self._decode)
-        from multiprocessing import shared_memory
+    def test_processes_cli_flag_warns_once_and_runs_on_threads(self, monkeypatch, capsys):
+        """The fleet CLI's golden replay under ``--backend processes``: it
+        must compute (no default cache tier) on threads and still match the
+        checked-in summary, which the serial replay reproduces."""
+        for name in ("REPRO_PARALLEL_BACKEND", "REPRO_PARALLEL_WORKERS", "REPRO_FLEET_BACKEND"):
+            monkeypatch.delenv(name, raising=False)
+        for name in ("_default_cache", "_default_activity_cache"):
+            monkeypatch.setattr(store, name, None)
+        for name in ("_default_initialized", "_default_activity_initialized"):
+            monkeypatch.setattr(store, name, True)
+        built = []
 
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=handle.name)
+        def recording_executor(name, workers=1):
+            built.append(name)
+            return get_executor(name, workers)
 
-    def test_discard_unlinks_segment(self):
-        handle = shm.share_chunk(["x"], self._encode)
-        shm.discard_chunk(handle)
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=handle.name)
-
-    def test_disable_env_forces_inline(self, monkeypatch):
-        monkeypatch.setenv(shm.ENV_DISABLE_SHM, "0")
-        handle = shm.share_chunk([1, 2], self._encode)
-        assert isinstance(handle, shm.InlineChunk)
-        assert shm.receive_chunk(handle, self._decode) == [1, 2]
-        assert not shm.shm_available()
-
-    def test_count_mismatch_detected(self):
-        handle = shm.share_chunk([1, 2, 3], self._encode)
-        bad = shm.ShmHandle(name=handle.name, size=handle.size, count=7)
-        with pytest.raises(ExperimentError, match="expected 7"):
-            shm.receive_chunk(bad, self._decode)
-
-    def test_experiment_result_codec_is_lossless(self, quiet_config):
-        from repro.experiments.harness import run_experiment
-
-        result = run_experiment(quiet_config(matrix_size=32), cache=None, activity_cache=None)
-        payload = shm.encode_experiment_results([[result, result], [result]])
-        decoded = shm.decode_experiment_results(payload)
-        assert [[item.as_dict() for item in group] for group in decoded] == [
-            [result.as_dict()] * 2, [result.as_dict()]
+        monkeypatch.setattr(sweep_module, "get_executor", recording_executor)
+        argv = [
+            "simulate", str(DATA / "fleet_golden_trace.json"), "--gpus", "a100:2",
+            "--cap-at", "2:58", "--backend", "processes", "--workers", "2",
+            "--expect", str(DATA / "fleet_golden_summary.json"),
         ]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert fleet_main(argv) == 0
+        assert len(_deprecations(record)) == 1
+        assert built == ["threads"]
+        assert "replay OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("run", [run_configs, api.run_configs], ids=["sweep", "api"])
+    @pytest.mark.parametrize("chunksize", [0, -3, 3, 99])
+    def test_chunksize_warns_and_is_ignored(self, sweep, run, chunksize):
+        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            results = run(sweep, workers=2, chunksize=chunksize, cache=None, activity_cache=None)
+        warned = _deprecations(record)
+        assert len(warned) == 1 and warned[0].startswith("chunksize= is deprecated")
+        assert _as_dicts(results) == reference
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(sweep, workers=2, chunksize=None, cache=None, activity_cache=None)
 
 
 # --------------------------------------------------------------- chunk budget
@@ -584,45 +474,3 @@ def test_cache_is_thread_safe(quiet_config):
     stats = cache.stats
     assert stats.lookups == 8 * 200
     assert stats.hits + stats.misses == stats.lookups
-
-
-class TestChaosEquivalence:
-    """Chaos parametrization: the processes backend keeps its bit-for-bit
-    equivalence contract while fault injection kills its workers (see
-    tests/test_faults.py for the full resilience matrix)."""
-
-    @pytest.mark.parametrize(
-        "schedule_text",
-        [
-            "pool.worker:kill@2",  # one breakage: rebuild + resubmit
-            "pool.worker:kill@1",  # every worker dies: threads fallback
-        ],
-    )
-    def test_killed_workers_never_change_results(
-        self, sweep, monkeypatch, schedule_text
-    ):
-        import repro.faults as faults
-
-        reference = _as_dicts(
-            run_configs(sweep, workers=1, cache=None, activity_cache=None)
-        )
-        monkeypatch.setenv("REPRO_FAULTS", schedule_text)
-        faults.reset()
-        try:
-            stats = RunStats()
-            survived = _as_dicts(
-                run_configs(
-                    sweep,
-                    workers=2,
-                    backend="processes",
-                    cache=None,
-                    activity_cache=None,
-                    stats=stats,
-                )
-            )
-        finally:
-            faults.reset()
-            monkeypatch.delenv("REPRO_FAULTS")
-        assert survived == reference
-        assert stats.pool_rebuilds == 1
-        assert stats.chunks_resubmitted > 0

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_module
-import repro.experiments.sweep as sweep_module
 from repro.activity.sampler import SamplingConfig
 from repro.cache.store import ExperimentCache
 from repro.core import EstimationPipeline
@@ -208,13 +207,11 @@ class TestPipelinePlanSharing:
         assert first.plan is not second.plan
         assert first.run().as_dict() == second.run().as_dict()
 
-    @pytest.mark.parametrize("backend", ("serial", "threads"))
     def test_sweep_builds_one_plan_per_distinct_config(
         self, sweep, backend, count_plan_builds
     ):
         """3 distinct configs x 4 seeds: 3 plan builds per uncached pass,
-        whatever the in-process backend; nothing carries over between
-        passes."""
+        whatever the backend; nothing carries over between passes."""
         first = run_configs(
             sweep, workers=2, cache=None, activity_cache=None, backend=backend
         )
@@ -258,33 +255,3 @@ class TestPipelinePlanSharing:
         warm = run_configs(sweep, workers=1, cache=cache, activity_cache=None)
         assert len(count_plan_builds) == 3
         assert _as_dicts(warm) == _as_dicts(cold)
-
-
-# ------------------------------------------------------------ process pools
-
-
-class TestProcessPoolBackend:
-    def test_processes_backend_matches_serial(self, quiet_config, monkeypatch):
-        """A sweep forced onto the processes backend really runs on a process
-        pool and matches the serial results."""
-        seen = []
-        real_get_executor = sweep_module.get_executor
-
-        def recording_get_executor(name, workers, **kwargs):
-            seen.append(name)
-            return real_get_executor(name, workers, **kwargs)
-
-        monkeypatch.setattr(sweep_module, "get_executor", recording_get_executor)
-        configs = sweep_configs(
-            quiet_config(pattern_family="sparsity", matrix_size=32, seeds=2),
-            "sparsity",
-            [0.0, 1.0],
-        )
-        computed = run_configs(
-            configs, workers=2, cache=None, activity_cache=None, backend="processes"
-        )
-        assert seen == ["processes"]
-        reference = run_configs(
-            configs, workers=1, cache=None, activity_cache=None, backend="serial"
-        )
-        assert _as_dicts(computed) == _as_dicts(reference)

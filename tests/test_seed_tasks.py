@@ -8,8 +8,8 @@ in seed order.  These tests pin that neither the split nor the sharing
 changes a bit — on every backend and worker count, for chunk counts that
 do not divide by the worker count, for mixed lists with duplicates,
 different bases, base seeds and seed counts, for every pattern family and
-dtype, over a partly warm activity cache, and under process-pool faults —
-that a failing chunk is blamed on its configuration once, that a shared
+dtype, over a partly warm activity cache, and under activity-cache faults
+— that a failing chunk is blamed on its configuration once, that a shared
 base is drawn once per group and freed after its last consumer, and that
 the planner keeps a pool busy.
 
@@ -41,8 +41,6 @@ from repro.experiments.sweep import (
 from repro.patterns import library
 from repro.patterns.base import Pattern, Transform, TransformedPattern
 from repro.patterns.distribution import GaussianPattern
-
-BACKENDS = ("serial", "threads", "processes")
 
 #: The fault seed CI's chaos legs set (captured before the isolation
 #: fixture scrubs the environment).
@@ -111,7 +109,6 @@ class TestTaskSplit:
 
 class TestEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_mixed_list_bit_for_bit(self, mixed, backend, workers):
         stats = RunStats()
         results = run_configs(
@@ -137,7 +134,6 @@ class TestEquivalence:
 
 
 class TestPartlyWarmActivityCache:
-    @pytest.mark.parametrize("backend", ("serial", "threads"))
     def test_only_missing_seeds_are_computed(self, large, backend, monkeypatch):
         activity = ActivityCache()
         EstimationPipeline(large, activity_cache=activity).run(seeds=range(0, 4))
@@ -157,10 +153,9 @@ class TestPartlyWarmActivityCache:
 
 
 class TestFailingChunk:
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_failing_config_is_named_once(self, quiet_config, large, backend):
-        """Every chunk of the poisoned config fails; with three tasks per
-        process chunk the blame still names the config exactly once."""
+        """Every chunk of the poisoned config fails; the blame still names
+        the config exactly once."""
         poisoned = quiet_config(
             pattern_family="sparsity", matrix_size=256, seeds=7, label="poisoned"
         )
@@ -170,7 +165,6 @@ class TestFailingChunk:
                 [poisoned, quiet_config(matrix_size=32, label="innocent")],
                 workers=2,
                 backend=backend,
-                chunksize=3,
                 cache=None,
                 activity_cache=None,
             )
@@ -178,7 +172,6 @@ class TestFailingChunk:
         assert message.count("poisoned") == 1
         assert "innocent" not in message
 
-    @pytest.mark.parametrize("backend", ("serial", "threads"))
     def test_mid_config_failure_is_named_once(self, large, backend, monkeypatch):
         original = EstimationPipeline.generate_streams
 
@@ -199,7 +192,6 @@ class TestSingleConfiguration:
     """One configuration's seeds spread over a pool through ``run_configs``
     with the result cache off equal ``estimate_experiment`` bit for bit."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_pooled_run_equals_estimate_experiment(self, large, backend):
         inline = estimate_experiment(large, activity_cache=None)
         [pooled] = run_configs(
@@ -209,40 +201,58 @@ class TestSingleConfiguration:
         assert pooled.as_dict() == inline.as_dict() == _whole(large)
 
 
-class TestPoolFaults:
-    """``pool.worker`` faults land inside a config's seed chunks, and
-    assembly stays exact wherever the chunks end up running."""
-
-    def test_kill_mid_config_rebuilds_and_assembles(self, large, monkeypatch):
-        # The kill count is per process, so only kill@1 has one outcome on
-        # a loaded machine: every fresh worker dies on its first chunk, the
-        # rebuilt pool breaks too, and all seven chunks run on threads.
-        # (With kill@3 a rebuilt worker may or may not reach a third chunk.)
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@1")
-        faults.reset()
-        stats = RunStats()
-        results = run_configs(
-            [large], workers=2, backend="processes", chunksize=1, cache=None,
-            activity_cache=None, stats=stats,
-        )
-        assert [result.as_dict() for result in results] == [_whole(large)]
-        assert stats.pool_rebuilds == 1
-        assert stats.degraded_backend == "threads"
-        assert stats.chunks_resubmitted == 7 + 7
+class TestCacheFaults:
+    """Activity-tier faults land inside a configuration's seed chunks and
+    its seed groups (the tier is consulted per seed, inside each task), and
+    assembly stays exact or fails typed."""
 
     @pytest.mark.parametrize("seed", [AMBIENT_SEED, AMBIENT_SEED + 1])
-    def test_random_kills_identical_or_typed_error(self, mixed, seed, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@0.5")
+    def test_random_faults_identical_or_typed_error(
+        self, mixed, backend, seed, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_RETRIES", "3")
+        monkeypatch.setenv("REPRO_CACHE_BACKOFF_MS", "1")
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "cache.sqlite.write:busy@0.5;cache.sqlite.read:eio@0.5"
+        )
         monkeypatch.setenv("REPRO_FAULTS_SEED", str(seed))
         faults.reset()
-        try:
+        # A cold pass writes through the faults, and a fresh instance over
+        # the same directory then reads through them.
+        for _ in range(2):
+            try:
+                results = run_configs(
+                    mixed, workers=2, backend=backend, cache=None,
+                    activity_cache=ActivityCache(disk_dir=tmp_path),
+                )
+            except ReproError:
+                continue  # a typed failure is an accepted outcome; wrong data is not
+            assert [result.as_dict() for result in results] == [_whole(c) for c in mixed]
+
+    @pytest.mark.parametrize("nth", [1, 2, 5])
+    def test_single_fault_mid_run_assembles_exactly(
+        self, mixed, backend, nth, tmp_path, monkeypatch
+    ):
+        """One busy write and one unreadable entry at the N-th activity-tier
+        operation, inside some seed task: the busy write is retried and the
+        unreadable entry recomputed, so both passes assemble bit for bit."""
+        monkeypatch.setenv("REPRO_CACHE_RETRIES", "3")
+        monkeypatch.setenv("REPRO_CACHE_BACKOFF_MS", "1")
+        monkeypatch.setenv(
+            "REPRO_FAULTS", f"cache.sqlite.write:busy@{nth};cache.sqlite.read:eio@{nth}"
+        )
+        faults.reset()
+        expected = [_whole(c) for c in mixed]
+        for _ in range(2):
             results = run_configs(
-                mixed, workers=2, backend="processes", chunksize=1, cache=None,
-                activity_cache=None,
+                mixed, workers=2, backend=backend, cache=None,
+                activity_cache=ActivityCache(disk_dir=tmp_path),
             )
-        except ReproError:
-            return  # a typed failure is an accepted outcome; wrong data is not
-        assert [result.as_dict() for result in results] == [_whole(c) for c in mixed]
+            assert [result.as_dict() for result in results] == expected
+        fired = faults.active_schedule().fired
+        assert sorted(entry["point"] for entry in fired) == [
+            "cache.sqlite.read", "cache.sqlite.write",
+        ]
 
 
 # ------------------------------------------------------------ seed groups
@@ -382,7 +392,6 @@ class TestGroupedEquivalence:
         assert [result.as_dict() for result in results] == [_whole(c) for c in configs]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_mixed_bases_seeds_and_counts(self, quiet_config, backend, workers):
         configs = [
             quiet_config(pattern_family="zero_lsb", seeds=10, label="zero_lsb"),
@@ -447,7 +456,6 @@ class TestSharedBases:
         ]
         assert all(ref() is None for _, ref in base_draws)
 
-    @pytest.mark.parametrize("backend", ("serial", "threads"))
     def test_warm_sibling_skips_and_memo_freed_at_group_end(
         self, siblings, base_draws, backend, monkeypatch
     ):
@@ -510,21 +518,3 @@ class TestSharedBases:
             assert "sibling" not in message
         [alone] = run_configs([sibling], cache=None, activity_cache=None)
         assert alone.as_dict() == _whole(sibling)
-
-
-class TestGroupPoolFaults:
-    def test_kill_mid_group_rebuilds_and_assembles(self, siblings, monkeypatch):
-        configs = siblings(seeds=8)
-        assert [len(group) for group in _seed_groups(configs, workers=2)] == [3] * 8
-        # kill@1, as in TestPoolFaults: one outcome whatever the load.
-        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@1")
-        faults.reset()
-        stats = RunStats()
-        results = run_configs(
-            configs, workers=2, backend="processes", chunksize=1, cache=None,
-            activity_cache=None, stats=stats,
-        )
-        assert [result.as_dict() for result in results] == [_whole(c) for c in configs]
-        assert stats.pool_rebuilds == 1
-        assert stats.degraded_backend == "threads"
-        assert stats.chunks_resubmitted == 8 + 8
