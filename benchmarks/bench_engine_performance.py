@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro import env
 from repro.activity.engine import (
     activity_from_matrices,
     estimate_activity_batch,
@@ -46,7 +47,7 @@ from repro.telemetry.sampler import TelemetryConfig
 from repro.util.bits import popcount, toggle_fraction_along_axis
 from repro.util.rng import derive_rng
 
-SIZE = int(os.environ.get("REPRO_BENCH_SIZE", "1024"))
+SIZE = env.read("REPRO_BENCH_SIZE")
 #: Seed-batch width used by the batched-estimation benchmarks.
 BATCH_SEEDS = 4
 #: Pool width for the backend-comparison and thread-scaling benchmarks.

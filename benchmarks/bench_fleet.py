@@ -15,8 +15,7 @@ artifact-diff step.
 
 from __future__ import annotations
 
-import os
-
+from repro import env
 from repro.activity.sampler import SamplingConfig
 from repro.cache.store import ActivityCache, ExperimentCache
 from repro.experiments.sweep import RunStats
@@ -24,7 +23,7 @@ from repro.fleet import FleetSpec, generate_trace
 from repro.fleet.simulator import simulate
 from repro.telemetry.sampler import TelemetryConfig
 
-GPUS = int(os.environ.get("REPRO_FLEET_BENCH_GPUS", "256"))
+GPUS = env.read("REPRO_FLEET_BENCH_GPUS")
 #: Quiet, small estimation settings: the benchmark times the simulator,
 #: not measurement fidelity.
 QUIET = {

@@ -17,9 +17,9 @@ environment variable:
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
+from repro import env
 from repro.experiments.figures import FigureSettings
 from repro.experiments.results import FigureResult
 
@@ -27,7 +27,7 @@ __all__ = ["bench_settings", "emit_figure", "RESULTS_DIR", "PROFILE"]
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "quick").strip().lower()
+PROFILE = env.read("REPRO_BENCH_PROFILE")
 
 
 def bench_settings(**overrides) -> FigureSettings:

@@ -9,24 +9,22 @@ Three checks, any of which fails the build:
    (``#...``) are ignored; a link's ``#fragment`` suffix is stripped
    before the filesystem check.
 
-2. **Environment-variable sync** — ``docs/configuration.md`` claims to be
-   the authoritative table of every ``REPRO_*`` knob.  This check scans
-   ``src/**/*.py`` and ``benchmarks/**/*.py`` for ``REPRO_[A-Z_]+`` names
-   and fails if any is missing from the configuration page (undocumented
-   knob) or documented there without appearing in the code (stale doc).
+2. **Environment-variable sync** — ``src/repro/env.py`` declares every
+   ``REPRO_*`` knob, the deprecated names included (``KNOBS``).
+   ``docs/configuration.md`` must have a table row for each declared
+   name and mention no other ``REPRO_*`` name, and no file under ``src/``
+   or ``benchmarks/`` may mention an undeclared one (prose about a
+   removed knob is drift too).
 
-3. **Default-value sync** — for knobs whose read site spells the fallback
-   as a literal (``environ.get("REPRO_X", "quick")``,
-   ``_env_int("REPRO_X", 64)``, or an UPPER_CASE constant assigned a
-   literal in the same file), the *Default* cell of the configuration
-   table must carry the same value in backticks.  Knobs with sentinel
-   fallbacks (empty string) or prose defaults (``unset``, ``enabled``)
-   are exempt — there is nothing mechanical to compare.
+3. **Default-value sync** — the second cell of each row must match the
+   declaration: the backticked default of a live knob (prose starting
+   with ``unset`` when the default is ``None`` or off), the backticked
+   replacement of a deprecated name.
 
-The name and default extraction is shared with the ``env-registry`` pass
-of ``python -m repro.staticcheck`` (see
-:mod:`repro.staticcheck.envscan`); this script side-loads the stdlib-only
-modules so it still runs on a bare interpreter.
+The knob table imports only the standard library and :mod:`repro.errors`,
+so this script side-loads it, with the stdlib-only staticcheck helpers it
+shares with the ``env-registry`` pass (:mod:`repro.staticcheck.envscan`),
+and still runs on a bare interpreter.
 
 Usage::
 
@@ -39,6 +37,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
+from typing import Any, Mapping
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _staticcheck_bootstrap  # noqa: E402
@@ -50,18 +49,17 @@ walker = _staticcheck_bootstrap.load("walker")
 #: used in this repo, which keeps the pattern simple.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
-#: Environment-variable names; see envscan.ENV_NAME_RE for the shape
-#: rationale (digit support, wildcard-prose lookahead).
-ENV_RE = envscan.ENV_NAME_RE
-
 #: Markdown files whose links are checked.
 LINKED_DOCS = ("README.md", "docs")
 
 #: Where env vars must be documented.
 CONFIG_DOC = Path("docs") / "configuration.md"
 
-#: Code trees whose REPRO_* references must be documented.
+#: Code trees whose REPRO_* mentions must be declared knobs.
 CODE_TREES = ("src", "benchmarks")
+
+#: The knob table, relative to the repo root.
+ENV_TABLE = Path("src") / "repro" / "env.py"
 
 
 def _markdown_files(root: Path) -> list[Path]:
@@ -90,89 +88,60 @@ def check_links(root: Path) -> list[str]:
     return problems
 
 
-def check_env_sync(root: Path) -> list[str]:
-    problems: list[str] = []
+def check_env_sync(root: Path, knobs: "Mapping[str, Any]") -> list[str]:
     config_doc = root / CONFIG_DOC
     if not config_doc.is_file():
         return [f"missing {CONFIG_DOC} (the authoritative env-var reference)"]
-    documented = envscan.env_names_in_text(config_doc.read_text(encoding="utf-8"))
-
+    text = config_doc.read_text(encoding="utf-8")
+    rows = envscan.doc_rows(text)
+    problems = [
+        f"undocumented environment variable: {name} "
+        f"(declared in {ENV_TABLE}, no row in {CONFIG_DOC})"
+        for name in sorted(set(knobs) - set(rows))
+    ]
+    problems += [
+        f"stale documentation: {name} is listed in {CONFIG_DOC} "
+        f"but not declared in {ENV_TABLE}"
+        for name in sorted(envscan.env_names_in_text(text) - set(knobs))
+    ]
     in_code: set[str] = set()
     for py_file in walker.iter_python_files(root, CODE_TREES):
         in_code |= envscan.env_names_in_text(py_file.read_text(encoding="utf-8"))
-
-    for name in sorted(in_code - documented):
-        problems.append(
-            f"undocumented environment variable: {name} "
-            f"(used in code, absent from {CONFIG_DOC})"
-        )
-    for name in sorted(documented - in_code):
-        problems.append(
-            f"stale documentation: {name} is listed in {CONFIG_DOC} "
-            "but appears nowhere under " + " or ".join(CODE_TREES)
-        )
+    problems += [
+        f"undeclared environment variable: {name} (mentioned under "
+        + " or ".join(CODE_TREES)
+        + f", not declared in {ENV_TABLE})"
+        for name in sorted(in_code - set(knobs))
+    ]
     return problems
 
 
-#: A table row of the configuration page: ``| `REPRO_X` | <default> | ...``.
-DOC_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|\s*([^|]*)\|")
-
-#: A Default cell that is one backticked literal (anything else is prose).
-DOC_LITERAL_RE = re.compile(r"^`([^`]+)`$")
-
-
-def _code_defaults(root: Path) -> "dict[str, set[str]]":
-    """Env-var name -> literal fallback values found at read sites."""
-    defaults: "dict[str, set[str]]" = {}
-    for py_file in walker.iter_python_files(root, CODE_TREES):
-        try:
-            tree = walker.parse_source(
-                py_file.read_text(encoding="utf-8"), filename=str(py_file)
-            )
-        except SyntaxError:
-            continue  # lint's job, not the doc gate's
-        for name, values in envscan.env_default_literals(tree).items():
-            defaults.setdefault(name, set()).update(values)
-    return defaults
+def _expected_cell(knob: Any) -> "str | None":
+    """The second table cell ``knob``'s declaration calls for; ``None``
+    asks for prose starting with ``unset``."""
+    if knob.replaced_by:
+        return f"`{knob.replaced_by}`"
+    if knob.default is None or knob.default is False:
+        return None
+    default = knob.default
+    return f"`{default:g}`" if isinstance(default, float) else f"`{default}`"
 
 
-def check_env_defaults(root: Path) -> list[str]:
-    problems: list[str] = []
+def check_env_defaults(root: Path, knobs: "Mapping[str, Any]") -> list[str]:
     config_doc = root / CONFIG_DOC
     if not config_doc.is_file():
         return []  # check_env_sync already reports the missing page
-    documented: "dict[str, str]" = {}
-    for line in config_doc.read_text(encoding="utf-8").splitlines():
-        row = DOC_ROW_RE.match(line)
-        if row is None:
+    rows = envscan.doc_rows(config_doc.read_text(encoding="utf-8"))
+    problems: list[str] = []
+    for name, knob in sorted(knobs.items()):
+        cell = rows.get(name)
+        expected = _expected_cell(knob)
+        if cell is None or cell == expected or (expected is None and cell.startswith("unset")):
             continue
-        literal = DOC_LITERAL_RE.match(row.group(2).strip())
-        if literal is not None:
-            documented[row.group(1)] = literal.group(1)
-
-    code = _code_defaults(root)
-    for name, values in sorted(code.items()):
-        if len(values) > 1:
-            problems.append(
-                f"inconsistent defaults in code for {name}: "
-                + ", ".join(sorted(values))
-            )
-            continue
-        (value,) = values
-        doc_value = documented.get(name)
-        if doc_value is None:
-            if name in config_doc.read_text(encoding="utf-8"):
-                problems.append(
-                    f"default mismatch for {name}: code falls back to "
-                    f"`{value}` but the Default cell in {CONFIG_DOC} is not "
-                    f"the literal `{value}`"
-                )
-            continue
-        if doc_value != value:
-            problems.append(
-                f"default mismatch for {name}: code falls back to `{value}` "
-                f"but {CONFIG_DOC} documents `{doc_value}`"
-            )
+        problems.append(
+            f"default mismatch for {name}: {ENV_TABLE} declares "
+            f"{expected or 'no default (unset)'} but {CONFIG_DOC} documents {cell or 'nothing'}"
+        )
     return problems
 
 
@@ -187,7 +156,13 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
 
-    problems = check_links(root) + check_env_sync(root) + check_env_defaults(root)
+    problems = check_links(root)
+    try:
+        knobs = _staticcheck_bootstrap.load_env(root).KNOBS
+    except FileNotFoundError:
+        problems.append(f"missing {ENV_TABLE} (the knob table)")
+    else:
+        problems += check_env_sync(root, knobs) + check_env_defaults(root, knobs)
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     if problems:

@@ -29,14 +29,16 @@ maps the old name, wherever a backend is named, to ``threads``.
 
 The fleet CLI, the optimize CLI and the server used to read their own
 backend and worker knobs; :data:`RENAMED_ENV` maps each old name to the one
-that replaced it, and :func:`renamed_env` is the only place they are read.
+that replaced it, as :data:`repro.env.KNOBS` declares them, and
+:func:`renamed_env` is the only place that looks them up.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Any, Mapping
+
+from repro.env import KNOBS, is_set
 
 __all__ = [
     "RENAMED_ENV",
@@ -49,46 +51,33 @@ __all__ = [
     "renamed_env",
 ]
 
-#: Deprecated environment variable -> the variable that replaced it.
-RENAMED_ENV = {
-    "REPRO_FLEET_BACKEND": "REPRO_PARALLEL_BACKEND",
-    "REPRO_FLEET_WORKERS": "REPRO_PARALLEL_WORKERS",
-    "REPRO_OPT_BACKEND": "REPRO_PARALLEL_BACKEND",
-    "REPRO_OPT_WORKERS": "REPRO_PARALLEL_WORKERS",
-    "REPRO_SERVE_BACKEND": "REPRO_PARALLEL_BACKEND",
-    "REPRO_SERVE_WORKERS": "REPRO_PARALLEL_WORKERS",
-}
+#: Deprecated environment variable -> the variable that replaced it, as
+#: :data:`repro.env.KNOBS` declares them.
+RENAMED_ENV = {knob.name: knob.replaced_by for knob in KNOBS.values() if knob.replaced_by}
 
 
 def renamed_env(
     subsystem: str, environ: "Mapping[str, str] | None" = None
-) -> "dict[str, tuple[str, str]]":
+) -> "dict[str, str]":
     """The deprecated ``REPRO_<subsystem>_*`` names that are set, by replacement.
 
-    Maps each replacement to ``(old name, value)``.  Every old name that is
-    set raises one :class:`DeprecationWarning` naming its replacement.  For
-    one release the caller keeps the old meaning: the old name is the
-    default of its own subsystem and beats the replacement there.
+    Maps each replacement to the old name, which the caller reads with
+    :func:`repro.env.read`.  Every old name that is set raises one
+    :class:`DeprecationWarning` naming its replacement.  For one release
+    the caller keeps the old meaning: the old name is the default of its
+    own subsystem and beats the replacement there.
     """
-    env = os.environ if environ is None else environ
-    found: "dict[str, tuple[str, str]]" = {}
+    found: "dict[str, str]" = {}
     for old, new in RENAMED_ENV.items():
-        value = _env_value(old, env) if old.startswith(f"REPRO_{subsystem}_") else ""
-        if value:
+        if old.startswith(f"REPRO_{subsystem}_") and is_set(old, environ):
             warnings.warn(
                 f"{old} is deprecated: set {new} instead; the old name will be "
                 "removed in a future release",
                 DeprecationWarning,
                 stacklevel=3,
             )
-            found[new] = (old, value)
+            found[new] = old
     return found
-
-
-def _env_value(name: str, env: "Mapping[str, str]") -> str:
-    # A parameter-named read: staticcheck's env-registry cannot resolve a
-    # loop variable, and the docs test checks the RENAMED_ENV names instead.
-    return env.get(name, "").strip()
 
 
 def ignore_plan_cache(value: object, keyword: str = "plan_cache") -> None:

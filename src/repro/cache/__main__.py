@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
+from repro import env
 from repro.cache.lifecycle import (
     TIERS,
     cache_dir_stats,
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_dir(args: argparse.Namespace) -> str:
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or ""
+    cache_dir = args.cache_dir or env.read("REPRO_CACHE_DIR") or ""
     if not cache_dir:
         raise SystemExit(
             "no cache directory: pass --dir or set REPRO_CACHE_DIR"

@@ -25,13 +25,14 @@ recomputes — the cache is a pure performance layer.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro import env
 from repro.cache.store import ACTIVITY_SUBDIR
+from repro.env import parse_size
 from repro.errors import ExperimentError
 
 __all__ = [
@@ -53,17 +54,20 @@ __all__ = [
 #: Known cache tiers, in the order the CLI reports them.
 TIERS = ("experiment", "activity")
 
+#: Environment override for the experiment tier's cost multiplier (a float;
+#: consulted when no explicit ``cost_weights`` mapping is passed).
+ENV_EXPERIMENT_COST = "REPRO_CACHE_EXPERIMENT_COST"
+
 #: Relative recomputation cost per tier, used to weight the size-based
 #: eviction order.  An experiment entry re-runs the full measurement
 #: pipeline for every seed (~100x the work of the single per-seed activity
 #: estimate an activity entry stores, at paper scale), so it survives size
 #: pressure ~100x longer than an activity entry of the same age: GC evicts
 #: cheap-to-rebuild entries first.
-DEFAULT_COST_WEIGHTS: "Mapping[str, float]" = {"experiment": 100.0, "activity": 1.0}
-
-#: Environment override for the experiment tier's cost multiplier (a float;
-#: consulted when no explicit ``cost_weights`` mapping is passed).
-ENV_EXPERIMENT_COST = "REPRO_CACHE_EXPERIMENT_COST"
+DEFAULT_COST_WEIGHTS: "Mapping[str, float]" = {
+    "experiment": env.KNOBS[ENV_EXPERIMENT_COST].default,
+    "activity": 1.0,
+}
 
 
 @dataclass(frozen=True)
@@ -189,14 +193,7 @@ def resolve_cost_weights(
     """
     weights = dict(DEFAULT_COST_WEIGHTS)
     if cost_weights is None:
-        raw = os.environ.get(ENV_EXPERIMENT_COST, "").strip()
-        if raw:
-            try:
-                weights["experiment"] = float(raw)
-            except ValueError:
-                raise ExperimentError(
-                    f"{ENV_EXPERIMENT_COST} must be a number, got {raw!r}"
-                ) from None
+        weights["experiment"] = env.read(ENV_EXPERIMENT_COST)
     else:
         for tier, weight in cost_weights.items():
             if tier not in TIERS:
@@ -300,24 +297,6 @@ def clear_cache_dir(
 
 
 # ------------------------------------------------------------- size helpers
-
-_SIZE_SUFFIXES = {"": 1, "B": 1, "K": 1 << 10, "M": 1 << 20, "G": 1 << 30, "T": 1 << 40}
-
-
-def parse_size(text: str) -> int:
-    """Parse a human byte size (``"1048576"``, ``"512K"``, ``"1.5G"``)."""
-    cleaned = text.strip().upper().removesuffix("IB").removesuffix("B")
-    cleaned = cleaned if cleaned else text.strip().upper()
-    suffix = cleaned[-1] if cleaned and cleaned[-1] in _SIZE_SUFFIXES else ""
-    number = cleaned[: len(cleaned) - len(suffix)] if suffix else cleaned
-    try:
-        value = float(number)
-    except ValueError:
-        raise ValueError(f"unparseable size {text!r}") from None
-    size = value * _SIZE_SUFFIXES[suffix]
-    if not 0 <= size < math.inf:
-        raise ValueError(f"size must be finite and >= 0, got {text!r}")
-    return int(size)
 
 
 def format_size(size_bytes: float) -> str:

@@ -19,11 +19,10 @@ The disk tiers treat three classes of failure differently:
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.errors import ExperimentError
+from repro import env
 
 __all__ = ["RetryPolicy", "ResilienceStats"]
 
@@ -37,19 +36,6 @@ def _jitter_fraction(attempt: int) -> float:
     """
     digest = hashlib.sha256(f"repro-backoff-{attempt}".encode()).digest()
     return int.from_bytes(digest[:4], "big") / 2**32
-
-
-def _env_int(name: str, default: int, env: "Mapping[str, str]") -> int:
-    raw = env.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ExperimentError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ExperimentError(f"{name} must be >= 0, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -69,9 +55,8 @@ class RetryPolicy:
     @classmethod
     def from_env(cls, environ: "Optional[Mapping[str, str]]" = None) -> "RetryPolicy":
         """Policy from ``REPRO_CACHE_RETRIES`` / ``REPRO_CACHE_BACKOFF_MS``."""
-        env = os.environ if environ is None else environ
-        attempts = _env_int("REPRO_CACHE_RETRIES", 5, env)
-        backoff_ms = _env_int("REPRO_CACHE_BACKOFF_MS", 10, env)
+        attempts = env.read("REPRO_CACHE_RETRIES", environ)
+        backoff_ms = env.read("REPRO_CACHE_BACKOFF_MS", environ)
         return cls(attempts=attempts, base_delay_s=backoff_ms / 1000.0)
 
     def delay_s(self, attempt: int) -> "Optional[float]":

@@ -66,6 +66,7 @@ from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro import env
 from repro._deprecated import ignore_disk_backend
 from repro.cache.resilience import ResilienceStats
 from repro.errors import ExperimentError, ReproError
@@ -402,20 +403,6 @@ _default_activity_initialized = False
 _auto_pruned = False
 
 
-def _caching_disabled() -> bool:
-    return os.environ.get("REPRO_NO_CACHE", "").strip() not in ("", "0")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ExperimentError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def _maybe_auto_prune(root: str) -> None:
     """Apply ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE_DAYS`` once
     per process, when the first disk-backed default cache is created."""
@@ -423,18 +410,14 @@ def _maybe_auto_prune(root: str) -> None:
     if _auto_pruned:
         return
     _auto_pruned = True
-    max_bytes = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-    max_age_days = os.environ.get("REPRO_CACHE_MAX_AGE_DAYS", "").strip()
-    if not max_bytes and not max_age_days:
+    max_bytes = env.read("REPRO_CACHE_MAX_BYTES")
+    max_age_days = env.read("REPRO_CACHE_MAX_AGE_DAYS")
+    if max_bytes is None and max_age_days is None:
         return
-    from repro.cache.lifecycle import parse_size, prune_cache_dir
+    from repro.cache.lifecycle import prune_cache_dir
 
-    try:
-        limit = parse_size(max_bytes) if max_bytes else None
-        age_s = float(max_age_days) * 86400.0 if max_age_days else None
-    except ValueError as exc:
-        raise ExperimentError(f"invalid cache GC environment variable: {exc}") from None
-    prune_cache_dir(root, max_bytes=limit, max_age_s=age_s)
+    max_age_s = None if max_age_days is None else max_age_days * 86400.0
+    prune_cache_dir(root, max_bytes=max_bytes, max_age_s=max_age_s)
 
 
 def get_default_cache() -> ExperimentCache | None:
@@ -442,11 +425,11 @@ def get_default_cache() -> ExperimentCache | None:
     global _default_cache, _default_initialized
     if not _default_initialized:
         _default_initialized = True
-        if _caching_disabled():
+        if env.read("REPRO_NO_CACHE"):
             _default_cache = None
         else:
-            max_entries = _env_int("REPRO_CACHE_MAX_ENTRIES", 128)
-            disk_dir = os.environ.get("REPRO_CACHE_DIR") or None
+            max_entries = env.read("REPRO_CACHE_MAX_ENTRIES")
+            disk_dir = env.read("REPRO_CACHE_DIR")
             if disk_dir is not None:
                 _maybe_auto_prune(disk_dir)
             _default_cache = ExperimentCache(max_entries=max_entries, disk_dir=disk_dir)
@@ -481,11 +464,11 @@ def get_default_activity_cache() -> ActivityCache | None:
     global _default_activity_cache, _default_activity_initialized
     if not _default_activity_initialized:
         _default_activity_initialized = True
-        if _caching_disabled():
+        if env.read("REPRO_NO_CACHE"):
             _default_activity_cache = None
         else:
-            max_entries = _env_int("REPRO_ACTIVITY_CACHE_MAX_ENTRIES", 1024)
-            root = os.environ.get("REPRO_CACHE_DIR") or None
+            max_entries = env.read("REPRO_ACTIVITY_CACHE_MAX_ENTRIES")
+            root = env.read("REPRO_CACHE_DIR")
             disk_dir = None
             if root is not None:
                 _maybe_auto_prune(root)

@@ -37,6 +37,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
+from repro import env
 from repro.errors import FaultInjectionError, InjectedFaultError
 
 __all__ = [
@@ -260,17 +261,10 @@ def schedule_from_env(environ: "Optional[Mapping[str, str]]" = None) -> "Optiona
 
     Returns ``None`` when ``REPRO_FAULTS`` is unset or empty.
     """
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_FAULTS", "").strip()
-    if not raw:
+    raw = env.read(ENV_FAULTS, environ)
+    if raw is None:
         return None
-    seed_raw = env.get("REPRO_FAULTS_SEED", "0").strip() or "0"
-    try:
-        seed = int(seed_raw)
-    except ValueError:
-        raise FaultInjectionError(
-            f"REPRO_FAULTS_SEED must be an integer, got {seed_raw!r}"
-        ) from None
+    seed = env.read(ENV_FAULTS_SEED, environ)
     return FaultSchedule(parse_schedule(raw), seed=seed)
 
 

@@ -26,12 +26,11 @@ exporting one variable.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro import wire
+from repro import env, wire
 from repro.errors import FleetError
 from repro.experiments.config import ExperimentConfig
 from repro.util.rng import derive_rng
@@ -53,17 +52,6 @@ __all__ = [
 TRACE_FORMAT = "repro.fleet.trace/v1"
 
 
-def _env_int(name: str, fallback: int, environ: "Mapping[str, str] | None" = None) -> int:
-    env = os.environ if environ is None else environ
-    raw = env.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise FleetError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def default_fleet_seed(environ: "Mapping[str, str] | None" = None) -> int:
     """The generator seed used when no explicit ``seed=`` is passed.
 
@@ -71,7 +59,7 @@ def default_fleet_seed(environ: "Mapping[str, str] | None" = None) -> int:
     resolve it per invocation, so a test can flip the variable between
     generations and get two different, individually reproducible traces.
     """
-    return _env_int("REPRO_FLEET_SEED", 0, environ)
+    return env.read("REPRO_FLEET_SEED", environ)
 
 
 @dataclass(frozen=True)

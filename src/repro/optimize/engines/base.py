@@ -155,10 +155,6 @@ class OptimizationEngine(abc.ABC):
     def _best_state(self) -> "dict[str, Any] | None":
         return None if self._best is None else self._best.as_dict()
 
-    def _restore_best(self, state: "Mapping[str, Any]") -> None:
-        best = state.get("best")
-        self._best = None if best is None else Evaluation.from_dict(best)
-
     @staticmethod
     def _check_batch(expected: "list[Point]", got: "list[Evaluation]") -> None:
         if len(got) != len(expected):

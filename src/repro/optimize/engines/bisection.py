@@ -20,8 +20,10 @@ bit for bit: same probes, same bracket updates, same stop condition
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro import wire
 from repro.errors import OptimizationError
 from repro.optimize.engines.base import (
     Evaluation,
@@ -29,12 +31,30 @@ from repro.optimize.engines.base import (
     Point,
     register_engine,
 )
-from repro.optimize.engines.space import ParameterSpace
+from repro.optimize.engines.space import Dimension, ParameterSpace
 
 __all__ = ["BisectionEngine"]
 
 #: State-machine phases, in evaluation order.
 _PHASES = ("near", "far", "search", "done")
+
+
+@dataclass
+class _State:
+    """A checkpoint, as :meth:`BisectionEngine.state_dict` writes it."""
+
+    engine: str
+    space: "list[Dimension]"
+    target: float
+    direction: str
+    tolerance: float
+    max_iterations: int
+    low: float
+    high: float
+    phase: str
+    iteration: int
+    feasible: bool
+    best: "Evaluation | None" = None
 
 
 @register_engine("bisection")
@@ -194,20 +214,20 @@ class BisectionEngine(OptimizationEngine):
 
     @classmethod
     def from_state(cls, state: "Mapping[str, Any]") -> "BisectionEngine":
+        saved = wire.decode(_State, state, "bisection state", OptimizationError)
+        if saved.phase not in _PHASES:
+            raise OptimizationError(f"unknown bisection phase {saved.phase!r}")
         engine = cls(
-            ParameterSpace.from_dict(state["space"]),
-            target=float(state["target"]),
-            direction=str(state["direction"]),
-            tolerance=float(state["tolerance"]),
-            max_iterations=int(state["max_iterations"]),
+            ParameterSpace(saved.space),
+            target=saved.target,
+            direction=saved.direction,
+            tolerance=saved.tolerance,
+            max_iterations=saved.max_iterations,
         )
-        phase = state["phase"]
-        if phase not in _PHASES:
-            raise OptimizationError(f"unknown bisection phase {phase!r}")
-        engine._low = float(state["low"])
-        engine._high = float(state["high"])
-        engine._phase = phase
-        engine._iteration = int(state["iteration"])
-        engine._feasible = bool(state["feasible"])
-        engine._restore_best(state)
+        engine._low = saved.low
+        engine._high = saved.high
+        engine._phase = saved.phase
+        engine._iteration = saved.iteration
+        engine._feasible = saved.feasible
+        engine._best = saved.best
         return engine

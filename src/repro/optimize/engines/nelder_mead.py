@@ -20,24 +20,29 @@ flatten into a needle or onto a face; a flat simplex is rebuilt around
 its best vertex while that keeps improving the best value by more than
 ``ftol``.  The initial simplex is derived from
 ``seed`` alone, so a fixed seed pins the entire trajectory; all state is
-JSON-scalar (Python floats round-trip exactly through ``json``), so a
+JSON-scalar (Python floats round-trip exactly through ``json``; an
+infinite value, an infeasible point's, is written as ``null``), so a
 checkpointed engine resumes bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from repro import wire
 from repro.errors import OptimizationError
 from repro.optimize.engines.base import (
     Evaluation,
     OptimizationEngine,
     Point,
+    _infeasible_if_null,
     register_engine,
 )
-from repro.optimize.engines.space import ParameterSpace
+from repro.optimize.engines.space import Dimension, ParameterSpace
 
 __all__ = ["NelderMeadEngine"]
 
@@ -50,6 +55,42 @@ _SIGMA = 0.5   # shrink
 _FLAT_RATIO = 1e-2
 
 _PHASES = ("init", "reflect", "expand", "contract", "shrink", "done")
+
+
+def _null_if_inf(value: float) -> "float | None":
+    """A simplex value as a checkpoint writes it (JSON has no infinity)."""
+    return None if math.isinf(value) else value
+
+
+@dataclass
+class _State:
+    """A checkpoint, as :meth:`NelderMeadEngine.state_dict` writes it."""
+
+    engine: str
+    space: "list[Dimension]"
+    seed: int
+    max_iterations: int
+    xtol: float
+    ftol: float
+    step: float
+    iteration: int
+    phase: str
+    simplex: "list[list[float]]"
+    values: "list[float]"
+    pending: "list[list[float]]"
+    reflection: "list[float] | None" = None
+    reflection_value: float = math.inf
+    contract_kind: str = ""
+    restart_value: float = math.inf
+    best: "Evaluation | None" = None
+
+    _wire = wire.Wire(
+        convert={
+            "values": (list[float | None], lambda values: list(map(_infeasible_if_null, values))),
+            "reflection_value": (float | None, _infeasible_if_null),
+            "restart_value": (float | None, _infeasible_if_null),
+        }
+    )
 
 
 @register_engine("nelder_mead")
@@ -333,39 +374,39 @@ class NelderMeadEngine(OptimizationEngine):
             "iteration": self._iteration,
             "phase": self._phase,
             "simplex": [list(v) for v in self._simplex],
-            "values": list(self._values),
+            "values": [_null_if_inf(value) for value in self._values],
             "pending": [list(v) for v in self._pending],
             "reflection": None if self._reflection is None else list(self._reflection),
-            "reflection_value": self._reflection_value,
+            "reflection_value": (
+                None if self._reflection_value is None else _null_if_inf(self._reflection_value)
+            ),
             "contract_kind": self._contract_kind,
-            "restart_value": None if np.isinf(self._restart_value) else self._restart_value,
+            "restart_value": _null_if_inf(self._restart_value),
             "best": self._best_state(),
         }
 
     @classmethod
     def from_state(cls, state: "Mapping[str, Any]") -> "NelderMeadEngine":
+        saved = wire.decode(_State, state, "nelder_mead state", OptimizationError)
+        if saved.phase not in _PHASES:
+            raise OptimizationError(f"unknown Nelder-Mead phase {saved.phase!r}")
         engine = cls(
-            ParameterSpace.from_dict(state["space"]),
-            seed=int(state["seed"]),
-            max_iterations=int(state["max_iterations"]),
-            xtol=float(state["xtol"]),
-            ftol=float(state["ftol"]),
-            step=float(state["step"]),
+            ParameterSpace(saved.space),
+            seed=saved.seed,
+            max_iterations=saved.max_iterations,
+            xtol=saved.xtol,
+            ftol=saved.ftol,
+            step=saved.step,
         )
-        phase = state["phase"]
-        if phase not in _PHASES:
-            raise OptimizationError(f"unknown Nelder-Mead phase {phase!r}")
-        engine._iteration = int(state["iteration"])
-        engine._phase = phase
-        engine._simplex = [list(map(float, v)) for v in state["simplex"]]
-        engine._values = [float(v) for v in state["values"]]
-        engine._pending = [list(map(float, v)) for v in state["pending"]]
-        reflection = state.get("reflection")
-        engine._reflection = None if reflection is None else [float(v) for v in reflection]
-        value = state.get("reflection_value")
-        engine._reflection_value = None if value is None else float(value)
-        engine._contract_kind = str(state.get("contract_kind", ""))
-        restart_value = state.get("restart_value")
-        engine._restart_value = float("inf") if restart_value is None else float(restart_value)
-        engine._restore_best(state)
+        engine._iteration = saved.iteration
+        engine._phase = saved.phase
+        engine._simplex = saved.simplex
+        engine._values = saved.values
+        engine._pending = saved.pending
+        # The reflection and its value are set and cleared together.
+        engine._reflection = saved.reflection
+        engine._reflection_value = None if saved.reflection is None else saved.reflection_value
+        engine._contract_kind = saved.contract_kind
+        engine._restart_value = saved.restart_value
+        engine._best = saved.best
         return engine

@@ -14,10 +14,12 @@ RNG state at all.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from repro import wire
 from repro.errors import OptimizationError
 from repro.optimize.engines.base import (
     Evaluation,
@@ -25,9 +27,24 @@ from repro.optimize.engines.base import (
     Point,
     register_engine,
 )
-from repro.optimize.engines.space import ParameterSpace
+from repro.optimize.engines.space import Dimension, ParameterSpace
 
 __all__ = ["RandomRefineEngine"]
+
+
+@dataclass
+class _State:
+    """A checkpoint, as :meth:`RandomRefineEngine.state_dict` writes it."""
+
+    engine: str
+    space: "list[Dimension]"
+    seed: int
+    batch_size: int
+    rounds: int
+    refine: float
+    mode: str
+    round: int
+    best: "Evaluation | None" = None
 
 
 @register_engine("random")
@@ -133,14 +150,15 @@ class RandomRefineEngine(OptimizationEngine):
 
     @classmethod
     def from_state(cls, state: "Mapping[str, Any]") -> "RandomRefineEngine":
+        saved = wire.decode(_State, state, "random state", OptimizationError)
         engine = cls(
-            ParameterSpace.from_dict(state["space"]),
-            seed=int(state["seed"]),
-            batch_size=int(state["batch_size"]),
-            rounds=int(state["rounds"]),
-            refine=float(state["refine"]),
-            mode=str(state["mode"]),
+            ParameterSpace(saved.space),
+            seed=saved.seed,
+            batch_size=saved.batch_size,
+            rounds=saved.rounds,
+            refine=saved.refine,
+            mode=saved.mode,
         )
-        engine._round = int(state["round"])
-        engine._restore_best(state)
+        engine._round = saved.round
+        engine._best = saved.best
         return engine

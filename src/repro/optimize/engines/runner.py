@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from repro import wire
+from repro import env, wire
 from repro._deprecated import ignore_plan_cache
 from repro.cache.store import DEFAULT_CACHE
 from repro.errors import OptimizationError
@@ -480,18 +480,6 @@ class OptimizationRunner:
 # ------------------------------------------------------------------ studies
 
 
-def _env_int(name: str, fallback: int) -> int:
-    import os
-
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise OptimizationError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def load_study(source: "str | Path | Mapping[str, Any]") -> "dict[str, Any]":
     """Read and validate a study document (path or already-parsed mapping).
 
@@ -542,7 +530,7 @@ def build_runner(
     engine_params = dict(payload.get("engine_params", {}))
     signature = inspect.signature(engine_cls.__init__)
     if "seed" in signature.parameters and "seed" not in engine_params:
-        engine_params["seed"] = _env_int("REPRO_OPT_SEED", 0)
+        engine_params["seed"] = env.read("REPRO_OPT_SEED")
     try:
         engine = engine_cls(space, **engine_params)
     except TypeError as exc:

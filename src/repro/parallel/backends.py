@@ -38,10 +38,10 @@ things:
 from __future__ import annotations
 
 import abc
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from repro import env
 from repro._deprecated import processes_backend, renamed_env
 from repro.errors import ExperimentError
 
@@ -139,7 +139,7 @@ def resolve_backend(backend: str = "auto", workers: int = 1) -> str:
     """
     if backend != "auto":
         return _known(backend, "backend", BACKENDS + ("auto",))
-    override = os.environ.get(ENV_BACKEND, "").strip().lower()
+    override = env.read(ENV_BACKEND)
     if override:
         return _known(override, ENV_BACKEND, BACKENDS)
     return "threads" if workers > 1 else "serial"
@@ -167,24 +167,12 @@ def executor_defaults(
     (default 1; any other value must be an integer >= 1).  A deprecated
     ``"processes"`` warns here, once, and comes back as ``"threads"``.
     """
-    env = os.environ if environ is None else environ
-    renamed = renamed_env(subsystem, env)
+    renamed = renamed_env(subsystem, environ)
     if backend is None:
-        backend = renamed[ENV_BACKEND][1] if ENV_BACKEND in renamed else "auto"
+        backend = env.read(renamed[ENV_BACKEND], environ) if ENV_BACKEND in renamed else "auto"
     if workers is None:
-        name, raw = renamed.get(ENV_WORKERS) or (ENV_WORKERS, env.get(ENV_WORKERS, "").strip())
-        workers = _positive_int(name, raw) if raw else 1
+        workers = env.read(renamed.get(ENV_WORKERS, ENV_WORKERS), environ)
     return processes_backend(backend, "backend"), workers
-
-
-def _positive_int(name: str, raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ExperimentError(f"{name} must be an integer >= 1, got {raw!r}")
-    return value
 
 
 def get_executor(backend: str, workers: int = 1) -> Executor:

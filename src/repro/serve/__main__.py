@@ -6,8 +6,8 @@ rules in ``docs/configuration.md``.  The remaining service knobs
 (``REPRO_SERVE_MAX_PENDING``, ``REPRO_SERVE_MAX_BATCH``,
 ``REPRO_SERVE_TIMEOUT_S``) and the batches' executor
 (``REPRO_PARALLEL_WORKERS``, ``REPRO_PARALLEL_BACKEND``) are
-environment-only.  A malformed value is reported as ``error: ...`` with
-exit status 1.
+environment-only.  A malformed value, a ``--port`` outside 0..65535
+included, is reported as ``error: ...`` with exit status 1.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import env
 from repro.errors import ReproError
 from repro.serve.server import serve
 
@@ -29,7 +30,6 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--port",
-        type=int,
         default=None,
         help="bind port; 0 picks a free one (default: $REPRO_SERVE_PORT or 8035)",
     )
@@ -38,7 +38,9 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        serve(host=args.host, port=args.port, announce=not args.quiet)
+        # The flag stands in for REPRO_SERVE_PORT and takes the same check.
+        port = None if args.port is None else env.parse("REPRO_SERVE_PORT", args.port, "--port")
+        serve(host=args.host, port=port, announce=not args.quiet)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

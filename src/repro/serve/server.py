@@ -44,31 +44,22 @@ import os
 import signal
 from typing import Any
 
+from repro import env
 from repro.cache.fingerprint import experiment_fingerprint
-from repro.errors import ReproError, ServiceOverloadedError, ServiceTimeoutError
+from repro.errors import ReproError, ServiceOverloadedError, ServiceTimeoutError, ServingError
 from repro.experiments.config import ExperimentConfig
 from repro.serve.http import HttpError, HttpRequest, read_request, render_response
 from repro.serve.service import EstimationService, ServiceConfig
 
 __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "EstimationServer", "serve"]
 
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8035
+DEFAULT_HOST = env.KNOBS["REPRO_SERVE_HOST"].default
+DEFAULT_PORT = env.KNOBS["REPRO_SERVE_PORT"].default
 
 #: ``Retry-After`` seconds suggested on 429 — long enough for the batches
 #: in flight to drain whatever is wedging admission, short enough that
 #: well-behaved clients retry before giving up.
 RETRY_AFTER_S = 1
-
-
-def _env_host(environ: "dict[str, str] | None" = None) -> str:
-    env = os.environ if environ is None else environ
-    return env.get("REPRO_SERVE_HOST", "127.0.0.1")
-
-
-def _env_port(environ: "dict[str, str] | None" = None) -> int:
-    env = os.environ if environ is None else environ
-    return int(env.get("REPRO_SERVE_PORT", "8035").strip() or DEFAULT_PORT)
 
 
 class EstimationServer:
@@ -89,10 +80,14 @@ class EstimationServer:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        """Bind and listen; ``port=0`` resolves to the assigned port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
-        )
+        """Bind and listen; ``port=0`` resolves to the assigned port.  An
+        address that cannot be bound raises :class:`ServingError`."""
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, host=self.host, port=self.port
+            )
+        except (OSError, OverflowError) as exc:  # OverflowError: a port beyond 65535
+            raise ServingError(f"cannot listen on {self.host}:{self.port}: {exc}") from exc
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
@@ -221,7 +216,7 @@ def serve(
     service = EstimationService(config if config is not None else ServiceConfig.from_env())
     server = EstimationServer(
         service,
-        host=host if host is not None else _env_host(),
-        port=port if port is not None else _env_port(),
+        host=host if host is not None else env.read("REPRO_SERVE_HOST"),
+        port=port if port is not None else env.read("REPRO_SERVE_PORT"),
     )
     asyncio.run(_serve_async(server, announce))

@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import asyncio
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping
 
+from repro import env
 from repro._deprecated import ignore_batch_window, ignore_plan_cache, processes_backend
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, peek_default_caches
@@ -67,17 +67,6 @@ from repro.faults import fault_point
 from repro.parallel import executor_defaults, resolve_backend
 
 __all__ = ["ServiceConfig", "ServiceStats", "EstimationService"]
-
-
-def _env_number(name: str, fallback: float, environ: Mapping[str, str], kind: type = int) -> Any:
-    raw = environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ServingError(f"{name} must be {noun}, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -118,14 +107,13 @@ class ServiceConfig:
 
     @classmethod
     def from_env(cls, environ: "Mapping[str, str] | None" = None) -> "ServiceConfig":
-        env = os.environ if environ is None else environ
-        backend, workers = executor_defaults("SERVE", environ=env)
+        backend, workers = executor_defaults("SERVE", environ=environ)
         return cls(
-            max_pending=_env_number("REPRO_SERVE_MAX_PENDING", 64, env),
-            max_batch=_env_number("REPRO_SERVE_MAX_BATCH", 16, env),
+            max_pending=env.read("REPRO_SERVE_MAX_PENDING", environ),
+            max_batch=env.read("REPRO_SERVE_MAX_BATCH", environ),
             workers=workers,
             backend=backend,
-            timeout_s=_env_number("REPRO_SERVE_TIMEOUT_S", 0, env, float),
+            timeout_s=env.read("REPRO_SERVE_TIMEOUT_S", environ),
         )
 
 

@@ -1,38 +1,16 @@
-"""Environment-variable extraction shared by the checker and the docs gate.
+"""``REPRO_*`` names in text, and the rows of the configuration table.
 
-This generalizes the extractor that used to be inlined in
-``scripts/check_docs.py``: the same logic now serves three consumers —
-
-* the ``env-registry`` checker pass (:mod:`repro.staticcheck.passes.envvars`),
-  which wants *read sites*: every place the code consults the process
-  environment, with the variable name resolved and the fallback classified;
-* ``scripts/check_docs.py``'s name-sync check, which wants every ``REPRO_*``
-  name mentioned in a file (docstrings and prose included, wildcard family
-  mentions like ``REPRO_SERVE_*`` excluded);
-* ``scripts/check_docs.py``'s default-sync check, which wants the literal
-  fallback values spelled next to ``REPRO_*`` names at call sites.
-
+Shared by the ``env-registry`` checker pass
+(:mod:`repro.staticcheck.passes.envvars`) and ``scripts/check_docs.py``.
 Like :mod:`repro.staticcheck.walker` this module must stay importable on a
-bare interpreter (the docs CI job installs nothing): stdlib plus the
-walker module only.
+bare interpreter (the docs CI job installs nothing): stdlib only.
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from dataclasses import dataclass
-from typing import Iterator
 
-from repro.staticcheck.walker import dotted_name, module_constants
-
-__all__ = [
-    "ENV_NAME_RE",
-    "EnvRead",
-    "env_names_in_text",
-    "environ_read_sites",
-    "env_default_literals",
-]
+__all__ = ["DOC_ROW_RE", "ENV_NAME_RE", "doc_rows", "env_names_in_text"]
 
 #: Environment-variable names (digits allowed, so a hypothetical tier-2
 #: cache knob matches whole); the trailing guard strips regex/prose artifacts
@@ -40,37 +18,8 @@ __all__ = [
 #: as ``REPRO_SERVE_*`` ("the whole family") from half-matching as a name.
 ENV_NAME_RE = re.compile(r"REPRO_[A-Z0-9][A-Z0-9_]*[A-Z0-9](?![\w*])")
 
-#: Receivers treated as the process environment.  ``os.environ`` is
-#: definitive; bare ``environ``/``env`` names cover ``from os import
-#: environ`` and the repo's helper idiom of threading a ``Mapping`` named
-#: ``environ``/``env`` through for testability.
-_ENVIRON_RECEIVERS = {"os.environ", "environ", "env"}
-
-
-@dataclass(frozen=True)
-class EnvRead:
-    """One place the code reads the process environment."""
-
-    #: resolved variable name, or ``None`` when the expression could not be
-    #: resolved statically
-    name: "str | None"
-    #: how the name resolved: ``literal`` (string constant), ``constant``
-    #: (module-level UPPER_CASE assignment), ``parameter`` (the enclosing
-    #: function takes the name as an argument — a reader-helper like
-    #: ``_env_int``), or ``unresolved``
-    name_source: str
-    lineno: int
-    #: read shape: ``get`` (``environ.get``), ``getenv`` (``os.getenv``) or
-    #: ``subscript`` (``environ[...]`` — no fallback possible)
-    kind: str
-    #: literal fallback value when one is spelled at the read site
-    default: "str | int | None"
-    #: whether any fallback argument was present at all
-    has_default: bool
-    #: the fallback is mechanically extractable: a string/int literal, a
-    #: same-module constant, or absent entirely (``.get(name)`` — the
-    #: ``None``-sentinel idiom, equivalent to the ``""`` sentinel)
-    default_extractable: bool
+#: A table row of the configuration page: ``| `REPRO_X` | <cell> | ...``.
+DOC_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|\s*([^|]*)\|", re.MULTILINE)
 
 
 def env_names_in_text(text: str) -> set[str]:
@@ -78,159 +27,7 @@ def env_names_in_text(text: str) -> set[str]:
     return set(ENV_NAME_RE.findall(text))
 
 
-def _resolve_name_expr(
-    node: ast.expr, constants: "dict[str, object]", params: "set[str]"
-) -> "tuple[str | None, str]":
-    """Resolve the variable-name argument of a read site.
-
-    Returns ``(name, source)`` where source is one of ``literal``,
-    ``constant``, ``parameter`` or ``unresolved``.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value, "literal"
-    if isinstance(node, ast.Name):
-        if node.id in params:
-            return None, "parameter"
-        value = constants.get(node.id)
-        if isinstance(value, str):
-            return value, "constant"
-    return None, "unresolved"
-
-
-def _extract_default(
-    args: "list[ast.expr]", constants: "dict[str, object]"
-) -> "tuple[str | int | None, bool, bool]":
-    """(default value, has_default, extractable) for a ``.get`` call."""
-    if len(args) < 2:
-        # ``.get(name)`` — the None-sentinel idiom; nothing to document.
-        return None, False, True
-    node = args[1]
-    if isinstance(node, ast.Constant) and isinstance(node.value, (str, int)):
-        return node.value, True, True
-    if isinstance(node, ast.Name) and node.id.isupper():
-        value = constants.get(node.id)
-        if isinstance(value, (str, int)):
-            return value, True, True
-    return None, True, False
-
-
-class _ReadSiteVisitor(ast.NodeVisitor):
-    """Collect environment read sites, tracking enclosing-function params."""
-
-    def __init__(self, constants: "dict[str, object]") -> None:
-        self.constants = constants
-        self.sites: list[EnvRead] = []
-        self._param_stack: list[set[str]] = [set()]
-
-    # ------------------------------------------------------- scope tracking
-
-    def _function_params(self, node: ast.AST) -> set[str]:
-        args = node.args  # type: ignore[attr-defined]
-        names = {a.arg for a in args.args + args.posonlyargs + args.kwonlyargs}
-        if args.vararg is not None:
-            names.add(args.vararg.arg)
-        if args.kwarg is not None:
-            names.add(args.kwarg.arg)
-        return names
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._param_stack.append(self._param_stack[-1] | self._function_params(node))
-        self.generic_visit(node)
-        self._param_stack.pop()
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._param_stack.append(self._param_stack[-1] | self._function_params(node))
-        self.generic_visit(node)
-        self._param_stack.pop()
-
-    # ----------------------------------------------------------- read sites
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "get":
-            receiver = dotted_name(func.value)
-            if receiver in _ENVIRON_RECEIVERS and node.args:
-                name, source = _resolve_name_expr(
-                    node.args[0], self.constants, self._param_stack[-1]
-                )
-                default, has_default, extractable = _extract_default(
-                    node.args, self.constants
-                )
-                self.sites.append(
-                    EnvRead(name, source, node.lineno, "get", default, has_default, extractable)
-                )
-        elif dotted_name(func) == "os.getenv" and node.args:
-            name, source = _resolve_name_expr(
-                node.args[0], self.constants, self._param_stack[-1]
-            )
-            default, has_default, extractable = _extract_default(node.args, self.constants)
-            self.sites.append(
-                EnvRead(name, source, node.lineno, "getenv", default, has_default, extractable)
-            )
-        self.generic_visit(node)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        receiver = dotted_name(node.value)
-        if receiver in _ENVIRON_RECEIVERS and not isinstance(node.ctx, ast.Store):
-            name, source = _resolve_name_expr(
-                node.slice, self.constants, self._param_stack[-1]
-            )
-            self.sites.append(
-                EnvRead(name, source, node.lineno, "subscript", None, False, False)
-            )
-        self.generic_visit(node)
-
-
-def environ_read_sites(tree: ast.Module) -> list[EnvRead]:
-    """Every statically visible environment read in one module."""
-    visitor = _ReadSiteVisitor(module_constants(tree))
-    visitor.visit(tree)
-    return visitor.sites
-
-
-def _adjacent_literal_pairs(tree: ast.Module) -> Iterator[tuple[str, ast.expr]]:
-    """``("REPRO_X", <expr>)`` adjacencies in call arguments and sequences.
-
-    This mirrors the old regex's shape — an env-var string literal directly
-    followed by a comma and a value — so the default-sync check keeps its
-    exact semantics while gaining real constant resolution.
-    """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            elements = node.args
-        elif isinstance(node, (ast.Tuple, ast.List)):
-            elements = node.elts
-        else:
-            continue
-        for first, second in zip(elements, elements[1:]):
-            if (
-                isinstance(first, ast.Constant)
-                and isinstance(first.value, str)
-                and ENV_NAME_RE.fullmatch(first.value)
-            ):
-                yield first.value, second
-
-
-def env_default_literals(tree: ast.Module) -> "dict[str, set[str]]":
-    """Env-var name -> literal fallback values spelled at read sites.
-
-    Values come back as strings (``64`` -> ``"64"``) because the consumer
-    compares them against backticked Markdown table cells.  Empty strings
-    are the "unset" sentinel, not a default, and are skipped — as are
-    fallbacks that resolve to nothing mechanical (function calls, lowercase
-    names, constants without a literal same-module assignment).
-    """
-    constants = module_constants(tree)
-    defaults: "dict[str, set[str]]" = {}
-    for name, value_node in _adjacent_literal_pairs(tree):
-        value: "str | None" = None
-        if isinstance(value_node, ast.Constant) and isinstance(value_node.value, (str, int)):
-            if not isinstance(value_node.value, bool):
-                value = str(value_node.value)
-        elif isinstance(value_node, ast.Name) and value_node.id.isupper():
-            resolved = constants.get(value_node.id)
-            if isinstance(resolved, (str, int)) and not isinstance(resolved, bool):
-                value = str(resolved)
-        if value:  # empty string is an "unset" sentinel, not a default
-            defaults.setdefault(name, set()).add(value)
-    return defaults
+def doc_rows(text: str) -> "dict[str, str]":
+    """Variable -> the second cell of its table row in ``text``: the
+    *Default* of a live knob, the *Replacement* of a deprecated one."""
+    return {name: cell.strip() for name, cell in DOC_ROW_RE.findall(text)}

@@ -30,7 +30,7 @@ import ast
 from repro.staticcheck.loader import Codebase, ModuleInfo
 from repro.staticcheck.model import Finding
 from repro.staticcheck.registry import register_pass
-from repro.staticcheck.walker import dotted_name
+from repro.staticcheck.walker import canonical_name, dotted_name
 
 __all__ = ["SERVE_PREFIX", "BLOCKING_CALLS", "BLOCKING_METHODS", "check_blocking"]
 
@@ -71,14 +71,6 @@ _HINT = (
     "loop.run_in_executor(...)/asyncio.to_thread(...) with the callable, "
     "or use the asyncio-native equivalent (asyncio.sleep, streams)"
 )
-
-
-def _canonical(dotted: str, aliases: "dict[str, str]") -> str:
-    head, _, rest = dotted.partition(".")
-    target = aliases.get(head)
-    if target is None:
-        return dotted
-    return f"{target}.{rest}" if rest else target
 
 
 def _is_blocking(canonical: str) -> bool:
@@ -147,7 +139,7 @@ def _check_coroutine(
         dotted = dotted_name(child.func)
         blocking_name: "str | None" = None
         if dotted is not None:
-            canonical = _canonical(dotted, info.aliases)
+            canonical = canonical_name(dotted, info.aliases)
             if _is_blocking(canonical):
                 blocking_name = canonical
         if (

@@ -1,137 +1,116 @@
-"""``env-registry``: every environment read is a documented ``REPRO_*`` knob.
+"""``env-registry``: the environment is read in one place, and every knob
+is documented.
 
-``docs/configuration.md`` claims to be the authoritative table of every
-knob.  The docs gate already diffs *names and defaults* between code and
-table; this pass closes the remaining gaps at the read sites themselves:
+:mod:`repro.env` declares every ``REPRO_*`` knob once and holds the one
+reader, so the pass has two rules:
 
-* the variable name must resolve statically — a string literal, a
-  same-module UPPER_CASE constant, or a parameter of a reader-helper
-  function (``_env_int(name, ...)``) whose call sites then carry the
-  literal; anything else is unauditable;
-* the resolved name must belong to the ``REPRO_*`` namespace (no stray
-  ``MY_DEBUG`` switches bypassing the registry);
-* the name must appear in ``docs/configuration.md``;
-* the fallback must be mechanically extractable: a literal, a resolvable
-  constant, or the ``""``/absent "unset" sentinel.  Subscript reads
-  (``os.environ["X"]``) have no fallback and are flagged outright.
+* outside ``src/repro/env.py``, nothing touches ``os.environ`` or calls
+  ``os.getenv`` (aliases resolved: ``from os import environ``,
+  ``import os as o``); declare the knob in :mod:`repro.env` and call
+  :func:`repro.env.read` instead;
+* every knob declared there (a ``Knob("REPRO_...", ...)`` row) is in the
+  ``REPRO_*`` namespace and has a row in ``docs/configuration.md``.
 
-Shared extraction lives in :mod:`repro.staticcheck.envscan`, the same
-module ``scripts/check_docs.py`` drives — one parser, two gates.
+``scripts/check_docs.py`` checks the other direction: the table's Default
+cells against the declared defaults.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
-from repro.staticcheck.envscan import ENV_NAME_RE, env_names_in_text, environ_read_sites
-from repro.staticcheck.loader import Codebase
+from repro.staticcheck.envscan import ENV_NAME_RE, doc_rows
+from repro.staticcheck.loader import Codebase, ModuleInfo
 from repro.staticcheck.model import Finding
 from repro.staticcheck.registry import register_pass
+from repro.staticcheck.walker import canonical_name, dotted_name
 
-__all__ = ["CONFIG_DOC", "check_env_registry"]
+__all__ = ["CONFIG_DOC", "ENV_MODULE", "check_env_registry"]
 
 #: Where every knob must be documented, relative to the repo root.
 CONFIG_DOC = Path("docs") / "configuration.md"
 
+#: The one module that reads the environment and declares the knobs.
+ENV_MODULE = "repro.env"
+
+#: The process-environment surfaces only :data:`ENV_MODULE` may use.
+_ENVIRON = ("os.environ", "os.getenv")
+
+
+def _environ_uses(info: ModuleInfo) -> "dict[int, str]":
+    """Line -> the ``os.environ``/``os.getenv`` surface used on it."""
+    by_line: "dict[int, str]" = {}
+    for node in ast.walk(info.tree):
+        if not isinstance(node, (ast.Attribute, ast.Name)):
+            continue
+        dotted = dotted_name(node)
+        canonical = canonical_name(dotted, info.aliases) if dotted else ""
+        if canonical in _ENVIRON or canonical.startswith("os.environ."):
+            by_line.setdefault(node.lineno, canonical)
+    return by_line
+
+
+def _declared_knobs(info: ModuleInfo) -> "list[tuple[str, int]]":
+    """``(name, line)`` of every ``Knob("NAME", ...)`` declaration."""
+    return [
+        (node.args[0].value, node.lineno)
+        for node in ast.walk(info.tree)
+        if isinstance(node, ast.Call)
+        and dotted_name(node.func) == "Knob"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ]
+
 
 @register_pass(
     "env-registry",
-    "environment reads use documented REPRO_* names with extractable defaults",
+    "only repro.env reads the environment, and every knob it declares is documented",
 )
 def check_env_registry(codebase: Codebase) -> "list[Finding]":
-    config_doc = codebase.root / CONFIG_DOC
-    documented = (
-        env_names_in_text(config_doc.read_text(encoding="utf-8"))
-        if config_doc.is_file()
-        else set()
-    )
-
     findings: "list[Finding]" = []
     for info in codebase.modules:
-        for site in environ_read_sites(info.tree):
-            if site.name_source == "parameter":
-                # Reader helper (``_env_int(name, fallback)``): its call
-                # sites carry the literal names and are checked there.
-                continue
-            if site.name is None:
-                findings.append(
-                    Finding(
-                        rule="env-registry",
-                        file=info.relpath,
-                        line=site.lineno,
-                        message=(
-                            "environment read with a name that does not "
-                            "resolve statically (not a literal or a "
-                            "same-module constant)"
-                        ),
-                        detail=f"unresolved:{site.lineno}",
-                        hint=(
-                            "name the variable with a string literal or a "
-                            'module-level NAME = "REPRO_..." constant'
-                        ),
-                    )
+        if info.name == ENV_MODULE:
+            continue
+        for line, name in sorted(_environ_uses(info).items()):
+            findings.append(
+                Finding(
+                    rule="env-registry",
+                    file=info.relpath,
+                    line=line,
+                    message=f"{name} used outside {ENV_MODULE}",
+                    detail=f"read:{name}",
+                    hint=f"declare the knob in {ENV_MODULE}.KNOBS and call {ENV_MODULE}.read",
                 )
-                continue
-            if not ENV_NAME_RE.fullmatch(site.name):
-                findings.append(
-                    Finding(
-                        rule="env-registry",
-                        file=info.relpath,
-                        line=site.lineno,
-                        message=(
-                            f"environment read of {site.name!r} outside the "
-                            "REPRO_* namespace"
-                        ),
-                        detail=site.name,
-                        hint="rename the knob into the REPRO_* family",
-                    )
+            )
+
+    env_module = codebase.module(ENV_MODULE)
+    if env_module is None:
+        return findings
+    config_doc = codebase.root / CONFIG_DOC
+    rows = doc_rows(config_doc.read_text(encoding="utf-8")) if config_doc.is_file() else {}
+    for name, line in _declared_knobs(env_module):
+        if not ENV_NAME_RE.fullmatch(name):
+            findings.append(
+                Finding(
+                    rule="env-registry",
+                    file=env_module.relpath,
+                    line=line,
+                    message=f"knob {name!r} is outside the REPRO_* namespace",
+                    detail=name,
+                    hint="rename the knob into the REPRO_* family",
                 )
-                continue
-            if site.name not in documented:
-                findings.append(
-                    Finding(
-                        rule="env-registry",
-                        file=info.relpath,
-                        line=site.lineno,
-                        message=(
-                            f"{site.name} is read here but missing from "
-                            f"{CONFIG_DOC.as_posix()}"
-                        ),
-                        detail=f"undocumented:{site.name}",
-                        hint=f"add a table row for {site.name} (name, default, effect)",
-                    )
+            )
+        elif name not in rows:
+            findings.append(
+                Finding(
+                    rule="env-registry",
+                    file=env_module.relpath,
+                    line=line,
+                    message=f"{name} is declared here but has no row in {CONFIG_DOC.as_posix()}",
+                    detail=f"undocumented:{name}",
+                    hint=f"add a table row for {name} (name, default, effect)",
                 )
-            if site.kind == "subscript":
-                findings.append(
-                    Finding(
-                        rule="env-registry",
-                        file=info.relpath,
-                        line=site.lineno,
-                        message=(
-                            f"os.environ[{site.name!r}] subscript read: no "
-                            "fallback, raises KeyError when unset"
-                        ),
-                        detail=f"subscript:{site.name}",
-                        hint='use environ.get with an explicit default (or "" sentinel)',
-                    )
-                )
-            elif not site.default_extractable:
-                findings.append(
-                    Finding(
-                        rule="env-registry",
-                        file=info.relpath,
-                        line=site.lineno,
-                        message=(
-                            f"{site.name} fallback is not mechanically "
-                            "extractable (not a literal, constant, or "
-                            "unset sentinel), so the docs default cannot "
-                            "be verified"
-                        ),
-                        detail=f"default:{site.name}",
-                        hint=(
-                            "spell the fallback as a literal or UPPER_CASE "
-                            "constant at the read site"
-                        ),
-                    )
-                )
+            )
     return findings

@@ -16,7 +16,8 @@ entry module as a root, and flag two things inside the reachable set:
 
 * calls/reads of known-impure stdlib and numpy surfaces (``os.environ``,
   ``os.getenv``, the wall clocks in ``time``/``datetime``, ``random``,
-  ``numpy.random``, ``uuid``, ``secrets``);
+  ``numpy.random``, ``uuid``, ``secrets``), and calls into
+  :mod:`repro.env`, the package's one environment reader;
 * reads of module globals that some function of the same module rebinds
   via ``global`` — mutable module state is invisible to a content hash.
 
@@ -33,7 +34,7 @@ import ast
 from repro.staticcheck.loader import Codebase, ModuleInfo
 from repro.staticcheck.model import Finding
 from repro.staticcheck.registry import register_pass
-from repro.staticcheck.walker import dotted_name
+from repro.staticcheck.walker import canonical_name, dotted_name
 
 __all__ = ["ENTRY_MODULE", "IMPURE_PREFIXES", "check_purity"]
 
@@ -46,6 +47,7 @@ ENTRY_MODULE = "repro.cache.fingerprint"
 IMPURE_PREFIXES = (
     "os.environ",
     "os.getenv",
+    "repro.env",
     "time.time",
     "time.time_ns",
     "time.monotonic",
@@ -68,15 +70,6 @@ _HINT = (
     "fingerprint inputs must come from arguments alone; thread ambient "
     "state in explicitly (and include it in the fingerprint payload)"
 )
-
-
-def _canonical(dotted: str, aliases: "dict[str, str]") -> str:
-    """Rewrite the first segment of ``dotted`` through the import table."""
-    head, _, rest = dotted.partition(".")
-    target = aliases.get(head)
-    if target is None:
-        return dotted
-    return f"{target}.{rest}" if rest else target
 
 
 def _is_impure(canonical: str) -> bool:
@@ -114,7 +107,7 @@ def _call_targets(info: ModuleInfo, node: ast.AST, codebase: Codebase) -> "set[s
             if imported is not None and imported in codebase.functions:
                 targets.add(imported)
         else:
-            canonical = _canonical(dotted, info.aliases)
+            canonical = canonical_name(dotted, info.aliases)
             if canonical in codebase.functions:
                 targets.add(canonical)
     return targets
@@ -142,7 +135,7 @@ def _impure_uses(info: ModuleInfo, func: ast.AST) -> "list[tuple[int, str]]":
         dotted = dotted_name(child.func)
         if dotted is None:
             continue
-        canonical = _canonical(dotted, info.aliases)
+        canonical = canonical_name(dotted, info.aliases)
         if _is_impure(canonical):
             by_line.setdefault(child.lineno, canonical)
     for child in ast.walk(func):
@@ -153,7 +146,7 @@ def _impure_uses(info: ModuleInfo, func: ast.AST) -> "list[tuple[int, str]]":
         dotted = dotted_name(child)
         if dotted is None:
             continue
-        canonical = _canonical(dotted, info.aliases)
+        canonical = canonical_name(dotted, info.aliases)
         if canonical == "os.environ" or canonical.startswith("os.environ."):
             by_line.setdefault(child.lineno, canonical)
     return sorted(by_line.items())

@@ -1,11 +1,13 @@
-"""``wire-decoder``: every ``from_dict`` decodes through :mod:`repro.wire`.
+"""``wire-decoder``: every ``from_dict`` and ``from_state`` decodes
+through :mod:`repro.wire`.
 
-A hand-written ``from_dict`` brings back its own key check and its own
+A hand-written decoder brings back its own key check and its own
 coercions, which is how ``"false"`` once decoded as ``True`` and ``2.9``
 as ``2``.  Every ``from_dict`` under ``src/repro`` must be a declaration
 (``from_dict = wire.from_dict(...)``) or a classmethod that calls
 :mod:`repro.wire` and none of the builtins ``int``, ``float``, ``bool``
-or ``str``.
+or ``str``; so must every engine checkpoint's ``from_state`` (an
+abstract declaration has no body to check).
 """
 
 from __future__ import annotations
@@ -17,13 +19,23 @@ from repro.staticcheck.model import Finding
 from repro.staticcheck.registry import register_pass
 from repro.staticcheck.walker import dotted_name
 
-__all__ = ["WIRE_MODULE", "COERCIONS", "check_wire_decoder"]
+__all__ = ["WIRE_MODULE", "COERCIONS", "DECODERS", "check_wire_decoder"]
 
 #: The module every ``from_dict`` must decode through.
 WIRE_MODULE = "repro.wire"
 
 #: Builtins that coerce a payload field by hand.
 COERCIONS = ("int", "float", "bool", "str")
+
+#: The decoding classmethods the rule covers.
+DECODERS = ("from_dict", "from_state")
+
+
+def _is_abstract(method: ast.FunctionDef) -> bool:
+    return any(
+        (dotted_name(decorator) or "").endswith("abstractmethod")
+        for decorator in method.decorator_list
+    )
 
 
 def _resolves_to_wire(call: ast.Call, aliases: "dict[str, str]") -> bool:
@@ -33,7 +45,7 @@ def _resolves_to_wire(call: ast.Call, aliases: "dict[str, str]") -> bool:
 
 @register_pass(
     "wire-decoder",
-    "every from_dict decodes through repro.wire, with no hand-written coercion",
+    "every from_dict and from_state decodes through repro.wire, with no hand-written coercion",
 )
 def check_wire_decoder(codebase: Codebase) -> "list[Finding]":
     findings: "list[Finding]" = []
@@ -41,20 +53,23 @@ def check_wire_decoder(codebase: Codebase) -> "list[Finding]":
         for cls in (node for node in ast.walk(info.tree) if isinstance(node, ast.ClassDef)):
             for method in cls.body:
                 if isinstance(method, ast.Assign):
-                    if "from_dict" not in (dotted_name(target) for target in method.targets):
-                        continue
+                    names = [dotted_name(target) for target in method.targets]
+                    name = next((name for name in names if name in DECODERS), None)
                     calls = [method.value] if isinstance(method.value, ast.Call) else []
-                elif isinstance(method, ast.FunctionDef) and method.name == "from_dict":
+                elif isinstance(method, ast.FunctionDef) and not _is_abstract(method):
+                    name = method.name if method.name in DECODERS else None
                     calls = [node for node in ast.walk(method) if isinstance(node, ast.Call)]
                 else:
                     continue
-                qualname = f"{info.name}.{cls.name}.from_dict"
+                if name is None:
+                    continue
+                qualname = f"{info.name}.{cls.name}.{name}"
                 if not any(_resolves_to_wire(call, info.aliases) for call in calls):
                     findings.append(Finding(
                         rule="wire-decoder", file=info.relpath, line=method.lineno,
                         message=f"{qualname} does not decode through {WIRE_MODULE}",
                         detail=f"{qualname}:no-wire",
-                        hint="declare from_dict = wire.from_dict(path, error)",
+                        hint="declare a dataclass of the fields and decode it with wire.decode",
                     ))
                 for call in calls:
                     if isinstance(call.func, ast.Name) and call.func.id in COERCIONS:

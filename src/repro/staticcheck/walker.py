@@ -6,8 +6,7 @@ from the rest of :mod:`repro`): ``scripts/check_docs.py`` and
 this file through ``scripts/_staticcheck_bootstrap.py`` (stub packages in
 ``sys.modules``) instead of importing the (numpy-importing) ``repro``
 package.  Keep it that way — anything here must work on a bare Python
-interpreter, and only :mod:`repro.staticcheck.envscan` may be imported
-alongside it.
+interpreter.
 
 What lives here:
 
@@ -15,8 +14,8 @@ What lives here:
 * the name-usage and import-binding walkers that ``scripts/lint.py``'s
   offline fallback used to carry privately,
 * small resolution helpers shared by several checker passes: rendering an
-  attribute chain as a dotted name, resolving ``import``/``from-import``
-  aliases, and looking up module-level constant assignments.
+  attribute chain as a dotted name and resolving it through the
+  ``import``/``from-import`` aliases.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ __all__ = [
     "imported_bindings",
     "import_aliases",
     "dotted_name",
-    "module_constants",
+    "canonical_name",
     "module_bindings",
 ]
 
@@ -132,32 +131,14 @@ def dotted_name(node: ast.AST) -> "str | None":
     return None
 
 
-def module_constants(tree: ast.Module) -> dict[str, object]:
-    """Module-level ``NAME = <str-or-int literal>`` assignments.
-
-    Used to resolve UPPER_CASE fallbacks at environment-variable read sites
-    and constant-named env vars (``os.environ.get(ENV_BACKEND, ...)``).
-    """
-    constants: dict[str, object] = {}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, (str, int))
-            and not isinstance(node.value.value, bool)
-        ):
-            constants[node.targets[0].id] = node.value.value
-        elif (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, (str, int))
-            and not isinstance(node.value.value, bool)
-        ):
-            constants[node.target.id] = node.value.value
-    return constants
+def canonical_name(dotted: str, aliases: "dict[str, str]") -> str:
+    """Rewrite the first segment of ``dotted`` through an import table
+    (``np.random.rand`` -> ``numpy.random.rand``)."""
+    head, _, rest = dotted.partition(".")
+    target = aliases.get(head)
+    if target is None:
+        return dotted
+    return f"{target}.{rest}" if rest else target
 
 
 def module_bindings(tree: ast.Module) -> set[str]:

@@ -76,22 +76,46 @@ class TestRepositoryDocs:
         assert dict(rows) == RENAMED_ENV
         assert len(rows) == len(RENAMED_ENV)
 
+    def test_table_rows_are_the_declared_knobs(self):
+        """One row per ``repro.env.KNOBS`` entry, live and deprecated alike."""
+        from repro import env
+        from repro._deprecated import RENAMED_ENV
 
-def _run_checker(root: Path):
+        text = (REPO_ROOT / "docs" / "configuration.md").read_text()
+        rows = re.findall(r"^\| `(REPRO_\w+)` \|", text, flags=re.MULTILINE)
+        assert sorted(rows) == sorted(env.KNOBS)
+        assert {name for name, knob in env.KNOBS.items() if knob.replaced_by} == set(RENAMED_ENV)
+
+
+def _run_checker(root: Path, *flags: str):
     return subprocess.run(
-        [sys.executable, str(CHECKER), "--root", str(root)],
+        [sys.executable, *flags, str(CHECKER), "--root", str(root)],
         capture_output=True,
         text=True,
     )
 
 
+def _write_knobs(root: Path, **knobs) -> None:
+    """A stand-in knob table: name -> default, or -> ``("replaced_by", new)``."""
+    rows = []
+    for name, default in knobs.items():
+        if isinstance(default, tuple):
+            rows.append(f"    {name!r}: Knob(default=None, replaced_by={default[1]!r}),")
+        else:
+            rows.append(f"    {name!r}: Knob(default={default!r}, replaced_by=None),")
+    (root / "src" / "repro" / "env.py").write_text(
+        "from types import SimpleNamespace as Knob\n\nKNOBS = {\n" + "\n".join(rows) + "\n}\n"
+    )
+
+
 def _seed_minimal_repo(root: Path) -> None:
     (root / "docs").mkdir()
-    (root / "src").mkdir()
+    (root / "src" / "repro").mkdir(parents=True)
     (root / "benchmarks").mkdir()
     (root / "README.md").write_text("[docs](docs/configuration.md)\n")
-    (root / "docs" / "configuration.md").write_text("`REPRO_DEMO_KNOB`\n")
+    (root / "docs" / "configuration.md").write_text("| `REPRO_DEMO_KNOB` | `quick` | demo |\n")
     (root / "src" / "mod.py").write_text('KNOB = "REPRO_DEMO_KNOB"\n')
+    _write_knobs(root, REPRO_DEMO_KNOB="quick")
 
 
 class TestCheckerCatchesProblems:
@@ -106,6 +130,13 @@ class TestCheckerCatchesProblems:
         proc = self._run(tmp_path)
         assert proc.returncode == 0, proc.stderr
 
+    def test_runs_on_a_bare_interpreter(self):
+        """``-S``: no site-packages, so no numpy; the knob table and the
+        staticcheck helpers load from the source tree alone."""
+        proc = _run_checker(REPO_ROOT, "-S")
+        assert proc.returncode == 0, proc.stderr
+        assert "docs OK" in proc.stdout
+
     def test_broken_link_fails(self, tmp_path):
         self._seed_minimal_repo(tmp_path)
         (tmp_path / "docs" / "extra.md").write_text("[gone](missing.md)\n")
@@ -113,12 +144,26 @@ class TestCheckerCatchesProblems:
         assert proc.returncode == 1
         assert "broken link" in proc.stderr
 
-    def test_undocumented_env_var_fails(self, tmp_path):
+    def test_missing_knob_table_fails(self, tmp_path):
+        self._seed_minimal_repo(tmp_path)
+        (tmp_path / "src" / "repro" / "env.py").unlink()
+        proc = self._run(tmp_path)
+        assert proc.returncode == 1
+        assert "missing src/repro/env.py" in proc.stderr
+
+    def test_declared_knob_without_a_row_fails(self, tmp_path):
+        self._seed_minimal_repo(tmp_path)
+        _write_knobs(tmp_path, REPRO_DEMO_KNOB="quick", REPRO_SECRET_KNOB=1)
+        proc = self._run(tmp_path)
+        assert proc.returncode == 1
+        assert "undocumented environment variable: REPRO_SECRET_KNOB" in proc.stderr
+
+    def test_undeclared_name_in_code_fails(self, tmp_path):
         self._seed_minimal_repo(tmp_path)
         (tmp_path / "src" / "extra.py").write_text('X = "REPRO_SECRET_KNOB"\n')
         proc = self._run(tmp_path)
         assert proc.returncode == 1
-        assert "undocumented environment variable: REPRO_SECRET_KNOB" in proc.stderr
+        assert "undeclared environment variable: REPRO_SECRET_KNOB" in proc.stderr
 
     def test_digit_bearing_env_var_not_truncated(self, tmp_path):
         """Names like REPRO_TIER2_CACHE must be matched whole, not clipped
@@ -127,12 +172,12 @@ class TestCheckerCatchesProblems:
         (tmp_path / "src" / "extra.py").write_text('X = "REPRO_TIER2_CACHE"\n')
         proc = self._run(tmp_path)
         assert proc.returncode == 1
-        assert "undocumented environment variable: REPRO_TIER2_CACHE" in proc.stderr
+        assert "undeclared environment variable: REPRO_TIER2_CACHE" in proc.stderr
 
     def test_stale_documented_env_var_fails(self, tmp_path):
         self._seed_minimal_repo(tmp_path)
         (tmp_path / "docs" / "configuration.md").write_text(
-            "`REPRO_DEMO_KNOB` `REPRO_REMOVED_KNOB`\n"
+            "| `REPRO_DEMO_KNOB` | `quick` | demo |\n`REPRO_REMOVED_KNOB`\n"
         )
         proc = self._run(tmp_path)
         assert proc.returncode == 1
@@ -164,102 +209,68 @@ class TestCheckerDefaultsSync:
     def _run(self, root: Path):
         return _run_checker(root)
 
-    def _seed_minimal_repo(self, root: Path) -> None:
+    def _seed(self, root: Path, default_cell: str, **knobs) -> None:
         _seed_minimal_repo(root)
-
-    def _write_table_row(self, root: Path, default_cell: str) -> None:
+        _write_knobs(root, **(knobs or {"REPRO_DEMO_KNOB": "quick"}))
         (root / "docs" / "configuration.md").write_text(
             "| Variable | Default | Meaning |\n"
             "|---|---|---|\n"
             f"| `REPRO_DEMO_KNOB` | {default_cell} | demo |\n"
         )
 
-    def test_matching_string_literal_passes(self, tmp_path):
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "`quick`")
-        (tmp_path / "src" / "mod.py").write_text(
-            'X = environ.get("REPRO_DEMO_KNOB", "quick")\n'
-        )
+    def test_matching_string_default_passes(self, tmp_path):
+        self._seed(tmp_path, "`quick`")
         proc = self._run(tmp_path)
         assert proc.returncode == 0, proc.stderr
 
-    def test_mismatched_literal_fails(self, tmp_path):
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "`slow`")
-        (tmp_path / "src" / "mod.py").write_text(
-            'X = environ.get("REPRO_DEMO_KNOB", "quick")\n'
-        )
+    def test_mismatched_default_fails(self, tmp_path):
+        self._seed(tmp_path, "`slow`")
         proc = self._run(tmp_path)
         assert proc.returncode == 1
         assert "default mismatch for REPRO_DEMO_KNOB" in proc.stderr
         assert "`quick`" in proc.stderr and "`slow`" in proc.stderr
 
     def test_integer_default_compared(self, tmp_path):
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "`64`")
-        (tmp_path / "src" / "mod.py").write_text(
-            'X = _env_int("REPRO_DEMO_KNOB", 64)\n'
-        )
+        self._seed(tmp_path, "`64`", REPRO_DEMO_KNOB=64)
         proc = self._run(tmp_path)
         assert proc.returncode == 0, proc.stderr
 
-    def test_constant_fallback_resolved_in_same_file(self, tmp_path):
-        """A read site falling back to an UPPER_CASE constant is compared
-        through the constant's literal assignment."""
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "`8035`")
-        (tmp_path / "src" / "mod.py").write_text(
-            "DEFAULT_PORT = 8035\n"
-            'X = environ.get("REPRO_DEMO_KNOB", DEFAULT_PORT)\n'
-        )
+    def test_float_default_is_written_shortest(self, tmp_path):
+        self._seed(tmp_path, "`100`", REPRO_DEMO_KNOB=100.0)
         proc = self._run(tmp_path)
         assert proc.returncode == 0, proc.stderr
 
-    def test_constant_fallback_mismatch_fails(self, tmp_path):
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "`9000`")
-        (tmp_path / "src" / "mod.py").write_text(
-            "DEFAULT_PORT = 8035\n"
-            'X = environ.get("REPRO_DEMO_KNOB", DEFAULT_PORT)\n'
-        )
+    def test_prose_cell_fails_when_a_default_is_declared(self, tmp_path):
+        """A declared default with a prose Default cell is drift: the
+        table must carry the mechanical value."""
+        self._seed(tmp_path, "the quick profile")
         proc = self._run(tmp_path)
         assert proc.returncode == 1
         assert "default mismatch for REPRO_DEMO_KNOB" in proc.stderr
 
-    def test_prose_default_cell_fails_when_code_has_literal(self, tmp_path):
-        """A literal fallback in code with a prose Default cell is drift:
-        the table must carry the mechanical value."""
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "the quick profile")
-        (tmp_path / "src" / "mod.py").write_text(
-            'X = environ.get("REPRO_DEMO_KNOB", "quick")\n'
-        )
+    def test_no_default_takes_unset_prose(self, tmp_path):
+        """A ``None`` (or off) default is documented as prose starting with
+        ``unset``; a literal there is drift."""
+        self._seed(tmp_path, "unset (memory-only)", REPRO_DEMO_KNOB=None)
+        assert self._run(tmp_path).returncode == 0
+        (tmp_path / "docs" / "configuration.md").write_text("| `REPRO_DEMO_KNOB` | `x` | demo |\n")
         proc = self._run(tmp_path)
         assert proc.returncode == 1
         assert "default mismatch for REPRO_DEMO_KNOB" in proc.stderr
 
-    def test_empty_string_sentinel_exempt(self, tmp_path):
-        """``environ.get("REPRO_X", "")`` means "unset", not a default —
-        any prose cell is fine."""
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "unset")
-        (tmp_path / "src" / "mod.py").write_text(
-            'X = environ.get("REPRO_DEMO_KNOB", "")\n'
+    def test_deprecated_row_names_its_replacement(self, tmp_path):
+        _seed_minimal_repo(tmp_path)
+        _write_knobs(
+            tmp_path, REPRO_DEMO_KNOB="quick", REPRO_OLD_KNOB=("replaced_by", "REPRO_DEMO_KNOB")
         )
-        proc = self._run(tmp_path)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_inconsistent_code_defaults_fail(self, tmp_path):
-        """Two read sites disagreeing on the fallback is a bug even before
-        documentation enters the picture."""
-        self._seed_minimal_repo(tmp_path)
-        self._write_table_row(tmp_path, "`quick`")
-        (tmp_path / "src" / "mod.py").write_text(
-            'X = environ.get("REPRO_DEMO_KNOB", "quick")\n'
+        table = tmp_path / "docs" / "configuration.md"
+        table.write_text(
+            "| `REPRO_DEMO_KNOB` | `quick` | demo |\n| `REPRO_OLD_KNOB` | `REPRO_DEMO_KNOB` | |\n"
         )
-        (tmp_path / "src" / "other.py").write_text(
-            'Y = environ.get("REPRO_DEMO_KNOB", "slow")\n'
+        assert self._run(tmp_path).returncode == 0
+        table.write_text(
+            "| `REPRO_DEMO_KNOB` | `quick` | demo |\n| `REPRO_OLD_KNOB` | `REPRO_GONE_KNOB` | |\n"
         )
         proc = self._run(tmp_path)
         assert proc.returncode == 1
-        assert "inconsistent defaults in code for REPRO_DEMO_KNOB" in proc.stderr
+        assert "default mismatch for REPRO_OLD_KNOB" in proc.stderr

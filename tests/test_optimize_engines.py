@@ -12,6 +12,7 @@ faulty disk caches.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,68 @@ class TestRegistry:
         rebuilt = engine_from_state(engine.state_dict())
         assert isinstance(rebuilt, RandomRefineEngine)
         assert rebuilt.propose() == engine.propose()
+
+
+def _fresh_engines() -> "list":
+    return [
+        BisectionEngine(space_1d(), target=0.5),
+        NelderMeadEngine(space_2d(), seed=1),
+        RandomRefineEngine(space_2d(), seed=5, rounds=2),
+    ]
+
+
+#: A count field of each engine's checkpoint.
+COUNT_FIELD = {"bisection": "max_iterations", "nelder_mead": "max_iterations", "random": "rounds"}
+
+
+class TestCheckpointDecoding:
+    """Checkpoints decode through :mod:`repro.wire`: a mistyped field fails
+    naming it instead of being coerced (``2.9`` used to resume as ``2``)."""
+
+    @pytest.mark.parametrize("value", [2.9, True])
+    @pytest.mark.parametrize("engine", _fresh_engines(), ids=lambda engine: engine.name)
+    def test_a_mistyped_count_fails_naming_the_field(self, engine, value):
+        field = COUNT_FIELD[engine.name]
+        state = {**engine.state_dict(), field: value}
+        with pytest.raises(
+            OptimizationError, match=rf"^{engine.name} state\.{field} must be an integer"
+        ):
+            type(engine).from_state(state)
+
+    @pytest.mark.parametrize("engine", _fresh_engines(), ids=lambda engine: engine.name)
+    def test_unknown_and_missing_fields_fail(self, engine):
+        state = engine.state_dict()
+        with pytest.raises(OptimizationError, match="unknown .* field"):
+            type(engine).from_state({**state, "iterations": 3})
+        del state["space"]
+        with pytest.raises(OptimizationError, match=r"state\.space is required"):
+            type(engine).from_state(state)
+
+    def test_nelder_mead_infinite_values_round_trip_as_null(self):
+        """Infeasible points put ``inf`` in the simplex and in a contraction's
+        reflection value; the checkpoint is strict JSON (``null``) and
+        resumes on the same trajectory at every step."""
+
+        def objective(p):
+            return math.inf if p["x"] > 0.6 else (p["x"] - 0.5) ** 2 + (p["y"] + 0.5) ** 2
+
+        engine = NelderMeadEngine(space_2d(), seed=1)
+        infinite_value = infinite_reflection = False
+        for _ in range(8):
+            state = json.loads(json.dumps(engine.state_dict(), allow_nan=False))
+            infinite_value |= None in state["values"]
+            infinite_reflection |= state["reflection"] is not None and (
+                state["reflection_value"] is None
+            )
+            resumed = NelderMeadEngine.from_state(state)
+            assert resumed.state_dict() == engine.state_dict()
+            proposals = engine.propose()
+            assert resumed.propose() == proposals
+            batch = [Evaluation(point=p, objective=objective(p)) for p in proposals]
+            engine.ingest(batch)
+            resumed.ingest(batch)
+            assert resumed.propose() == engine.propose()
+        assert infinite_value and infinite_reflection
 
 
 class TestParameterSpace:

@@ -77,6 +77,37 @@ class TestPurityPass:
         assert finding.line == 5
         assert finding.detail == "repro.util.hashing.digest_payload:os.environ.get"
 
+    @pytest.mark.parametrize(
+        "spelling, call, detail",
+        [
+            ("from repro import env", 'env.read("REPRO_SALT")', "repro.env.read"),
+            ("from repro.env import read", 'read("REPRO_SALT")', "repro.env.read"),
+            ("import repro.env as knobs", 'knobs.KNOBS["REPRO_SALT"].default', None),
+        ],
+    )
+    def test_env_reader_call_is_impure(self, tmp_path, spelling, call, detail):
+        """``repro.env`` is the one environment reader, so a call into it on
+        a fingerprint path is as impure as ``os.environ`` (reading the
+        declared table itself is not a call, and stays pure)."""
+        _write(
+            tmp_path,
+            "src/repro/cache/fingerprint.py",
+            f"""\
+            {spelling}
+
+
+            def experiment_fingerprint(config):
+                return (config, {call})
+            """,
+        )
+        findings = _run_rule(tmp_path, "fingerprint-purity")
+        if detail is None:
+            assert findings == []
+            return
+        assert [(f.line, f.detail) for f in findings] == [
+            (5, f"repro.cache.fingerprint.experiment_fingerprint:{detail}")
+        ]
+
     def test_aliased_numpy_random_detected(self, tmp_path):
         _write(
             tmp_path,
@@ -281,11 +312,33 @@ class TestLocksPass:
 
 
 class TestEnvPass:
-    def _seed_doc(self, root: Path, names: str = "`REPRO_DEMO_KNOB`") -> None:
-        _write(root, "docs/configuration.md", f"{names}\n")
+    def _seed_env_module(self, root: Path, *names: str, doc: str = "REPRO_DEMO_KNOB") -> None:
+        _write(root, "docs/configuration.md", f"| `{doc}` | `quick` | demo |\n")
+        rows = "".join(f'    Knob("{name}", "quick"),\n' for name in names)
+        _write(
+            root,
+            "src/repro/env.py",
+            "import os\n\n"
+            "def read(name):\n"
+            '    return os.environ.get(name, "")\n\n'
+            f"KNOBS = [\n{rows}]\n",
+        )
 
-    def test_documented_read_is_clean(self, tmp_path):
-        self._seed_doc(tmp_path)
+    def test_env_module_reads_and_documented_knobs_are_clean(self, tmp_path):
+        self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB")
+        _write(
+            tmp_path,
+            "src/repro/mod.py",
+            """\
+            from repro import env
+
+            VALUE = env.read("REPRO_DEMO_KNOB")
+            """,
+        )
+        assert _run_rule(tmp_path, "env-registry") == []
+
+    def test_read_outside_env_module_flagged(self, tmp_path):
+        self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB")
         _write(
             tmp_path,
             "src/repro/mod.py",
@@ -295,75 +348,35 @@ class TestEnvPass:
             VALUE = os.environ.get("REPRO_DEMO_KNOB", "quick")
             """,
         )
-        assert _run_rule(tmp_path, "env-registry") == []
+        findings = _run_rule(tmp_path, "env-registry")
+        assert [(f.file, f.line, f.detail) for f in findings] == [
+            ("src/repro/mod.py", 3, "read:os.environ.get")
+        ]
 
-    def test_undocumented_name_flagged(self, tmp_path):
-        self._seed_doc(tmp_path)
+    def test_aliased_reads_flagged(self, tmp_path):
+        """Every spelling of the process environment resolves through the
+        import table: subscripts, ``getenv``, a renamed ``os``."""
         _write(
             tmp_path,
-            "src/repro/mod.py",
+            "benchmarks/bench_mod.py",
             """\
-            import os
+            import os as o
+            from os import environ, getenv as lookup
 
-            VALUE = os.environ.get("REPRO_SECRET_KNOB", "x")
+            A = environ["REPRO_DEMO_KNOB"]
+            B = lookup("REPRO_DEMO_KNOB")
+            C = dict(o.environ)
             """,
         )
         findings = _run_rule(tmp_path, "env-registry")
-        assert len(findings) == 1
-        (finding,) = findings
-        assert finding.rule == "env-registry"
-        assert finding.line == 3
-        assert finding.detail == "undocumented:REPRO_SECRET_KNOB"
+        assert [(f.line, f.detail) for f in findings] == [
+            (4, "read:os.environ"),
+            (5, "read:os.getenv"),
+            (6, "read:os.environ"),
+        ]
 
-    def test_non_repro_namespace_flagged(self, tmp_path):
-        self._seed_doc(tmp_path)
-        _write(
-            tmp_path,
-            "src/repro/mod.py",
-            """\
-            import os
-
-            VALUE = os.environ.get("MY_DEBUG", "")
-            """,
-        )
-        findings = _run_rule(tmp_path, "env-registry")
-        assert len(findings) == 1
-        assert findings[0].detail == "MY_DEBUG"
-        assert findings[0].line == 3
-
-    def test_subscript_read_flagged(self, tmp_path):
-        self._seed_doc(tmp_path)
-        _write(
-            tmp_path,
-            "src/repro/mod.py",
-            """\
-            import os
-
-            VALUE = os.environ["REPRO_DEMO_KNOB"]
-            """,
-        )
-        findings = _run_rule(tmp_path, "env-registry")
-        assert len(findings) == 1
-        assert findings[0].detail == "subscript:REPRO_DEMO_KNOB"
-
-    def test_unresolvable_name_flagged(self, tmp_path):
-        self._seed_doc(tmp_path)
-        _write(
-            tmp_path,
-            "src/repro/mod.py",
-            """\
-            import os
-
-            name = "REPRO" + "_DEMO_KNOB"
-            VALUE = os.environ.get(name.strip(), "")
-            """,
-        )
-        findings = _run_rule(tmp_path, "env-registry")
-        assert len(findings) == 1
-        assert findings[0].detail.startswith("unresolved:")
-
-    def test_helper_parameter_read_exempt(self, tmp_path):
-        self._seed_doc(tmp_path)
+    def test_reader_helper_is_flagged_too(self, tmp_path):
+        """A private reader helper is a second reader: no exemption."""
         _write(
             tmp_path,
             "src/repro/mod.py",
@@ -376,21 +389,22 @@ class TestEnvPass:
                 return int(raw) if raw else fallback
             """,
         )
-        assert _run_rule(tmp_path, "env-registry") == []
+        findings = _run_rule(tmp_path, "env-registry")
+        assert [(f.line, f.detail) for f in findings] == [(5, "read:os.environ.get")]
 
-    def test_constant_named_read_resolved(self, tmp_path):
-        self._seed_doc(tmp_path, "`REPRO_DEMO_KNOB`")
-        _write(
-            tmp_path,
-            "src/repro/mod.py",
-            """\
-            import os
+    def test_undocumented_knob_flagged(self, tmp_path):
+        self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB", "REPRO_SECRET_KNOB")
+        findings = _run_rule(tmp_path, "env-registry")
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.rule == "env-registry"
+        assert (finding.file, finding.line) == ("src/repro/env.py", 8)
+        assert finding.detail == "undocumented:REPRO_SECRET_KNOB"
 
-            ENV_KNOB = "REPRO_DEMO_KNOB"
-            VALUE = os.environ.get(ENV_KNOB, "quick")
-            """,
-        )
-        assert _run_rule(tmp_path, "env-registry") == []
+    def test_non_repro_namespace_flagged(self, tmp_path):
+        self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB", "MY_DEBUG")
+        findings = _run_rule(tmp_path, "env-registry")
+        assert [(f.line, f.detail) for f in findings] == [(8, "MY_DEBUG")]
 
 
 class TestExportsPass:
@@ -688,6 +702,44 @@ class TestWirePass:
         ]
 
 
+    def test_from_state_coercion_flagged(self, tmp_path):
+        """Engine checkpoints decode through the wire module as well; an
+        abstract ``from_state`` declares the protocol and is exempt."""
+        _write(
+            tmp_path,
+            "src/repro/mod.py",
+            """\
+            import abc
+
+            from repro import wire
+
+
+            class Engine(abc.ABC):
+                @classmethod
+                @abc.abstractmethod
+                def from_state(cls, state):
+                    \"\"\"Rebuild an engine.\"\"\"
+
+
+            class Bisect(Engine):
+                @classmethod
+                def from_state(cls, state):
+                    return cls(max_iterations=int(state["max_iterations"]))
+
+
+            class Walk(Engine):
+                @classmethod
+                def from_state(cls, state):
+                    return cls(**wire.read(cls, state, "walk state", ValueError))
+            """,
+        )
+        findings = _run_rule(tmp_path, "wire-decoder")
+        assert [(f.line, f.detail) for f in findings] == [
+            (15, "repro.mod.Bisect.from_state:no-wire"),
+            (16, "repro.mod.Bisect.from_state:int"),
+        ]
+
+
 class TestSwallowPass:
     def test_silent_broad_handlers_flagged(self, tmp_path):
         _write(
@@ -807,7 +859,7 @@ class TestBaseline:
             root,
             "src/repro/mod.py",
             'import os\n\nVALUE = os.environ.get("REPRO_ROGUE_KNOB", "x")\n',
-        )
+        )  # a read outside repro/env.py
 
     def _baseline(self, root: Path, entries: list) -> Path:
         path = root / "staticcheck-baseline.json"
@@ -822,7 +874,7 @@ class TestBaseline:
                 {
                     "rule": "env-registry",
                     "file": "src/repro/mod.py",
-                    "detail": "undocumented:REPRO_ROGUE_KNOB",
+                    "detail": "read:os.environ.get",
                     "reason": "legacy knob, removal tracked elsewhere",
                 }
             ],
