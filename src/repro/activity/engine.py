@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.activity.accumulator import DatapathActivity, estimate_datapath_activity_batch
+from repro.activity.counts import StackCounts
 from repro.activity.memory_traffic import MemoryActivity, estimate_memory_activity_batch
 from repro.activity.multiplier import MultiplierActivity, estimate_multiplier_activity_batch
 from repro.activity.operand_bus import OperandActivity, estimate_operand_activity_batch
@@ -317,14 +318,21 @@ def _estimate_stacked(
     sampling: SamplingConfig,
     seeds: "Sequence[int] | range | None",
 ) -> list[ActivityReport]:
-    """Run every component estimator over one chunk's stack."""
+    """Run every component estimator over one chunk's stack.
+
+    One counts stage per stack: the operand bus, multiplier and memory
+    estimators reduce the same integer counts, each made once.  The
+    datapath reads the words of sampled outputs only, which no shared
+    count covers.
+    """
+    counts = StackCounts(stacked)
     return [
         _report(stacked, *components)
         for components in zip(
-            estimate_operand_activity_batch(stacked),
-            estimate_multiplier_activity_batch(stacked),
+            estimate_operand_activity_batch(stacked, counts),
+            estimate_multiplier_activity_batch(stacked, counts),
             estimate_datapath_activity_batch(stacked, sampling, seeds=seeds),
-            estimate_memory_activity_batch(stacked),
+            estimate_memory_activity_batch(stacked, counts),
         )
     ]
 

@@ -12,6 +12,11 @@ estimate below is *exact* and costs only ``O(N*K + K*M)``:
 This component is what makes Hamming-weight-reducing inputs (zeroed bits,
 sparsity, small-magnitude integers) cheaper — takeaways T12, T14, T15 and
 the Figure 8 Hamming-weight correlation.
+
+The estimator is a reduction of the stack's per-``k`` popcount and
+zero-word sums, which the shared counts stage
+(:class:`~repro.activity.counts.StackCounts`) makes once per stack on the
+stored layout; the Hamming totals are sums of those per-``k`` sums.
 """
 
 from __future__ import annotations
@@ -20,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.activity.counts import StackCounts
 from repro.activity.toggles import (
     RANDOM_HAMMING_FRACTION,
     ZERO_GATED_RESIDUAL,
     one_invocation,
 )
-from repro.dtypes.base import DTypeSpec
 from repro.kernels.schedule import OperandStreams
-from repro.util.bits import popcount
 
 __all__ = [
     "MultiplierActivity",
@@ -52,74 +56,64 @@ def estimate_multiplier_activity(streams: OperandStreams) -> MultiplierActivity:
     return estimate_multiplier_activity_batch(one_invocation(streams))[0]
 
 
-def estimate_multiplier_activity_batch(streams: OperandStreams) -> list[MultiplierActivity]:
+def estimate_multiplier_activity_batch(
+    streams: OperandStreams, counts: StackCounts | None = None
+) -> list[MultiplierActivity]:
     """Estimate multiplier-array switching activity (exact), one entry per
     invocation.
 
     The popcount and zero tests (the expensive part) run once over the
-    word stacks; the cheap per-slice statistics are integer sums over each
-    slice, so an entry does not depend on what else is stacked with its
-    invocation.
+    stored word stacks — or not at all when ``counts``, a counts stage the
+    caller shares for ``streams``, already holds them; what is left is a
+    reduction of each slice's per-``k`` integer sums, so an entry does not
+    depend on what else is stacked with its invocation.
     """
-    pc_a = popcount(streams.a_words)  # (S, N, K)
-    pc_b = popcount(streams.b_words)  # (S, K, M)
-    zero_a = _zero_words(streams.a_words, streams.dtype)
-    zero_b = _zero_words(streams.b_words, streams.dtype)
-    width = streams.dtype.bits
+    counts = counts or StackCounts(streams)
+    hw_a, hw_b = counts.hamming_per_k("a"), counts.hamming_per_k("b")
+    zero_a, zero_b = counts.zeros_per_k("a"), counts.zeros_per_k("b")
     return [
         _from_counts(
-            pc_a=pc_a[index],
-            pc_b=pc_b[index],
+            hw_a=hw_a[index],
+            hw_b=hw_b[index],
             zero_a=zero_a[index],
             zero_b=zero_b[index],
-            width=width,
+            n=streams.n,
+            m=streams.m,
+            width=streams.dtype.bits,
         )
         for index in range(streams.batch)
     ]
 
 
-def _zero_words(words: np.ndarray, dtype: DTypeSpec) -> np.ndarray:
-    """Which words encode an exact zero.
-
-    A float zero keeps its sign bit, so ``-0.0`` (for example fp16's
-    encoding of ``-1e-30``) is found by masking the sign off; an integer
-    zero is the all-zero word.
-    """
-    if dtype.is_float:
-        magnitude = dtype.word_dtype.type((1 << (dtype.bits - 1)) - 1)
-        return (words & magnitude) == 0
-    return words == 0
-
-
 def _from_counts(
-    pc_a: np.ndarray,
-    pc_b: np.ndarray,
+    hw_a: np.ndarray,
+    hw_b: np.ndarray,
     zero_a: np.ndarray,
     zero_b: np.ndarray,
+    n: int,
+    m: int,
     width: int,
 ) -> MultiplierActivity:
-    """Reduction core of one invocation on its per-word popcounts and zero masks.
+    """Reduction core of one invocation on its per-``k`` integer sums.
 
-    The counts are summed as integers and divided by ``width`` and by the
-    element count only at the end.  Each per-word Hamming fraction is a
-    multiple of ``1 / width`` with ``width`` a power of two, so a float64
-    sum of the fractions is exact too, and both orders give the same bits.
+    ``hw_a``/``zero_a`` sum A's popcounts and zero words over its ``n``
+    rows, ``hw_b``/``zero_b`` B's over its ``m`` columns, one entry per
+    ``k``.  The sums are divided by ``width`` and by the element count only
+    at the end.  Each per-word Hamming fraction is a multiple of
+    ``1 / width`` with ``width`` a power of two, so a float64 sum of the
+    fractions is exact too, and both orders give the same bits.
     """
-    n = pc_a.shape[0]
-    m = pc_b.shape[1]
-
-    a_hamming = float(pc_a.sum(dtype=np.int64) / width / pc_a.size)
-    b_hamming = float(pc_b.sum(dtype=np.int64) / width / pc_b.size)
+    k = hw_a.shape[0]
+    a_hamming = float(hw_a.sum() / width / (n * k))
+    b_hamming = float(hw_b.sum() / width / (k * m))
 
     # Exact mean over MACs of hw(a)*hw(b): factorizes along the reduction dim.
-    mean_hw_a_per_k = pc_a.sum(axis=0, dtype=np.int64) / width / n  # (K,)
-    mean_hw_b_per_k = pc_b.sum(axis=1, dtype=np.int64) / width / m  # (K,)
+    mean_hw_a_per_k = hw_a / width / n  # (K,)
+    mean_hw_b_per_k = hw_b / width / m  # (K,)
     hw_product = float((mean_hw_a_per_k * mean_hw_b_per_k).mean())
 
     # Exact fraction of MACs with at least one zero operand.
-    zero_a_per_k = zero_a.mean(axis=0)  # (K,)
-    zero_b_per_k = zero_b.mean(axis=1)  # (K,)
-    nonzero_pair_per_k = (1.0 - zero_a_per_k) * (1.0 - zero_b_per_k)
+    nonzero_pair_per_k = (1.0 - zero_a / n) * (1.0 - zero_b / m)
     zero_mac_fraction = float(1.0 - nonzero_pair_per_k.mean())
 
     normalization = RANDOM_HAMMING_FRACTION**2

@@ -7,15 +7,21 @@ B[1, j], ...`` (toggles along columns of B as consumed).  Identical or
 bit-similar successive operands barely toggle this path; that is the
 mechanism behind the paper's value-similarity, small-value-set and sorting
 results (T3, T4, T8–T11).
+
+The estimator is a reduction of the stack's shared toggle counts
+(:class:`~repro.activity.counts.StackCounts`): A's count along its stored
+rows is the memory interface's too, and so is B's when the kernel consumes
+the transpose of the stored B (then "down each consumed column" is "along
+each stored row").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.activity.counts import StackCounts
 from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, one_invocation
 from repro.kernels.schedule import OperandStreams
-from repro.util.bits import toggle_fraction_per_slice
 
 __all__ = ["OperandActivity", "estimate_operand_activity", "estimate_operand_activity_batch"]
 
@@ -34,17 +40,22 @@ def estimate_operand_activity(streams: OperandStreams) -> OperandActivity:
     return estimate_operand_activity_batch(one_invocation(streams))[0]
 
 
-def estimate_operand_activity_batch(streams: OperandStreams) -> list[OperandActivity]:
+def estimate_operand_activity_batch(
+    streams: OperandStreams, counts: StackCounts | None = None
+) -> list[OperandActivity]:
     """Estimate operand-delivery switching activity, one entry per invocation.
 
     A operands stream along the reduction dimension, i.e. along each row;
     B operands (as consumed, shape (K, M) per slice) stream along it too,
-    i.e. down each column.  The bit-level toggle counts are integer sums
-    computed in a single pass over the word stacks, so an entry does not
-    depend on what else is stacked with its invocation.
+    i.e. down each column, which is along each stored row when
+    ``transpose_b`` and down each stored column otherwise.  The toggle
+    counts are integer sums per slice, taken from ``counts`` when the
+    caller shares a stage for ``streams`` and counted here otherwise, so an
+    entry does not depend on what else is stacked with its invocation.
     """
-    toggles_a = toggle_fraction_per_slice(streams.a_words, axis=2)
-    toggles_b = toggle_fraction_per_slice(streams.b_words, axis=1)
+    counts = counts or StackCounts(streams)
+    toggles_a = counts.toggles("a", axis=2)
+    toggles_b = counts.toggles("b", axis=2 if streams.transpose_b else 1)
     return [
         OperandActivity(
             toggle_a=float(ta),

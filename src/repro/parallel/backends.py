@@ -161,15 +161,19 @@ def executor_defaults(
     """The ``(backend, workers)`` an entry point of ``subsystem`` runs with.
 
     Explicit values win.  Next come the subsystem's deprecated knobs (see
-    :data:`repro._deprecated.RENAMED_ENV`).  Otherwise the backend is
-    ``"auto"``, which :func:`resolve_backend` steers by
-    ``REPRO_PARALLEL_BACKEND``, and the width is ``REPRO_PARALLEL_WORKERS``
-    (default 1; any other value must be an integer >= 1).  A deprecated
-    ``"processes"`` warns here, once, and comes back as ``"threads"``.
+    :data:`repro._deprecated.RENAMED_ENV`), then ``REPRO_PARALLEL_BACKEND``
+    and ``REPRO_PARALLEL_WORKERS``, all read from ``environ`` (the process
+    environment by default).  Without any of them the backend is
+    ``"auto"`` and the width 1; a set width must be an integer >= 1 and a
+    set backend one of :data:`BACKENDS`.  A deprecated ``"processes"``
+    warns here, once, and comes back as ``"threads"``.
     """
     renamed = renamed_env(subsystem, environ)
-    if backend is None:
-        backend = env.read(renamed[ENV_BACKEND], environ) if ENV_BACKEND in renamed else "auto"
+    if backend is None and ENV_BACKEND in renamed:
+        backend = env.read(renamed[ENV_BACKEND], environ)
+    elif backend is None:
+        override = env.read(ENV_BACKEND, environ)
+        backend = _known(override, ENV_BACKEND, BACKENDS) if override else "auto"
     if workers is None:
         workers = env.read(renamed.get(ENV_WORKERS, ENV_WORKERS), environ)
     return processes_backend(backend, "backend"), workers

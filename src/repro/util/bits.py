@@ -6,8 +6,14 @@ particular datatype into such words is the job of :mod:`repro.dtypes`; this
 module only counts bits.
 
 The implementations follow the HPC guidance for this project: no Python
-loops over elements, byte-table popcount, and explicit contiguity so views
-never silently copy in hot paths.
+loops over elements, native or byte-table popcount, and explicit
+contiguity so views never silently copy in hot paths.  Toggle counts
+(:func:`toggle_fraction_per_slice`) run on the contiguous layout of a word
+stack: one XOR of each slice's flat word stream against itself shifted by
+the stride of the counted axis, popcounted 64 bits at a time through a
+``uint64`` view, minus the pairs that straddle the axis.  The activity
+estimators' counts stage (:mod:`repro.activity.counts`) makes every count
+it shares through these primitives.
 
 .. rubric:: Released-GIL (nogil) sections
 
@@ -190,9 +196,16 @@ def toggle_fraction_per_slice(words: np.ndarray, axis: int) -> np.ndarray:
 
     Axis 0 is the batch axis: for input of shape ``(S, ...)`` the result is a
     ``float64`` array of ``S`` toggle fractions, where entry ``s`` equals
-    ``toggle_fraction_along_axis(words[s], axis - 1)`` bit for bit (toggle
-    counts are integer sums, so the reduction order cannot change the
-    result).  The activity estimators count every toggle stream with it.
+    ``toggle_fraction_along_axis(words[s], axis - 1)`` bit for bit.
+
+    The count runs on the contiguous layout, never on a strided view: each
+    slice's flat word stream is XORed with itself shifted by the stride of
+    ``axis`` (one word for the last axis), the XOR is popcounted 64 bits at
+    a time through a ``uint64`` view whose tail is padded with zeros, and
+    the pairs that straddle a boundary of ``axis`` (for the last axis, the
+    last word of a row against the first of the next) are subtracted
+    again.  Counts are integer sums, divided by the bit count of the
+    successive pairs once at the end, so any order gives the same result.
     """
     arr = _require_unsigned(words)
     if arr.ndim < 2:
@@ -200,15 +213,24 @@ def toggle_fraction_per_slice(words: np.ndarray, axis: int) -> np.ndarray:
     axis = axis % arr.ndim
     if axis == 0:
         raise ActivityError("axis 0 is the batch axis; toggles must run along another axis")
-    batch = arr.shape[0]
-    n = arr.shape[axis]
-    if n < 2:
+    batch, n = arr.shape[0], arr.shape[axis]
+    if n < 2 or arr.size == 0:
         return np.zeros(batch, dtype=np.float64)
-    lag, lead = _successive_views(arr, axis)
-    distances = popcount(np.bitwise_xor(lag, lead))
-    per_slice = distances.reshape(batch, -1).sum(axis=1, dtype=np.int64)
-    total_bits = lag[0].size * bit_width(arr)
-    return per_slice / total_bits
+    stride = int(np.prod(arr.shape[axis + 1 :]))
+    flat = arr.reshape(batch, -1)
+    pairs = flat.shape[1] - stride
+    per_lane = 8 // arr.itemsize
+    xor = np.empty((batch, -(-pairs // per_lane) * per_lane), dtype=arr.dtype)
+    xor[:, pairs:] = 0
+    np.bitwise_xor(flat[:, stride:], flat[:, :-stride], out=xor[:, :pairs])
+    counts = popcount(xor.view(np.uint64)).sum(axis=1, dtype=np.int64)
+    # XOR row j pairs the words of row j with those one step further along
+    # ``axis``; rows at the last position along ``axis`` cross into the
+    # next block and are not successive words.
+    straddling = xor[:, :pairs].reshape(batch, -1, stride)[:, n - 1 :: n]
+    if straddling.size:
+        counts -= popcount(straddling).reshape(batch, -1).sum(axis=1, dtype=np.int64)
+    return counts / (flat.shape[1] // n * (n - 1) * bit_width(arr))
 
 
 def set_low_bits_mask(width: int, count: int, dtype: np.dtype) -> int:

@@ -16,8 +16,10 @@ from repro.activity import (
     estimate_multiplier_activity,
     estimate_operand_activity,
 )
+from repro.activity import counts as counts_module
 from repro.activity.engine import (
     ActivityEngine,
+    _estimate_stacked,
     estimate_activity,
     estimate_activity_batch,
     recommended_chunk,
@@ -339,6 +341,140 @@ class TestStackedStreams:
             build_streams_stacked([streams, operands[0]])
         with pytest.raises(KernelError):
             build_streams_stacked(["junk"])
+
+
+def _word_stack(spec, shape, rng):
+    """Encoded Gaussian words with exact zeros (and ``-0.0`` for floats) mixed in."""
+    words = build_pattern("gaussian", spec).generate_words(shape[1:], spec, rng)
+    words = np.stack(
+        [words] + [np.roll(words, index, axis=1) for index in range(1, shape[0])]
+    )
+    zeros = rng.random(shape) < 0.2
+    words[zeros] = 0
+    if spec.is_float:
+        words[rng.random(shape) < 0.1] = spec.word_dtype.type(1 << (spec.bits - 1))
+    return words
+
+
+def _strided(words):
+    """The same words as a view whose last axis is not contiguous."""
+    wide = np.zeros(words.shape[:-1] + (2 * words.shape[-1],), dtype=words.dtype)
+    wide[..., ::2] = words
+    return wide[..., ::2]
+
+
+def _oracle_reports(stacked, sampling, seeds):
+    return [
+        oracle.report(
+            oracle.ScalarStreams(
+                stacked.dtype,
+                stacked.a_words[index],
+                stacked.b_stored_words[index],
+                stacked.transpose_b,
+            ),
+            sampling,
+            seed,
+        )
+        for index, seed in enumerate(seeds)
+    ]
+
+
+class TestCountsStage:
+    """The engine reduces one shared counts stage per stack
+    (``repro.activity.counts.StackCounts``); the scalar oracle counts every
+    estimator on its own, so agreement pins the sharing bit for bit."""
+
+    #: (N, K, M): K of 1, 2 and odd, N*K a multiple of no packing width
+    SHAPES = [(5, 1, 3), (3, 2, 7), (7, 13, 5), (9, 31, 6)]
+
+    @pytest.mark.parametrize("dtype", ["int8", "fp16", "fp32", "fp64"])
+    @pytest.mark.parametrize("transpose_b", [True, False])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_shared_counts_match_the_oracle(self, dtype, transpose_b, batch, contiguous):
+        spec = get_dtype(dtype)
+        rng = np.random.default_rng(7)
+        sampling = SamplingConfig(output_samples=16)
+        seeds = list(range(3, 3 + batch))
+        for n, k, m in self.SHAPES:
+            a_words = _word_stack(spec, (batch, n, k), rng)
+            b_shape = (batch, m, k) if transpose_b else (batch, k, m)
+            b_stored_words = _word_stack(spec, b_shape, rng)
+            if not contiguous:
+                a_words, b_stored_words = _strided(a_words), _strided(b_stored_words)
+            stacked = OperandStreams(spec, a_words, b_stored_words, transpose_b=transpose_b)
+            assert_reports_identical(
+                _estimate_stacked(stacked, sampling, seeds),
+                _oracle_reports(stacked, sampling, seeds),
+            )
+
+    @pytest.mark.parametrize("transpose_b", [True, False])
+    def test_one_toggle_pass_per_layout(self, transpose_b, monkeypatch):
+        calls = []
+        count_toggles = counts_module.toggle_fraction_per_slice
+        count_bits = counts_module.popcount
+
+        def spy_toggles(words, axis):
+            calls.append(("toggles", words, axis))
+            return count_toggles(words, axis)
+
+        def spy_popcount(words):
+            calls.append(("popcount", words, None))
+            return count_bits(words)
+
+        monkeypatch.setattr(counts_module, "toggle_fraction_per_slice", spy_toggles)
+        monkeypatch.setattr(counts_module, "popcount", spy_popcount)
+        stacked = build_streams_stacked(make_operands(count=2, transpose_b=transpose_b))
+        _estimate_stacked(stacked, SamplingConfig(output_samples=8), [0, 1])
+
+        def passes(kind, words):
+            return [
+                axis
+                for name, seen, axis in calls
+                if name == kind and np.shares_memory(seen, words)
+            ]
+
+        assert passes("toggles", stacked.a_words) == [2]
+        # Consumed B runs along the stored rows only when B is transposed;
+        # otherwise the operand bus counts down the stored columns.
+        assert sorted(passes("toggles", stacked.b_stored_words)) == (
+            [2] if transpose_b else [1, 2]
+        )
+        assert passes("popcount", stacked.a_words) == [None]
+        assert passes("popcount", stacked.b_stored_words) == [None]
+        assert len(calls) == (4 if transpose_b else 5)
+
+    @pytest.mark.parametrize("transpose_b", [True, False])
+    def test_byte_table_popcount_gives_the_same_reports(self, transpose_b, monkeypatch):
+        stacked = build_streams_stacked(make_operands(count=2, transpose_b=transpose_b))
+        sampling = SamplingConfig(output_samples=8)
+        native = _estimate_stacked(stacked, sampling, [0, 1])
+        monkeypatch.setattr(bits, "_HAS_BITWISE_COUNT", False)
+        assert_reports_identical(_estimate_stacked(stacked, sampling, [0, 1]), native)
+
+    @pytest.mark.parametrize("dtype,rows", [("fp64", 1024), ("fp16", 4096), ("int8", 8192)])
+    def test_per_k_sums_past_uint16_stay_exact(self, dtype, rows):
+        """An all-ones column sums to ``width * rows = 65536``, one past what
+        a ``uint16`` accumulator holds."""
+        spec = get_dtype(dtype)
+        assert spec.bits * rows == 65536
+        ones = spec.word_dtype.type(-1 % (1 << spec.bits))
+        a_words = np.zeros((1, rows, 3), dtype=spec.word_dtype)
+        a_words[:, :, 1] = ones
+        b_stored_words = np.full((1, rows, 3), ones, dtype=spec.word_dtype)
+        stacked = OperandStreams(spec, a_words, b_stored_words, transpose_b=True)
+        fields = (
+            "multiplier_activity",
+            "multiplier_hw_product",
+            "zero_mac_fraction",
+            "a_hamming_fraction",
+            "b_hamming_fraction",
+        )
+        sampling = SamplingConfig(output_samples=4)
+        got = _estimate_stacked(stacked, sampling, [0])[0].as_dict()
+        expected = _oracle_reports(stacked, sampling, [0])[0]
+        assert got["multiplier_hw_product"] > 0
+        assert {f: got[f] for f in fields} == {f: expected[f] for f in fields}
 
 
 class TestToggleFractionPerSlice:

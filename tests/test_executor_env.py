@@ -153,6 +153,11 @@ class TestMalformedValues:
         with pytest.raises(ExperimentError, match=f"{ENV_WORKERS} must be an integer >= 1"):
             executor_defaults("FLEET", environ={ENV_WORKERS: raw})
 
+    def test_backend_is_read_from_the_mapping(self):
+        assert executor_defaults("FLEET", environ={ENV_BACKEND: "serial"}) == ("serial", 1)
+        with pytest.raises(ExperimentError, match=f"{ENV_BACKEND} must be one of"):
+            executor_defaults("OPT", environ={ENV_BACKEND: "bogus"})
+
     def test_blank_values_mean_unset(self):
         blank = {name: "  " for name in (ENV_WORKERS, *RENAMED_ENV)}
         with warnings.catch_warnings():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -492,6 +493,17 @@ class TestServiceConfig:
             ServiceConfig()
         with pytest.raises(ExperimentError, match="REPRO_PARALLEL_BACKEND"):
             ServiceConfig.from_env({})
+
+    def test_from_env_reads_the_backend_from_its_mapping(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+        with pytest.raises(ExperimentError, match="REPRO_PARALLEL_BACKEND"):
+            ServiceConfig.from_env({"REPRO_PARALLEL_BACKEND": "bogus"})
+        config = ServiceConfig.from_env(
+            {"REPRO_PARALLEL_BACKEND": "Threads", "REPRO_PARALLEL_WORKERS": "2"}
+        )
+        assert (config.backend, config.workers) == ("threads", 2)
+        assert ServiceConfig.from_env({"REPRO_PARALLEL_BACKEND": " "}).backend == "auto"
+        assert "REPRO_PARALLEL_BACKEND" not in os.environ
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_timeout_must_be_finite(self, raw):
