@@ -17,9 +17,10 @@ retrieval).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro._version import __version__
@@ -59,6 +60,22 @@ def fingerprint_payload(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _field_names(cls: type) -> "tuple[str, ...]":
+    return tuple(spec.name for spec in fields(cls))
+
+
+def _fields_payload(obj: Any) -> dict[str, Any]:
+    """A flat dataclass's fields by name.
+
+    This is what ``dataclasses.asdict`` returns for a dataclass whose
+    fields hold no dataclass, minus its recursive deep copy, which cost
+    more than the rest of a fingerprint; :func:`canonical_json` renders
+    the two byte for byte alike, so every stored key stays valid.
+    """
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
 def _dtype_spec_payload(name: str) -> dict[str, Any]:
     """Resolved dtype spec, included so re-registering a dtype name under a
     different definition can never serve stale cached results."""
@@ -67,10 +84,12 @@ def _dtype_spec_payload(name: str) -> dict[str, Any]:
         "kind": spec.kind,
         "bits": spec.bits,
         "tensor_core": spec.tensor_core,
-        "float_format": asdict(spec.float_format)
+        "float_format": _fields_payload(spec.float_format)
         if spec.float_format is not None
         else None,
-        "int_format": asdict(spec.int_format) if spec.int_format is not None else None,
+        "int_format": _fields_payload(spec.int_format)
+        if spec.int_format is not None
+        else None,
     }
 
 
@@ -105,9 +124,9 @@ def experiment_fingerprint(
         "kind": "experiment",
         "config": description,
         "dtype_spec": _dtype_spec_payload(config.dtype),
-        "gpu_spec": asdict(get_gpu_spec(config.gpu)),
-        "sampling": asdict(config.sampling),
-        "telemetry": asdict(config.telemetry),
+        "gpu_spec": _fields_payload(get_gpu_spec(config.gpu)),
+        "sampling": _fields_payload(config.sampling),
+        "telemetry": _fields_payload(config.telemetry),
         "include_process_variation": config.include_process_variation,
         "code": code_version if code_version is not None else code_fingerprint(),
     }
@@ -144,7 +163,7 @@ def activity_fingerprint(
             "base_seed": config.base_seed,
         },
         "dtype_spec": _dtype_spec_payload(config.dtype),
-        "sampling": asdict(config.sampling),
+        "sampling": _fields_payload(config.sampling),
         "seed": int(seed),
         "code": code_version if code_version is not None else code_fingerprint(),
     }

@@ -200,13 +200,9 @@ class JsonDiskCache:
         never mutated in place — ``put`` inserts its own copy and ``get``
         hands out copies — so unlocked reads of one entry are safe).
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-        if entry is not None:
-            return copy.deepcopy(entry)
+        value = self.get_memory(key)
+        if value is not None:
+            return value
         entry = self._load_from_disk(key)
         with self._lock:
             if entry is not None:
@@ -216,6 +212,22 @@ class JsonDiskCache:
             else:
                 self.stats.misses += 1
         return copy.deepcopy(entry) if entry is not None else None
+
+    def get_memory(self, key: str) -> Any:
+        """:meth:`get` restricted to the in-memory LRU: never touches disk.
+
+        A hit refreshes the LRU order, counts as a hit and returns a copy,
+        exactly as in :meth:`get`.  A miss counts nothing and returns
+        ``None``, so a caller that falls back to :meth:`get` counts one
+        lookup, not two.  This is the lookup an event loop may make.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+        return copy.deepcopy(entry)
 
     def put(self, key: str, value: Any) -> None:
         """Store a copy of ``value`` under ``key`` (memory and disk).

@@ -22,9 +22,9 @@ Routes (all responses JSON; one request per connection):
 ``GET /healthz``
     ``{"status": "ok", "reasons": []}`` while fully healthy;
     ``{"status": "degraded", "reasons": [...]}`` once any resilience
-    fallback engaged (memory-only cache tier, threads fallback after pool
-    breakage).  Degraded answers are still bit-for-bit correct — the
-    status flags lost persistence/parallelism, never wrong results.
+    fallback engaged (a cache tier fallen back to memory-only).  Degraded
+    answers are still bit-for-bit correct — the status flags lost
+    persistence, never wrong results.
 
 ``POST /shutdown``
     Acknowledges, then stops the server (used by scripted deployments and
@@ -167,8 +167,9 @@ class EstimationServer:
             config = ExperimentConfig.from_dict(document)
         except ReproError as exc:
             raise HttpError(400, str(exc)) from exc
+        key = experiment_fingerprint(config)
         try:
-            result = await self.service.submit(config)
+            result = await self.service._submit_keyed(config, key)
         except ServiceOverloadedError as exc:
             raise HttpError(
                 429, str(exc), headers={"Retry-After": str(RETRY_AFTER_S)}
@@ -176,7 +177,7 @@ class EstimationServer:
         except ServiceTimeoutError as exc:
             raise HttpError(504, str(exc)) from exc
         return 200, {
-            "fingerprint": experiment_fingerprint(config),
+            "fingerprint": key,
             "result": self.service.render_result(config, result),
         }
 

@@ -3,7 +3,7 @@
 :class:`EstimationService` is the heart of the serving layer.  It accepts
 experiment configurations from any front end (the HTTP server in
 :mod:`repro.serve.server`, or tests driving it directly) and turns them
-into calls on the sweep machinery, with three serving-specific behaviours
+into calls on the sweep machinery, with four serving-specific behaviours
 layered on top:
 
 **Single-flight coalescing.**  Requests are keyed by
@@ -14,6 +14,13 @@ other.  The first request for a key creates a future and enqueues the
 work; every concurrent duplicate awaits that same future and never touches
 the queue.  The estimation core is deterministic, so a coalesced response
 is bit-for-bit the response a dedicated computation would have produced.
+
+**Warm hits on the loop.**  A request whose key is not in flight is
+first looked up in the experiment tier's in-memory LRU
+(:meth:`~repro.cache.store.JsonDiskCache.get_memory`).  A hit is answered
+right there on the event loop: no admission slot, no batch, no hop to the
+compute thread.  The lookup never creates the default cache and never
+reads disk, so a miss, or an entry only on disk, takes the batch path.
 
 **Natural batching.**  There is no timer.  A request admitted while the
 compute thread is idle dispatches at once; requests admitted while a
@@ -58,7 +65,7 @@ from typing import Any, Callable, Mapping
 from repro import env
 from repro._deprecated import ignore_batch_window, ignore_plan_cache, processes_backend
 from repro.cache.fingerprint import experiment_fingerprint
-from repro.cache.store import DEFAULT_CACHE, peek_default_caches
+from repro.cache.store import DEFAULT_CACHE, ExperimentCache, peek_default_caches
 from repro.errors import ServiceOverloadedError, ServiceTimeoutError, ServingError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult
@@ -121,7 +128,8 @@ class ServiceConfig:
 class ServiceStats:
     """Live serving counters, exposed verbatim on ``/stats``."""
 
-    #: requests submitted (admitted, coalesced or rejected)
+    #: requests submitted (answered from memory, admitted, coalesced or
+    #: rejected)
     requests: int = 0
     #: requests that joined an already-in-flight computation
     coalesced: int = 0
@@ -130,7 +138,7 @@ class ServiceStats:
     #: distinct configurations whose computation ultimately raised (after
     #: batch-failure isolation re-ran them individually)
     errors: int = 0
-    #: ``run_configs`` batches drained
+    #: ``run_configs`` batches drained (warm memory hits need none)
     batches: int = 0
     #: configurations re-run individually because their batch failed —
     #: survivors of a poisoned batch complete instead of inheriting the
@@ -138,7 +146,8 @@ class ServiceStats:
     isolated_retries: int = 0
     #: requests whose waiter hit the per-request deadline (HTTP 504)
     timeouts: int = 0
-    #: cumulative sweep-runner accounting across all batches
+    #: cumulative sweep-runner accounting across all batches, with each
+    #: warm memory hit counted as a one-config cache hit
     run: RunStats = field(default_factory=RunStats)
 
     def as_dict(self) -> dict[str, Any]:
@@ -191,14 +200,21 @@ class EstimationService:
         must not mutate it; serialize with :meth:`render_result`, which
         re-stamps the label the way the result cache does.
         """
+        return await self._submit_keyed(config, experiment_fingerprint(config))
+
+    async def _submit_keyed(self, config: ExperimentConfig, key: str) -> ExperimentResult:
+        """:meth:`submit` for a caller that already holds ``config``'s
+        fingerprint (the HTTP front end, which also puts it in the body)."""
         if self._closed:
             raise ServingError("service is closed")
         self.stats.requests += 1
-        key = experiment_fingerprint(config)
         existing = self._inflight.get(key)
         if existing is not None:
             self.stats.coalesced += 1
             return await self._await_result(existing)
+        hit = self._memory_hit(config, key)
+        if hit is not None:
+            return hit
         if len(self._inflight) >= self.config.max_pending:
             self.stats.rejected += 1
             raise ServiceOverloadedError(
@@ -212,6 +228,30 @@ class EstimationService:
         if self._batcher is None or self._batcher.done():
             self._batcher = loop.create_task(self._drain())
         return await self._await_result(future)
+
+    def _memory_hit(self, config: ExperimentConfig, key: str) -> "ExperimentResult | None":
+        """A warm hit answered on the event loop, or ``None``.
+
+        Only the experiment tier's in-memory LRU is consulted: the explicit
+        ``cache``, or the process default if it already exists.  Creating
+        the default or reading its disk tier may block, so both are left
+        to the batch path.  A hit is counted in ``stats.run`` as a
+        one-config ``run_configs`` hit would be.
+        """
+        tier = self._cache
+        if tier is DEFAULT_CACHE:
+            tier = peek_default_caches().get("experiment")
+        if not isinstance(tier, ExperimentCache):
+            return None
+        result = tier.get_memory(key)
+        if result is None:
+            return None
+        result.config["label"] = config.describe()["label"]
+        run = self.stats.run
+        run.total += 1
+        run.unique += 1
+        run.cache_hits += 1
+        return result
 
     async def _await_result(
         self, future: "asyncio.Future[ExperimentResult]"

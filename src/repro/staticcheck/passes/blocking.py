@@ -10,7 +10,10 @@ function directly.  This pass walks every ``async def`` under
   the ``Path`` read/write methods, ``subprocess``, synchronous
   ``urllib``/``socket`` entry points, and the repo's own compute entry
   points (``run_configs``/``run_experiment``/``run_sweep``/
-  ``estimate_experiment``) — the documented escape hatch is handing the
+  ``estimate_experiment``) and the default-cache accessors
+  (``get_default_cache``/``get_default_activity_cache``/``resolve_cache``/
+  ``resolve_activity_cache``, whose first call opens SQLite; the loop may
+  only ``peek_default_caches``) — the documented escape hatch is handing the
   callable to ``run_in_executor``/``asyncio.to_thread``, which passes a
   *reference*, not a call, and therefore never trips this rule;
 * ``import`` statements inside coroutine bodies — first import executes
@@ -59,6 +62,18 @@ BLOCKING_CALLS = (
     "repro.api.run_configs",
     "repro.api.run_sweep",
     "repro.api.run_experiment",
+    # The lazy default cache tiers: the first call creates one, which
+    # opens its SQLite database under REPRO_CACHE_DIR (and may prune it).
+    *(
+        f"{module}.{name}"
+        for module in ("repro.cache.store", "repro.cache", "repro.api")
+        for name in (
+            "get_default_cache",
+            "get_default_activity_cache",
+            "resolve_cache",
+            "resolve_activity_cache",
+        )
+    ),
 )
 
 #: Method names (attribute calls on any receiver) that mean file I/O.

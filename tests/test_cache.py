@@ -191,6 +191,27 @@ class TestExperimentCache:
         assert reader.stats.disk_hits == 1
         assert loaded.as_dict() == result.as_dict()
 
+    def test_memory_lookup_never_reads_disk(self, quiet_config, tmp_path):
+        config = quiet_config()
+        key = experiment_fingerprint(config)
+        result = run_experiment(config, cache=None)
+        ExperimentCache(disk_dir=tmp_path).put(key, result)
+
+        reader = ExperimentCache(disk_dir=tmp_path, max_entries=2)
+        # On disk only: a memory-only miss, counted nowhere.
+        assert reader.get_memory(key) is None
+        assert reader.stats.lookups == 0 and len(reader) == 0
+        assert reader.get(key) is not None  # the disk read fills the LRU
+        reader.put("other", result)
+        hit = reader.get_memory(key)  # refreshes key: "other" is now oldest
+        assert hit is not None and hit.as_dict() == result.as_dict()
+        hit.config["label"] = "mutated after get_memory"
+        assert reader.get_memory(key).config["label"] != "mutated after get_memory"
+        assert (reader.stats.hits, reader.stats.misses, reader.stats.disk_hits) == (3, 0, 1)
+        reader.put("newest", result)
+        assert reader.get_memory("other") is None
+        assert reader.get_memory(key) is not None
+
     def test_corrupt_disk_entry_is_a_miss(self, quiet_config, tmp_path):
         config = quiet_config()
         key = experiment_fingerprint(config)

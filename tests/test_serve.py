@@ -10,6 +10,7 @@ timer.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import threading
@@ -620,7 +621,7 @@ def _http_get(base: str, path: str) -> "tuple[int, dict]":
         return exc.code, json.loads(exc.read())
 
 
-def _http_post(base: str, path: str, body: dict) -> "tuple[int, dict]":
+def _http_post_raw(base: str, path: str, body: dict) -> "tuple[int, bytes]":
     request = urllib.request.Request(
         f"{base}{path}",
         data=json.dumps(body).encode("utf-8"),
@@ -629,9 +630,14 @@ def _http_post(base: str, path: str, body: dict) -> "tuple[int, dict]":
     )
     try:
         with urllib.request.urlopen(request, timeout=60) as response:
-            return response.status, json.loads(response.read())
+            return response.status, response.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        return exc.code, exc.read()
+
+
+def _http_post(base: str, path: str, body: dict) -> "tuple[int, dict]":
+    status, raw = _http_post_raw(base, path, body)
+    return status, json.loads(raw)
 
 
 async def _client(call, *args):
@@ -851,3 +857,176 @@ class TestChaosBatches:
                 assert isinstance(outcome, ReproError)
             else:
                 assert outcome.as_dict() == direct.as_dict()
+
+
+def _wire_doc(config) -> dict:
+    """``config`` as an ``/estimate`` body, estimator and telemetry knobs
+    included (``describe()`` alone would leave them at server defaults)."""
+    return {
+        **config.describe(),
+        "include_process_variation": config.include_process_variation,
+        "sampling": dataclasses.asdict(config.sampling),
+        "telemetry": dataclasses.asdict(config.telemetry),
+    }
+
+
+class TestWarmHits:
+    """A key already in the experiment tier's memory LRU is answered on the
+    event loop: no admission slot, no batch, no compute-thread hop."""
+
+    def test_warm_estimate_fingerprints_once_and_skips_compute_and_disk(
+        self, quiet_config, tmp_path, monkeypatch
+    ):
+        import repro.experiments.sweep as sweep
+        import repro.serve.server as server_module
+        import repro.serve.service as service_module
+        from repro.cache.fingerprint import experiment_fingerprint
+        from repro.cache.sqlite_store import SqliteStore
+        from repro.cache.store import ExperimentCache
+
+        compute = CountingCompute()
+        service = EstimationService(
+            cache=ExperimentCache(disk_dir=tmp_path / "experiment"),
+            activity_cache=None,
+            compute=compute,
+        )
+        body = _wire_doc(quiet_config())
+        fingerprints: "list" = []
+        disk_reads: "list[str]" = []
+
+        def counting_fingerprint(config, *args, **kwargs):
+            fingerprints.append(config)
+            return experiment_fingerprint(config, *args, **kwargs)
+
+        real_get = SqliteStore.get
+
+        def counting_get(store, key):
+            disk_reads.append(key)
+            return real_get(store, key)
+
+        async def scenario(base, server):
+            status, cold = await _client(_http_post_raw, base, "/estimate", body)
+            assert status == 200 and compute.calls == 1
+            for module in (server_module, service_module, sweep):
+                monkeypatch.setattr(module, "experiment_fingerprint", counting_fingerprint)
+            monkeypatch.setattr(SqliteStore, "get", counting_get)
+            status, warm = await _client(_http_post_raw, base, "/estimate", body)
+            assert status == 200
+            return cold, warm
+
+        cold, warm = run_with_server(scenario, service)
+        assert len(fingerprints) == 1
+        assert disk_reads == []
+        assert compute.calls == 1 and service.stats.batches == 1
+        assert warm == cold
+        run = service.stats.run
+        assert (run.total, run.unique, run.cache_hits, run.executed) == (2, 2, 1, 1)
+
+    def test_lookup_never_creates_the_default_cache(self, quiet_config, monkeypatch):
+        import repro.cache.store as store
+
+        for name in ("REPRO_NO_CACHE", "REPRO_CACHE_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(store, "_default_cache", None)
+        monkeypatch.setattr(store, "_default_initialized", False)
+        tiers_seen_by_compute: "list[set[str]]" = []
+
+        def spy(configs, **kwargs):
+            from repro.experiments.sweep import run_configs
+
+            tiers_seen_by_compute.append(set(store.peek_default_caches()))
+            return run_configs(configs, **kwargs)
+
+        compute = CountingCompute(spy)
+        service = EstimationService(activity_cache=None, compute=compute)
+        config = quiet_config()
+
+        async def scenario():
+            try:
+                first = await service.submit(config)
+                second = await service.submit(config)
+            finally:
+                await service.close()
+            return first, second
+
+        first, second = asyncio.run(scenario())
+        # The first request found no default cache and went to the batch
+        # path, which created it on the compute thread; the second was a
+        # warm hit on it.
+        assert "experiment" not in tiers_seen_by_compute[0]
+        assert compute.calls == 1 and service.stats.batches == 1
+        assert second.as_dict() == first.as_dict()
+
+    def test_warm_hit_answered_while_compute_and_admission_are_full(self, quiet_config):
+        from repro.cache.fingerprint import experiment_fingerprint
+        from repro.cache.store import ExperimentCache
+
+        warm = quiet_config()
+        cache = ExperimentCache()
+        cache.put(experiment_fingerprint(warm), run_experiment(warm, cache=None))
+        compute = CountingCompute(gated=True)
+        service = EstimationService(
+            ServiceConfig(max_pending=1), cache=cache, activity_cache=None, compute=compute
+        )
+
+        async def scenario(base, server):
+            cold = asyncio.ensure_future(
+                _client(_http_post, base, "/estimate", _wire_doc(quiet_config(matrix_size=160)))
+            )
+            try:
+                await compute.started()  # the cold request holds the only slot
+                other = _wire_doc(quiet_config(matrix_size=192))
+                assert (await _client(_http_post, base, "/estimate", other))[0] == 429
+                status, payload = await _client(_http_post, base, "/estimate", _wire_doc(warm))
+                assert status == 200
+                assert payload["fingerprint"] == experiment_fingerprint(warm)
+            finally:
+                compute.release()
+            assert (await cold)[0] == 200
+
+        run_with_server(scenario, service)
+        assert compute.calls == 1
+        assert service.stats.rejected == 1
+
+    def test_hit_body_is_byte_identical_to_the_batch_body(self, quiet_config):
+        from repro.cache.store import ExperimentCache
+
+        computed = _wire_doc(quiet_config(label="panel-a"))
+        relabelled = _wire_doc(quiet_config(label="panel-b"))
+
+        async def post(base, body):
+            status, raw = await _client(_http_post_raw, base, "/estimate", body)
+            assert status == 200
+            return raw
+
+        async def through_hits(base, server):
+            await post(base, computed)
+            return await post(base, relabelled)
+
+        async def through_batches(base, server):
+            return await post(base, relabelled)
+
+        hit_service = EstimationService(cache=ExperimentCache(), activity_cache=None)
+        hit_body = run_with_server(through_hits, hit_service)
+        batch_service = nocache_service()
+        batch_body = run_with_server(through_batches, batch_service)
+        assert hit_service.stats.batches == 1  # panel-b never reached a batch
+        assert batch_service.stats.batches == 1
+        assert hit_body == batch_body
+        assert json.loads(hit_body)["result"]["config"]["label"] == "panel-b"
+
+    def test_cacheless_service_batches_every_request(self, quiet_config):
+        compute = CountingCompute()
+        service = nocache_service(compute)
+        config = quiet_config()
+
+        async def scenario():
+            try:
+                for _ in range(3):
+                    await service.submit(config)
+            finally:
+                await service.close()
+
+        asyncio.run(scenario())
+        assert compute.calls == 3 and service.stats.batches == 3
+        assert service.stats.run.cache_hits == 0

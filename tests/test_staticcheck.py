@@ -104,7 +104,7 @@ class TestPurityPass:
         if detail is None:
             assert findings == []
             return
-        assert [(f.line, f.detail) for f in findings] == [
+        assert sorted((f.line, f.detail) for f in findings) == [
             (5, f"repro.cache.fingerprint.experiment_fingerprint:{detail}")
         ]
 
@@ -216,6 +216,43 @@ class TestBlockingPass:
             async def handle(loop, request):
                 await loop.run_in_executor(None, time.sleep, 0.1)
                 return await asyncio.to_thread(len, request)
+            """,
+        )
+        assert _run_rule(tmp_path, "async-blocking") == []
+
+    def test_default_cache_accessor_flagged(self, tmp_path):
+        _write(
+            tmp_path,
+            "src/repro/serve/handler.py",
+            """\
+            from repro.cache import store
+            from repro.cache.store import resolve_cache
+
+
+            async def handle(key, cache):
+                tier = resolve_cache(cache)
+                return tier.get(key) or store.get_default_activity_cache()
+            """,
+        )
+        findings = _run_rule(tmp_path, "async-blocking")
+        assert sorted((f.line, f.detail) for f in findings) == [
+            (6, "handle:repro.cache.store.resolve_cache"),
+            (7, "handle:repro.cache.store.get_default_activity_cache"),
+        ]
+
+    def test_peeking_the_default_caches_is_clean(self, tmp_path):
+        _write(
+            tmp_path,
+            "src/repro/serve/handler.py",
+            """\
+            from repro.cache.store import get_default_cache, peek_default_caches
+
+
+            async def handle(loop, key):
+                tier = peek_default_caches().get("experiment")
+                if tier is None:
+                    tier = await loop.run_in_executor(None, get_default_cache)
+                return tier.get_memory(key)
             """,
         )
         assert _run_rule(tmp_path, "async-blocking") == []
@@ -369,7 +406,7 @@ class TestEnvPass:
             """,
         )
         findings = _run_rule(tmp_path, "env-registry")
-        assert [(f.line, f.detail) for f in findings] == [
+        assert sorted((f.line, f.detail) for f in findings) == [
             (4, "read:os.environ"),
             (5, "read:os.getenv"),
             (6, "read:os.environ"),
@@ -390,7 +427,7 @@ class TestEnvPass:
             """,
         )
         findings = _run_rule(tmp_path, "env-registry")
-        assert [(f.line, f.detail) for f in findings] == [(5, "read:os.environ.get")]
+        assert sorted((f.line, f.detail) for f in findings) == [(5, "read:os.environ.get")]
 
     def test_undocumented_knob_flagged(self, tmp_path):
         self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB", "REPRO_SECRET_KNOB")
@@ -404,7 +441,7 @@ class TestEnvPass:
     def test_non_repro_namespace_flagged(self, tmp_path):
         self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB", "MY_DEBUG")
         findings = _run_rule(tmp_path, "env-registry")
-        assert [(f.line, f.detail) for f in findings] == [(8, "MY_DEBUG")]
+        assert sorted((f.line, f.detail) for f in findings) == [(8, "MY_DEBUG")]
 
 
 class TestExportsPass:
@@ -659,7 +696,7 @@ class TestWirePass:
             """,
         )
         findings = _run_rule(tmp_path, "wire-decoder")
-        assert [(f.line, f.detail) for f in findings] == [
+        assert sorted((f.line, f.detail) for f in findings) == [
             (5, "repro.mod.Event.from_dict:no-wire")
         ]
 
@@ -697,7 +734,7 @@ class TestWirePass:
             """,
         )
         findings = _run_rule(tmp_path, "wire-decoder")
-        assert [(f.line, f.detail) for f in findings] == [
+        assert sorted((f.line, f.detail) for f in findings) == [
             (8, "repro.mod.Job.from_dict:bool")
         ]
 
@@ -734,7 +771,7 @@ class TestWirePass:
             """,
         )
         findings = _run_rule(tmp_path, "wire-decoder")
-        assert [(f.line, f.detail) for f in findings] == [
+        assert sorted((f.line, f.detail) for f in findings) == [
             (15, "repro.mod.Bisect.from_state:no-wire"),
             (16, "repro.mod.Bisect.from_state:int"),
         ]
