@@ -64,16 +64,16 @@ BLOCKING_CALLS = (
     "repro.api.run_experiment",
     # The lazy default cache tiers: the first call creates one, which
     # opens its SQLite database under REPRO_CACHE_DIR (and may prune it).
-    *(
-        f"{module}.{name}"
-        for module in ("repro.cache.store", "repro.cache", "repro.api")
-        for name in (
-            "get_default_cache",
-            "get_default_activity_cache",
-            "resolve_cache",
-            "resolve_activity_cache",
-        )
-    ),
+    "repro.cache.store.get_default_cache",
+    "repro.cache.store.get_default_activity_cache",
+    "repro.cache.store.resolve_cache",
+    "repro.cache.store.resolve_activity_cache",
+    "repro.cache.get_default_cache",
+    "repro.cache.get_default_activity_cache",
+    "repro.cache.resolve_cache",
+    "repro.cache.resolve_activity_cache",
+    "repro.api.get_default_cache",
+    "repro.api.get_default_activity_cache",
 )
 
 #: Method names (attribute calls on any receiver) that mean file I/O.

@@ -104,7 +104,7 @@ class TestPurityPass:
         if detail is None:
             assert findings == []
             return
-        assert sorted((f.line, f.detail) for f in findings) == [
+        assert [(f.line, f.detail) for f in findings] == [
             (5, f"repro.cache.fingerprint.experiment_fingerprint:{detail}")
         ]
 
@@ -235,7 +235,7 @@ class TestBlockingPass:
             """,
         )
         findings = _run_rule(tmp_path, "async-blocking")
-        assert sorted((f.line, f.detail) for f in findings) == [
+        assert [(f.line, f.detail) for f in findings] == [
             (6, "handle:repro.cache.store.resolve_cache"),
             (7, "handle:repro.cache.store.get_default_activity_cache"),
         ]
@@ -406,7 +406,7 @@ class TestEnvPass:
             """,
         )
         findings = _run_rule(tmp_path, "env-registry")
-        assert sorted((f.line, f.detail) for f in findings) == [
+        assert [(f.line, f.detail) for f in findings] == [
             (4, "read:os.environ"),
             (5, "read:os.getenv"),
             (6, "read:os.environ"),
@@ -427,7 +427,7 @@ class TestEnvPass:
             """,
         )
         findings = _run_rule(tmp_path, "env-registry")
-        assert sorted((f.line, f.detail) for f in findings) == [(5, "read:os.environ.get")]
+        assert [(f.line, f.detail) for f in findings] == [(5, "read:os.environ.get")]
 
     def test_undocumented_knob_flagged(self, tmp_path):
         self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB", "REPRO_SECRET_KNOB")
@@ -441,7 +441,7 @@ class TestEnvPass:
     def test_non_repro_namespace_flagged(self, tmp_path):
         self._seed_env_module(tmp_path, "REPRO_DEMO_KNOB", "MY_DEBUG")
         findings = _run_rule(tmp_path, "env-registry")
-        assert sorted((f.line, f.detail) for f in findings) == [(8, "MY_DEBUG")]
+        assert [(f.line, f.detail) for f in findings] == [(8, "MY_DEBUG")]
 
 
 class TestExportsPass:
@@ -696,7 +696,7 @@ class TestWirePass:
             """,
         )
         findings = _run_rule(tmp_path, "wire-decoder")
-        assert sorted((f.line, f.detail) for f in findings) == [
+        assert [(f.line, f.detail) for f in findings] == [
             (5, "repro.mod.Event.from_dict:no-wire")
         ]
 
@@ -734,7 +734,7 @@ class TestWirePass:
             """,
         )
         findings = _run_rule(tmp_path, "wire-decoder")
-        assert sorted((f.line, f.detail) for f in findings) == [
+        assert [(f.line, f.detail) for f in findings] == [
             (8, "repro.mod.Job.from_dict:bool")
         ]
 
@@ -771,7 +771,7 @@ class TestWirePass:
             """,
         )
         findings = _run_rule(tmp_path, "wire-decoder")
-        assert sorted((f.line, f.detail) for f in findings) == [
+        assert [(f.line, f.detail) for f in findings] == [
             (15, "repro.mod.Bisect.from_state:no-wire"),
             (16, "repro.mod.Bisect.from_state:int"),
         ]
