@@ -10,16 +10,15 @@ Three checks, any of which fails the build:
    before the filesystem check.
 
 2. **Environment-variable sync** — ``src/repro/env.py`` declares every
-   ``REPRO_*`` knob, the deprecated names included (``KNOBS``).
+   ``REPRO_*`` knob (``KNOBS``).
    ``docs/configuration.md`` must have a table row for each declared
    name and mention no other ``REPRO_*`` name, and no file under ``src/``
    or ``benchmarks/`` may mention an undeclared one (prose about a
    removed knob is drift too).
 
 3. **Default-value sync** — the second cell of each row must match the
-   declaration: the backticked default of a live knob (prose starting
-   with ``unset`` when the default is ``None`` or off), the backticked
-   replacement of a deprecated name.
+   declaration: the backticked default (prose starting with ``unset``
+   when the default is ``None`` or off).
 
 The knob table imports only the standard library and :mod:`repro.errors`,
 so this script side-loads it, with the stdlib-only staticcheck helpers it
@@ -119,8 +118,6 @@ def check_env_sync(root: Path, knobs: "Mapping[str, Any]") -> list[str]:
 def _expected_cell(knob: Any) -> "str | None":
     """The second table cell ``knob``'s declaration calls for; ``None``
     asks for prose starting with ``unset``."""
-    if knob.replaced_by:
-        return f"`{knob.replaced_by}`"
     if knob.default is None or knob.default is False:
         return None
     default = knob.default

@@ -123,11 +123,7 @@ def __getattr__(name: str) -> object:
         import importlib
 
         return importlib.import_module(f"repro.{name}")
-    # The plan tier's handles resolve here, with a DeprecationWarning, for
-    # one release (see repro._deprecated).
-    from repro._deprecated import removed_attribute
-
-    return removed_attribute(__name__, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> "list[str]":

@@ -6,4 +6,4 @@ package, and so :mod:`repro.cache` can fingerprint the code version without
 creating an import cycle.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"

@@ -13,8 +13,8 @@ The engine is cache-aware: given an
 estimated invocations are served from the cache and — when operands are
 passed as zero-argument factories — never even generate their matrices.
 :class:`ActivityEngine` bundles a sampling configuration and a cache into a
-reusable object; the experiment harness drives it so sweeps that vary only
-the device or measurement procedure estimate each seed exactly once.
+reusable object; :mod:`repro.core.pipeline` drives it so sweeps that vary
+only the device or measurement procedure estimate each seed exactly once.
 """
 
 from __future__ import annotations

@@ -9,10 +9,9 @@
     api.serve(port=8035)          # estimation-as-a-service (repro.serve)
 
 Everything exported here is covered by the deprecation policy: symbols
-move out of this module only after a release of ``DeprecationWarning``
-shims (see ``repro.experiments.harness`` for the pattern; the removed
-plan tier's keyword and handles are in that release now, see
-``repro._deprecated``).  The façade
+move out of this module only after a release in which they warn with a
+``DeprecationWarning`` (the one such shim left is the removed plan tier's
+``plan_cache=`` keyword, in ``repro._deprecated``).  The façade
 functions mirror the underlying machinery with **keyword-only** tuning
 arguments — positional call sites can never silently change meaning when
 a knob is added — and are thin enough that going through them costs one
@@ -36,7 +35,7 @@ from repro.cache.store import (
     peek_default_caches,
 )
 from repro.core import estimate_experiment
-from repro._deprecated import ignore_chunksize, ignore_plan_cache, removed_attribute
+from repro._deprecated import ignore_plan_cache
 from repro.errors import ReproError
 from repro.experiments import harness as _harness
 from repro.experiments import sweep as _sweep
@@ -111,7 +110,6 @@ def run_configs(
     activity_cache: "object | None" = DEFAULT_CACHE,
     plan_cache: object = None,
     dedupe: bool = True,
-    chunksize: object = None,
     progress: "Any | None" = None,
     stats: "RunStats | None" = None,
     backend: str = "auto",
@@ -119,11 +117,10 @@ def run_configs(
     """Measure a batch of configurations, optionally across a worker pool.
 
     Façade over :func:`repro.experiments.sweep.run_configs` with every
-    tuning argument keyword-only.  ``plan_cache`` and ``chunksize`` are
-    deprecated and ignored.
+    tuning argument keyword-only.  ``plan_cache`` is deprecated and
+    ignored.
     """
     ignore_plan_cache(plan_cache)
-    ignore_chunksize(chunksize)
     return _sweep.run_configs(
         configs,
         workers=workers,
@@ -245,9 +242,3 @@ def default_caches() -> "dict[str, Any]":
     ``get_default_*`` accessors.
     """
     return peek_default_caches()
-
-
-def __getattr__(name: str) -> Any:
-    # The plan tier's handles left __all__ with the tier; they resolve
-    # here, with a DeprecationWarning, for one release.
-    return removed_attribute(__name__, name)

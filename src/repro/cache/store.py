@@ -62,12 +62,11 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro import env
-from repro._deprecated import ignore_disk_backend
 from repro.cache.resilience import ResilienceStats
 from repro.errors import ExperimentError, ReproError
 
@@ -142,19 +141,14 @@ class JsonDiskCache:
     many workers consulting one cache concurrently, so the LRU bookkeeping
     and the usage counters are guarded by a re-entrant lock.  (Disk entries
     are additionally safe across *processes* through SQLite journaling.)
-    ``disk_backend=`` is deprecated and ignored.
     """
 
     max_entries: int = 128
     disk_dir: "str | Path | None" = None
     stats: CacheStats = field(default_factory=CacheStats)
-    #: deprecated and ignored (kept in its old place for positional
-    #: callers): SQLite is the only disk layout
-    disk_backend: InitVar["str | None"] = None
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
-    def __post_init__(self, disk_backend: "str | None") -> None:
-        ignore_disk_backend(disk_backend)
+    def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ExperimentError(f"max_entries must be >= 1, got {self.max_entries}")
         self._entries: OrderedDict[str, Any] = OrderedDict()

@@ -9,9 +9,7 @@ check of ``python -m repro.staticcheck``), and ``docs/configuration.md``
 has one row per knob with the same default (``scripts/check_docs.py``).
 
 A value is stripped first, and a blank value means unset.  The reader
-never looks at a name the table does not declare.  The deprecated names
-of :data:`repro._deprecated.RENAMED_ENV` are declared here too, with the
-variable that replaced them, until 1.2.0.
+never looks at a name the table does not declare.
 
 This module imports only the standard library and :mod:`repro.errors`, so
 the docs gate loads it on a bare interpreter.
@@ -31,7 +29,7 @@ from repro.errors import (
     ServingError,
 )
 
-__all__ = ["KNOBS", "Knob", "is_set", "parse", "parse_size", "read"]
+__all__ = ["KNOBS", "Knob", "parse", "parse_size", "read"]
 
 _SIZE_SUFFIXES = {"": 1, "B": 1, "K": 1 << 10, "M": 1 << 20, "G": 1 << 30, "T": 1 << 40}
 
@@ -78,8 +76,6 @@ class Knob(NamedTuple):
     #: inclusive bounds of a numeric value
     low: "int | None" = None
     high: "int | None" = None
-    #: for a deprecated name, the variable that replaced it
-    replaced_by: "str | None" = None
 
     @property
     def accepts(self) -> str:
@@ -124,19 +120,6 @@ KNOBS: "Mapping[str, Knob]" = _table(
     Knob("REPRO_BENCH_SIZE", 1024, "integer", ValueError),
     Knob("REPRO_BENCH_PROFILE", "quick", "lower", ValueError),
     Knob("REPRO_FLEET_BENCH_GPUS", 256, "integer", ValueError),
-    # deprecated: each entry point's own executor knobs, until 1.2.0
-    Knob("REPRO_FLEET_BACKEND", None, "text", ExperimentError,
-         replaced_by="REPRO_PARALLEL_BACKEND"),
-    Knob("REPRO_FLEET_WORKERS", 1, "integer", ExperimentError, low=1,
-         replaced_by="REPRO_PARALLEL_WORKERS"),
-    Knob("REPRO_OPT_BACKEND", None, "text", ExperimentError,
-         replaced_by="REPRO_PARALLEL_BACKEND"),
-    Knob("REPRO_OPT_WORKERS", 1, "integer", ExperimentError, low=1,
-         replaced_by="REPRO_PARALLEL_WORKERS"),
-    Knob("REPRO_SERVE_BACKEND", None, "text", ExperimentError,
-         replaced_by="REPRO_PARALLEL_BACKEND"),
-    Knob("REPRO_SERVE_WORKERS", 1, "integer", ExperimentError, low=1,
-         replaced_by="REPRO_PARALLEL_WORKERS"),
 )
 
 
@@ -144,11 +127,6 @@ def _raw(name: str, environ: "Mapping[str, str] | None") -> str:
     if name not in KNOBS:
         raise KeyError(f"{name} is not declared in repro.env.KNOBS")
     return (os.environ if environ is None else environ).get(name, "").strip()
-
-
-def is_set(name: str, environ: "Mapping[str, str] | None" = None) -> bool:
-    """Whether ``name`` holds a value that is not blank."""
-    return bool(_raw(name, environ))
 
 
 def read(name: str, environ: "Mapping[str, str] | None" = None) -> Any:

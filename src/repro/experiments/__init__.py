@@ -26,11 +26,3 @@ __all__ = [
     "run_sweep",
     "run_configs",
 ]
-
-
-def __getattr__(name: str) -> object:
-    # The plan tier's handles resolve here, with a DeprecationWarning, for
-    # one release (see repro._deprecated).
-    from repro._deprecated import removed_attribute
-
-    return removed_attribute(__name__, name)

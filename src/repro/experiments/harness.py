@@ -7,21 +7,20 @@ This module owns the *orchestration* concerns of a one-shot run:
 
 * :class:`ExperimentRunner` wraps one
   :class:`~repro.core.EstimationPipeline` per configuration (kept as a
-  class so sweep workers and callers can hold per-config state), and
+  class so callers can hold per-config state), and
 * :func:`run_experiment` consults the content-addressed result cache
   (:mod:`repro.cache`) around the pipeline, so repeated runs of the same
   configuration are served without recomputation.
 
-The sweep runner (:mod:`repro.experiments.sweep`) and the serving layer
-(:mod:`repro.serve`) layer batching, deduplication and request coalescing
-over the same core, which is what keeps their results bit-for-bit
-identical to a direct call here.
+The sweep runner (:mod:`repro.experiments.sweep`) drives the same core
+directly, one seed group at a time
+(:func:`~repro.core.pipeline.run_seed_group`), and the serving layer
+(:mod:`repro.serve`) adds request coalescing over the sweep; sharing the
+core is what keeps their results bit-for-bit identical to a direct call
+here.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Any
 
 from repro._deprecated import ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
@@ -33,36 +32,13 @@ from repro.experiments.results import ExperimentResult
 
 __all__ = ["ExperimentRunner", "run_experiment"]
 
-#: Names that moved to :mod:`repro.core` in the core/orchestration split;
-#: module ``__getattr__`` below keeps the old imports working (with a
-#: :class:`DeprecationWarning`) for one release.
-_MOVED_TO_CORE = {
-    "MIN_MEASUREMENT_DURATION_S": "MIN_MEASUREMENT_DURATION_S",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_CORE:
-        warnings.warn(
-            f"repro.experiments.harness.{name} moved to "
-            f"repro.core.{_MOVED_TO_CORE[name]}; the old location will be "
-            "removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.core as core
-
-        return getattr(core, _MOVED_TO_CORE[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ExperimentRunner:
     """Runs one :class:`~repro.experiments.config.ExperimentConfig`.
 
     A thin orchestration wrapper around the pure
     :class:`~repro.core.EstimationPipeline`: the pipeline computes, the
-    runner is the stable per-config handle the sweep machinery (and older
-    callers) hold on to.  The pipeline's plan/model attributes are
+    runner is the stable per-config handle that :func:`run_experiment` (and
+    older callers) hold on to.  The pipeline's plan/model attributes are
     mirrored here so existing introspection keeps working.
     """
 

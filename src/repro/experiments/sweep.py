@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from repro._deprecated import ignore_chunksize, ignore_plan_cache
+from repro._deprecated import ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_activity_cache, resolve_cache
 from repro.core.pipeline import run_seed_group, seed_chunk, shared_base_key
@@ -204,7 +204,6 @@ def run_configs(
     activity_cache: "object | None" = DEFAULT_CACHE,
     plan_cache: object = None,
     dedupe: bool = True,
-    chunksize: object = None,
     progress: ProgressHook | None = None,
     stats: RunStats | None = None,
     backend: str = "auto",
@@ -233,9 +232,6 @@ def run_configs(
     dedupe:
         Compute physically identical configurations (same fingerprint,
         labels aside) only once and fan the result back out.
-    chunksize:
-        Deprecated and ignored (only the removed process pool submitted
-        work in chunks).
     progress:
         Optional ``(done, total, label)`` hook invoked as distinct
         configurations complete (see :data:`ProgressHook`).
@@ -248,11 +244,9 @@ def run_configs(
         for ``workers > 1`` — the estimation kernels release the GIL inside
         NumPy — and collapses to ``serial`` otherwise; set
         ``REPRO_PARALLEL_BACKEND`` to steer ``auto`` globally.  Results are
-        bit-for-bit identical whatever the choice.  The deprecated
-        ``"processes"`` warns and runs on threads.
+        bit-for-bit identical whatever the choice.
     """
     ignore_plan_cache(plan_cache)
-    ignore_chunksize(chunksize)
     config_list = list(configs)
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")

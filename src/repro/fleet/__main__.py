@@ -127,7 +127,7 @@ def _check_expected(result: FleetResult, expect_path: Path) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     fleet = _build_fleet(args)
-    backend, workers = executor_defaults("FLEET", args.backend, args.workers)
+    backend, workers = executor_defaults(args.backend, args.workers)
     result = simulate(trace, fleet, workers=workers, backend=backend)
     if args.out:
         result.save_json(args.out)

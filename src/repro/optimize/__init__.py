@@ -14,7 +14,8 @@ working versions of each:
   estimates pipeline power from pattern descriptors and applies
   semantics-preserving transforms.
 * :mod:`repro.optimize.scheduler` — power-aware placement of GEMM jobs
-  across a fleet of GPUs under a total power budget.
+  across a fleet of GPUs under a total power budget (``FleetScheduler`` is
+  deprecated since 1.2.0; use :mod:`repro.fleet`).
 * :mod:`repro.optimize.engines` — stateful optimization engines
   (Nelder–Mead, bisection, random/grid-refine) and the
   :class:`~repro.optimize.engines.OptimizationRunner` that drives them

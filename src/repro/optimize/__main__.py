@@ -53,7 +53,7 @@ def _check_expected(result: OptimizationResult, expect_path: Path) -> int:
 
 
 def _execution_kwargs(args: argparse.Namespace) -> "dict[str, object]":
-    backend, workers = executor_defaults("OPT", args.backend, args.workers)
+    backend, workers = executor_defaults(args.backend, args.workers)
     kwargs: "dict[str, object]" = {"backend": backend, "workers": workers}
     if args.no_cache:
         kwargs.update(cache=None, activity_cache=None)

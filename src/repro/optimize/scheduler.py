@@ -5,10 +5,15 @@ input-dependent power model, place them on a fleet of GPUs so that the
 fleet-level power stays under a provisioned budget.  Jobs that would exceed
 the budget are delayed to later time slots — the scheduling analogue of the
 power-capping use case in the paper's introduction.
+
+:class:`FleetScheduler` is deprecated since 1.2.0: :mod:`repro.fleet`
+(traces, power caps, per-job attribution) supersedes it.  It keeps working,
+with a :class:`DeprecationWarning` at construction, until the next release.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +83,16 @@ class FleetScheduler:
     Jobs are sorted by predicted power (descending) and placed first-fit into
     the earliest time slot whose remaining fleet power budget and free device
     count allow them.  Each device runs at most one job per slot.
+    Deprecated: use :mod:`repro.fleet`.
     """
 
     def __init__(self, devices: list[Device], power_budget_watts: float) -> None:
+        warnings.warn(
+            "repro.optimize.FleetScheduler is deprecated: use repro.fleet "
+            "(FleetSpec and simulate) instead; it will be removed in the next release",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         if not devices:
             raise OptimizationError("the fleet needs at least one device")
         if power_budget_watts <= 0:

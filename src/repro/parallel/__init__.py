@@ -12,7 +12,7 @@ See ``docs/parallel.md`` for the full subsystem guide (backend selection,
 the ``Executor`` contract, worker persistence); the one-line version is:
 the default ``auto`` resolves to ``threads`` when ``workers > 1`` (the
 estimation kernels release the GIL inside NumPy) and ``serial``
-otherwise.  The deprecated ``processes`` name warns and runs on threads.
+otherwise.
 Results are bit-for-bit identical across backends at any worker count.
 """
 

@@ -16,9 +16,6 @@ Two backends run the embarrassingly parallel part of a sweep:
     the parent's caches directly: no pickling out, no result transfer back,
     and explicit in-memory cache *instances* keep working.
 
-The ``processes`` name is deprecated: it warns once and runs on threads
-(see :func:`repro._deprecated.processes_backend`).
-
 The ``Executor`` protocol contract
 ----------------------------------
 
@@ -42,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro import env
-from repro._deprecated import processes_backend, renamed_env
 from repro.errors import ExperimentError
 
 __all__ = [
@@ -134,8 +130,7 @@ def resolve_backend(backend: str = "auto", workers: int = 1) -> str:
 
     ``"auto"`` is ``"threads"`` when ``workers > 1`` and ``"serial"``
     otherwise, unless ``REPRO_PARALLEL_BACKEND`` names a backend.  Explicit
-    names are validated and returned unchanged; the deprecated
-    ``"processes"`` warns and resolves to ``"threads"``.
+    names are validated and returned unchanged.
     """
     if backend != "auto":
         return _known(backend, "backend", BACKENDS + ("auto",))
@@ -146,37 +141,30 @@ def resolve_backend(backend: str = "auto", workers: int = 1) -> str:
 
 
 def _known(name: str, source: str, choices: "tuple[str, ...]") -> str:
-    name = processes_backend(name, source)
     if name not in BACKENDS:
         raise ExperimentError(f"{source} must be one of {choices}, got {name!r}")
     return name
 
 
 def executor_defaults(
-    subsystem: str,
     backend: "str | None" = None,
     workers: "int | None" = None,
     environ: "Mapping[str, str] | None" = None,
 ) -> "tuple[str, int]":
-    """The ``(backend, workers)`` an entry point of ``subsystem`` runs with.
+    """The ``(backend, workers)`` an entry point runs with.
 
-    Explicit values win.  Next come the subsystem's deprecated knobs (see
-    :data:`repro._deprecated.RENAMED_ENV`), then ``REPRO_PARALLEL_BACKEND``
-    and ``REPRO_PARALLEL_WORKERS``, all read from ``environ`` (the process
-    environment by default).  Without any of them the backend is
-    ``"auto"`` and the width 1; a set width must be an integer >= 1 and a
-    set backend one of :data:`BACKENDS`.  A deprecated ``"processes"``
-    warns here, once, and comes back as ``"threads"``.
+    Explicit values win.  Next come ``REPRO_PARALLEL_BACKEND`` and
+    ``REPRO_PARALLEL_WORKERS``, read from ``environ`` (the process
+    environment by default).  Without them the backend is ``"auto"`` and
+    the width 1; a set width must be an integer >= 1 and a set backend one
+    of :data:`BACKENDS`.
     """
-    renamed = renamed_env(subsystem, environ)
-    if backend is None and ENV_BACKEND in renamed:
-        backend = env.read(renamed[ENV_BACKEND], environ)
-    elif backend is None:
+    if backend is None:
         override = env.read(ENV_BACKEND, environ)
         backend = _known(override, ENV_BACKEND, BACKENDS) if override else "auto"
     if workers is None:
-        workers = env.read(renamed.get(ENV_WORKERS, ENV_WORKERS), environ)
-    return processes_backend(backend, "backend"), workers
+        workers = env.read(ENV_WORKERS, environ)
+    return backend, workers
 
 
 def get_executor(backend: str, workers: int = 1) -> Executor:

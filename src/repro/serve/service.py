@@ -58,12 +58,12 @@ from __future__ import annotations
 import asyncio
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro import env
-from repro._deprecated import ignore_batch_window, ignore_plan_cache, processes_backend
+from repro._deprecated import ignore_plan_cache
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, ExperimentCache, peek_default_caches
 from repro.errors import ServiceOverloadedError, ServiceTimeoutError, ServingError
@@ -84,9 +84,6 @@ class ServiceConfig:
     #: distinct in-flight requests admitted before 429s (coalesced
     #: duplicates ride along for free)
     max_pending: int = 64
-    #: deprecated and ignored (kept in its old place for positional
-    #: callers): batches drain as soon as the compute thread is idle
-    batch_window_s: InitVar["float | None"] = None
     #: most configurations handed to one ``run_configs`` call
     max_batch: int = 16
     #: ``workers=`` for each batch (1 = inline in the compute thread)
@@ -98,8 +95,7 @@ class ServiceConfig:
     #: the shared computation keeps running for any later duplicate
     timeout_s: float = 0.0
 
-    def __post_init__(self, batch_window_s: "float | None") -> None:
-        ignore_batch_window(batch_window_s)
+    def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ServingError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.max_batch < 1:
@@ -108,13 +104,11 @@ class ServiceConfig:
             raise ServingError(f"workers must be >= 1, got {self.workers}")
         if not (math.isfinite(self.timeout_s) and self.timeout_s >= 0):
             raise ServingError(f"timeout_s must be finite and >= 0, got {self.timeout_s}")
-        # A deprecated "processes" warns here, once, and is kept as threads.
-        object.__setattr__(self, "backend", processes_backend(self.backend))
         resolve_backend(self.backend, self.workers)  # ExperimentError if unknown
 
     @classmethod
     def from_env(cls, environ: "Mapping[str, str] | None" = None) -> "ServiceConfig":
-        backend, workers = executor_defaults("SERVE", environ=environ)
+        backend, workers = executor_defaults(environ=environ)
         return cls(
             max_pending=env.read("REPRO_SERVE_MAX_PENDING", environ),
             max_batch=env.read("REPRO_SERVE_MAX_BATCH", environ),

@@ -28,6 +28,6 @@ def env_names_in_text(text: str) -> set[str]:
 
 
 def doc_rows(text: str) -> "dict[str, str]":
-    """Variable -> the second cell of its table row in ``text``: the
-    *Default* of a live knob, the *Replacement* of a deprecated one."""
+    """Variable -> the second cell (the *Default*) of its table row in
+    ``text``."""
     return {name: cell.strip() for name, cell in DOC_ROW_RE.findall(text)}

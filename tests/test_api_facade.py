@@ -222,12 +222,12 @@ _PLAN_CACHE_ENTRY_POINTS = {
 
 
 class TestPlanCacheDeprecation:
-    """The plan tier is gone; its public spellings survive one release."""
+    """The plan tier is gone; its ``plan_cache=`` keyword survives."""
 
     @pytest.fixture
     def legacy_plan_cache(self):
-        with pytest.warns(DeprecationWarning, match="PlanCache"):
-            return api.PlanCache(max_entries=8)
+        # Any value but None stands for an old plan cache instance.
+        return object()
 
     @pytest.fixture
     def run_batch(self, backend):
@@ -319,52 +319,33 @@ class TestPlanCacheDeprecation:
                 if "plan_cache" in parameters:
                     assert parameters["plan_cache"].default is None, f"{package}.{name}"
 
-    @pytest.mark.parametrize("module_name", ["repro", "repro.api", "repro.experiments"])
-    def test_removed_handles_warn_and_stay_inert(self, module_name):
+
+class TestRemovedSpellings:
+    """The shims that 1.2.0 removed fail as plain Python errors."""
+
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            ("repro", "PlanCache"),
+            ("repro", "get_default_plan_cache"),
+            ("repro.api", "PlanCache"),
+            ("repro.api", "get_default_plan_cache"),
+            ("repro.experiments", "PlanCache"),
+            ("repro.experiments", "get_default_plan_cache"),
+            ("repro.experiments.harness", "MIN_MEASUREMENT_DURATION_S"),
+        ],
+    )
+    def test_removed_names_raise_attribute_error(self, module_name, name):
         import importlib
 
         module = importlib.import_module(module_name)
-        assert "PlanCache" not in module.__all__
-        assert "get_default_plan_cache" not in module.__all__
-        with pytest.warns(DeprecationWarning, match="get_default_plan_cache"):
-            accessor = module.get_default_plan_cache
-        assert accessor() is None
-        with pytest.warns(DeprecationWarning, match="PlanCache"):
-            module.PlanCache(max_entries=4)
-        with pytest.raises(AttributeError):
-            module.NO_SUCH_NAME
-
-
-class TestDiskBackendDeprecation:
-    """SQLite is the only disk layout; ``disk_backend=`` survives one release."""
-
-    @pytest.mark.parametrize(
-        "cache_cls, backend",
-        [(api.ExperimentCache, "json"), (api.ActivityCache, "sqlite")],
-    )
-    def test_warns_once_and_round_trips_through_sqlite(
-        self, tmp_path, quiet_config, cache_cls, backend
-    ):
-        from repro.cache.sqlite_store import DB_FILENAME, read_entries
-
-        result = api.run_experiment(quiet_config(), cache=None, activity_cache=None)
-        value = result if cache_cls is api.ExperimentCache else result.measurements[0].activity
-        with pytest.warns(DeprecationWarning, match="disk_backend=") as caught:
-            cache = cache_cls(disk_dir=tmp_path, disk_backend=backend)
-        assert len(caught) == 1
-        assert caught[0].filename == __file__  # names the caller's line
-        cache.put("k", value)
-        assert [key for key, _, _ in read_entries(tmp_path / DB_FILENAME)] == ["k"]
-        assert list(tmp_path.glob("*.json")) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reader = cache_cls(disk_dir=tmp_path)
-        assert reader.get("k").as_dict() == value.as_dict()
-        assert reader.stats.disk_hits == 1
+            with pytest.raises(AttributeError, match=name):
+                getattr(module, name)
 
+    @pytest.mark.parametrize("value", ["sqlite", None])
     @pytest.mark.parametrize("cache_cls", [api.ExperimentCache, api.ActivityCache])
-    def test_none_is_silent(self, tmp_path, cache_cls):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cache = cache_cls(disk_dir=tmp_path, disk_backend=None)
-        assert "disk_backend" not in cache.describe_memory()
+    def test_disk_backend_keyword_is_gone(self, tmp_path, cache_cls, value):
+        with pytest.raises(TypeError, match="disk_backend"):
+            cache_cls(disk_dir=tmp_path, disk_backend=value)

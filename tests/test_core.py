@@ -10,7 +10,6 @@ location of the moved constant.
 from __future__ import annotations
 
 import sys
-import warnings
 from collections import Counter
 
 import pytest
@@ -131,17 +130,6 @@ class TestPlan:
 class TestMinimumDuration:
     def test_constant_is_exported_from_core(self):
         assert MIN_MEASUREMENT_DURATION_S == pytest.approx(3.0)
-
-    def test_harness_shim_warns_but_works(self):
-        import repro.experiments.harness as harness
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = harness.MIN_MEASUREMENT_DURATION_S
-        assert value == MIN_MEASUREMENT_DURATION_S
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "repro.core" in str(caught[0].message)
 
     def test_harness_unknown_attribute_still_raises(self):
         import repro.experiments.harness as harness

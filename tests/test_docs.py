@@ -65,26 +65,13 @@ class TestRepositoryDocs:
         )
         assert documented == json.loads(proc.stdout)
 
-    def test_deprecated_env_table_matches_code(self):
-        """The Deprecated table in docs/configuration.md maps exactly the
-        renamed variables of ``repro._deprecated.RENAMED_ENV``."""
-        from repro._deprecated import RENAMED_ENV
-
-        text = (REPO_ROOT / "docs" / "configuration.md").read_text()
-        section = text.split("### Deprecated", 1)[1].split("\n#", 1)[0]
-        rows = re.findall(r"^\| `(REPRO_\w+)` \| `(REPRO_\w+)` \|", section, flags=re.MULTILINE)
-        assert dict(rows) == RENAMED_ENV
-        assert len(rows) == len(RENAMED_ENV)
-
     def test_table_rows_are_the_declared_knobs(self):
-        """One row per ``repro.env.KNOBS`` entry, live and deprecated alike."""
+        """One row per ``repro.env.KNOBS`` entry."""
         from repro import env
-        from repro._deprecated import RENAMED_ENV
 
         text = (REPO_ROOT / "docs" / "configuration.md").read_text()
         rows = re.findall(r"^\| `(REPRO_\w+)` \|", text, flags=re.MULTILINE)
         assert sorted(rows) == sorted(env.KNOBS)
-        assert {name for name, knob in env.KNOBS.items() if knob.replaced_by} == set(RENAMED_ENV)
 
 
 def _run_checker(root: Path, *flags: str):
@@ -96,13 +83,8 @@ def _run_checker(root: Path, *flags: str):
 
 
 def _write_knobs(root: Path, **knobs) -> None:
-    """A stand-in knob table: name -> default, or -> ``("replaced_by", new)``."""
-    rows = []
-    for name, default in knobs.items():
-        if isinstance(default, tuple):
-            rows.append(f"    {name!r}: Knob(default=None, replaced_by={default[1]!r}),")
-        else:
-            rows.append(f"    {name!r}: Knob(default={default!r}, replaced_by=None),")
+    """A stand-in knob table: name -> default."""
+    rows = [f"    {name!r}: Knob(default={default!r})," for name, default in knobs.items()]
     (root / "src" / "repro" / "env.py").write_text(
         "from types import SimpleNamespace as Knob\n\nKNOBS = {\n" + "\n".join(rows) + "\n}\n"
     )
@@ -257,20 +239,3 @@ class TestCheckerDefaultsSync:
         proc = self._run(tmp_path)
         assert proc.returncode == 1
         assert "default mismatch for REPRO_DEMO_KNOB" in proc.stderr
-
-    def test_deprecated_row_names_its_replacement(self, tmp_path):
-        _seed_minimal_repo(tmp_path)
-        _write_knobs(
-            tmp_path, REPRO_DEMO_KNOB="quick", REPRO_OLD_KNOB=("replaced_by", "REPRO_DEMO_KNOB")
-        )
-        table = tmp_path / "docs" / "configuration.md"
-        table.write_text(
-            "| `REPRO_DEMO_KNOB` | `quick` | demo |\n| `REPRO_OLD_KNOB` | `REPRO_DEMO_KNOB` | |\n"
-        )
-        assert self._run(tmp_path).returncode == 0
-        table.write_text(
-            "| `REPRO_DEMO_KNOB` | `quick` | demo |\n| `REPRO_OLD_KNOB` | `REPRO_GONE_KNOB` | |\n"
-        )
-        proc = self._run(tmp_path)
-        assert proc.returncode == 1
-        assert "default mismatch for REPRO_OLD_KNOB" in proc.stderr

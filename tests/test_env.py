@@ -24,7 +24,6 @@ import pytest
 import repro.serve.__main__ as serve_cli
 import repro.serve.server as serve_server
 from repro import env
-from repro._deprecated import RENAMED_ENV
 from repro.errors import OptimizationError, ServingError
 from repro.optimize.engines.runner import build_runner
 from repro.serve.server import EstimationServer
@@ -55,10 +54,12 @@ class TestReader:
         monkeypatch.setenv("REPRO_FLEET_SEED", "9")
         assert env.read("REPRO_FLEET_SEED") == 9
 
-    def test_undeclared_names_are_never_read(self):
-        # perfbench still pins the inert REPRO_BATCH_CHUNK_BUDGET.
-        with pytest.raises(KeyError, match="REPRO_BATCH_CHUNK_BUDGET"):
-            env.read("REPRO_BATCH_CHUNK_BUDGET", {"REPRO_BATCH_CHUNK_BUDGET": "1"})
+    # perfbench still pins the inert REPRO_BATCH_CHUNK_BUDGET; REPRO_SERVE_WORKERS
+    # is one of the per-subsystem executor names removed in 1.2.0.
+    @pytest.mark.parametrize("name", ["REPRO_BATCH_CHUNK_BUDGET", "REPRO_SERVE_WORKERS"])
+    def test_undeclared_names_are_never_read(self, name):
+        with pytest.raises(KeyError, match=name):
+            env.read(name, {name: "1"})
 
     @pytest.mark.parametrize(
         "name", [name for name, knob in env.KNOBS.items() if knob.rule in ("integer", "number")]
@@ -77,11 +78,6 @@ class TestReader:
     def test_a_flag_is_named_in_its_own_error(self):
         with pytest.raises(ServingError, match="^--port must be an integer in 0..65535"):
             env.parse("REPRO_SERVE_PORT", "http", "--port")
-
-    def test_table_declares_the_deprecated_names_with_their_replacements(self):
-        deprecated = {name: knob.replaced_by for name, knob in env.KNOBS.items() if knob.replaced_by}
-        assert deprecated == RENAMED_ENV
-        assert all(new in env.KNOBS for new in deprecated.values())
 
 
 def _bind_address(monkeypatch, argv=()):

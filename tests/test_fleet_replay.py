@@ -24,6 +24,7 @@ import pytest
 
 from repro.activity.sampler import SamplingConfig
 from repro.cache.store import ActivityCache, ExperimentCache
+from repro.errors import ExperimentError
 from repro.experiments.sweep import RunStats
 from repro.fleet import FleetSpec, CapEvent, Trace, TraceJob, WorkloadSpec, generate_trace, simulate
 from repro.fleet.__main__ import main as fleet_main
@@ -106,21 +107,12 @@ class TestBackendDeterminism:
         )
         assert candidate == reference, "threads diverged from serial"
 
-    def test_deprecated_processes_name_replays_on_threads(self, trace):
-        fleet = FleetSpec.from_counts({"a100": 2})
-        reference = comparable(
+    def test_removed_process_backend_is_rejected(self, trace):
+        with pytest.raises(ExperimentError, match="got 'processes'"):
             simulate(
-                trace, fleet, workers=1, cache=None, activity_cache=None,
-                estimation_overrides=QUIET,
+                trace, FleetSpec.from_counts({"a100": 2}), workers=2, backend="processes",
+                cache=None, activity_cache=None, estimation_overrides=QUIET,
             )
-        )
-        with pytest.warns(DeprecationWarning, match="backend='processes'"):
-            result = simulate(
-                trace, fleet, workers=2, backend="processes", cache=None,
-                activity_cache=None, estimation_overrides=QUIET,
-            )
-        assert result.run_stats["backend"] == "threads"
-        assert comparable(result) == reference
 
     def test_fleet_seed_env_replays_the_generator(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLEET_SEED", "777")

@@ -230,9 +230,17 @@ class TestCompiler:
         assert report.mean_power_reduction_watts >= 0.0
 
 
+# FleetScheduler is deprecated; test_construction_warns asserts the warning.
+@pytest.mark.filterwarnings("ignore:repro.optimize.FleetScheduler is deprecated:DeprecationWarning")
 class TestScheduler:
     def _jobs(self, activations, weights, count=4):
         return [GemmJob(f"job{i}", activations, weights) for i in range(count)]
+
+    def test_construction_warns(self):
+        with pytest.warns(DeprecationWarning, match="use repro.fleet") as record:
+            FleetScheduler([Device.create("a100")], power_budget_watts=500.0)
+        assert len(record) == 1
+        assert record[0].filename == __file__  # points at the caller
 
     def test_schedule_respects_budget(self, activations, weights):
         devices = [Device.create("a100", instance_id=i) for i in range(2)]

@@ -7,8 +7,8 @@ Covers the pillars of the subsystem:
   without the result/activity cache tiers.
 * **Failure semantics** — a failing sweep point propagates with its label
   attached, cancels queued work, and leaves the runner reusable.
-* **Resolution** — ``auto``, the environment override, and the deprecated
-  ``processes`` name and ``chunksize=`` keyword.
+* **Resolution** — ``auto``, the environment override, and unknown names
+  (the removed ``processes`` among them).
 * **Chunk budget** — the engine's fixed per-chunk working-set budget.
 
 Plus the premise the ``threads`` backend rests on: the bit-level kernels
@@ -19,28 +19,20 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.cache.store as store
-import repro.experiments.sweep as sweep_module
 from repro import api
 from repro.cache.store import ActivityCache, ExperimentCache
 from repro.errors import ExperimentError
 from repro.experiments.figures.common import FigureSettings
 from repro.experiments.sweep import RunStats, run_configs, sweep_configs
-from repro.fleet.__main__ import main as fleet_main
 from repro.parallel import get_executor, resolve_backend
 from repro.parallel.backends import SerialExecutor, ThreadExecutor
-from repro.serve.service import ServiceConfig
 from repro.util.bits import toggle_fraction_along_axis
 from repro.util.rng import derive_rng
-
-DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -263,8 +255,10 @@ class TestExecutors:
                     break  # abandon the rest of the stream
         assert set(threading.enumerate()) - before == set()
 
-def _deprecations(record) -> "list[str]":
-    return [str(w.message) for w in record if issubclass(w.category, DeprecationWarning)]
+
+#: Backend names no resolver accepts; "processes" names the process
+#: backend removed in 1.2.0.
+UNKNOWN_BACKENDS = ["bogus", "processes"]
 
 
 class TestBackendResolution:
@@ -277,118 +271,37 @@ class TestBackendResolution:
     def test_auto_is_threads_for_a_pool(self):
         assert resolve_backend("auto", workers=4) == "threads"
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_processes_resolves_to_threads_at_any_width(self, workers):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert resolve_backend("processes", workers=workers) == "threads"
-        warned = _deprecations(record)
-        assert len(warned) == 1 and "backend='processes'" in warned[0]
-
-    def test_env_override_steers_auto_only(self, monkeypatch):
+    @pytest.mark.parametrize("name", UNKNOWN_BACKENDS)
+    def test_env_override_steers_auto_only(self, name, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "serial")
         assert resolve_backend("auto", workers=4) == "serial"
         assert resolve_backend("threads", workers=4) == "threads"
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "bogus")
-        with pytest.raises(ExperimentError):
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", name)
+        with pytest.raises(ExperimentError, match=f"REPRO_PARALLEL_BACKEND must be .*'{name}'"):
             resolve_backend("auto", workers=4)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExperimentError):
-            resolve_backend("bogus", workers=2)
-
-    def test_run_configs_rejects_unknown_backend(self, quiet_config):
-        with pytest.raises(ExperimentError):
-            run_configs([quiet_config()], workers=2, backend="bogus")
-
-    def test_figure_settings_validate_backend(self):
-        assert FigureSettings.quick(backend="threads").backend == "threads"
-        with pytest.warns(DeprecationWarning, match="processes"):
-            assert FigureSettings.quick(backend="processes").backend == "threads"
-        with pytest.raises(ExperimentError):
-            FigureSettings.quick(backend="bogus")
-
-    def test_service_config_keeps_processes_as_threads(self):
-        with pytest.warns(DeprecationWarning, match="processes"):
-            assert ServiceConfig(backend="processes").backend == "threads"
-
-    # The removed process backend: its name warns once and runs on threads.
-
-    def _run_recording(self, configs, run=run_configs, **kwargs):
-        stats = RunStats()
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            results = run(
-                configs, workers=2, cache=None, activity_cache=None, stats=stats, **kwargs
-            )
-        return _as_dicts(results), stats.backend, _deprecations(record)
-
-    def test_processes_argument_warns_once_and_runs_on_threads(self, sweep):
-        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
-        results, ran_on, warned = self._run_recording(sweep, backend="processes")
-        assert len(warned) == 1 and "backend='processes'" in warned[0]
-        assert ran_on == "threads"
-        assert results == reference
-
-    def test_processes_argument_through_the_facade(self, sweep):
-        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
-        results, ran_on, warned = self._run_recording(
-            sweep, run=api.run_configs, backend="processes"
-        )
-        assert len(warned) == 1 and "backend='processes'" in warned[0]
-        assert ran_on == "threads"
-        assert results == reference
-
-    def test_processes_env_warns_once_and_runs_on_threads(self, sweep, monkeypatch):
-        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
-        results, ran_on, warned = self._run_recording(sweep)
-        assert len(warned) == 1 and "REPRO_PARALLEL_BACKEND='processes'" in warned[0]
-        assert ran_on == "threads"
-        assert results == reference
-
-    def test_processes_cli_flag_warns_once_and_runs_on_threads(self, monkeypatch, capsys):
-        """The fleet CLI's golden replay under ``--backend processes``: it
-        must compute (no default cache tier) on threads and still match the
-        checked-in summary, which the serial replay reproduces."""
-        for name in ("REPRO_PARALLEL_BACKEND", "REPRO_PARALLEL_WORKERS", "REPRO_FLEET_BACKEND"):
-            monkeypatch.delenv(name, raising=False)
-        for name in ("_default_cache", "_default_activity_cache"):
-            monkeypatch.setattr(store, name, None)
-        for name in ("_default_initialized", "_default_activity_initialized"):
-            monkeypatch.setattr(store, name, True)
-        built = []
-
-        def recording_executor(name, workers=1):
-            built.append(name)
-            return get_executor(name, workers)
-
-        monkeypatch.setattr(sweep_module, "get_executor", recording_executor)
-        argv = [
-            "simulate", str(DATA / "fleet_golden_trace.json"), "--gpus", "a100:2",
-            "--cap-at", "2:58", "--backend", "processes", "--workers", "2",
-            "--expect", str(DATA / "fleet_golden_summary.json"),
-        ]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert fleet_main(argv) == 0
-        assert len(_deprecations(record)) == 1
-        assert built == ["threads"]
-        assert "replay OK" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", UNKNOWN_BACKENDS)
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(ExperimentError, match=f"got '{name}'"):
+            resolve_backend(name, workers=2)
 
     @pytest.mark.parametrize("run", [run_configs, api.run_configs], ids=["sweep", "api"])
-    @pytest.mark.parametrize("chunksize", [0, -3, 3, 99])
-    def test_chunksize_warns_and_is_ignored(self, sweep, run, chunksize):
-        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            results = run(sweep, workers=2, chunksize=chunksize, cache=None, activity_cache=None)
-        warned = _deprecations(record)
-        assert len(warned) == 1 and warned[0].startswith("chunksize= is deprecated")
-        assert _as_dicts(results) == reference
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run(sweep, workers=2, chunksize=None, cache=None, activity_cache=None)
+    @pytest.mark.parametrize("name", UNKNOWN_BACKENDS)
+    def test_run_configs_rejects_unknown_backend(self, quiet_config, name, run):
+        with pytest.raises(ExperimentError, match=f"got '{name}'"):
+            run([quiet_config()], workers=2, backend=name)
+
+    @pytest.mark.parametrize("name", UNKNOWN_BACKENDS)
+    def test_figure_settings_validate_backend(self, name):
+        assert FigureSettings.quick(backend="threads").backend == "threads"
+        with pytest.raises(ExperimentError, match=f"got '{name}'"):
+            FigureSettings.quick(backend=name)
+
+    @pytest.mark.parametrize("run", [run_configs, api.run_configs], ids=["sweep", "api"])
+    def test_chunksize_keyword_is_gone(self, sweep, run):
+        for chunksize in (3, None):
+            with pytest.raises(TypeError, match="chunksize"):
+                run(sweep, workers=2, chunksize=chunksize, cache=None, activity_cache=None)
 
 
 # --------------------------------------------------------------- chunk budget

@@ -16,7 +16,6 @@ import os
 import threading
 import urllib.error
 import urllib.request
-import warnings
 
 import pytest
 
@@ -479,17 +478,13 @@ class TestServiceConfig:
         with pytest.raises(ServingError):
             ServiceConfig.from_env({"REPRO_SERVE_MAX_PENDING": "many"})
 
-    def test_invalid_backend_fails_at_construction(self, monkeypatch):
+    # "processes" names the process backend removed in 1.2.0.
+    @pytest.mark.parametrize("name", ["bogus", "processes"])
+    def test_invalid_backend_fails_at_construction(self, name, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
-        with pytest.raises(ExperimentError, match="bogus"):
-            ServiceConfig(backend="bogus")
-        with pytest.warns(DeprecationWarning) as record:
-            with pytest.raises(ExperimentError, match="bogus"):
-                ServiceConfig.from_env(
-                    {"REPRO_SERVE_BACKEND": "bogus", "REPRO_SERVE_WORKERS": "2"}
-                )
-        assert "REPRO_SERVE_BACKEND is deprecated" in str(record[0].message)
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "bogus")
+        with pytest.raises(ExperimentError, match=f"got '{name}'"):
+            ServiceConfig(backend=name)
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", name)
         with pytest.raises(ExperimentError, match="REPRO_PARALLEL_BACKEND"):
             ServiceConfig()
         with pytest.raises(ExperimentError, match="REPRO_PARALLEL_BACKEND"):
@@ -520,14 +515,10 @@ class TestServiceConfig:
                 {"REPRO_SERVE_BATCH_WINDOW_MS": raw}
             ) == ServiceConfig()
 
-    def test_batch_window_keyword_warns_and_is_ignored(self):
-        with pytest.warns(DeprecationWarning, match="batch_window_s") as record:
-            config = ServiceConfig(batch_window_s=0.5)
-        assert record[0].filename == __file__  # points at the caller's line
-        assert config == ServiceConfig()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ServiceConfig(batch_window_s=None) == ServiceConfig()
+    def test_batch_window_keyword_is_gone(self):
+        for value in (0.5, None):
+            with pytest.raises(TypeError, match="batch_window_s"):
+                ServiceConfig(batch_window_s=value)
 
 
 # --------------------------------------------------------------------- HTTP
