@@ -73,6 +73,20 @@ class TestRepositoryDocs:
         rows = re.findall(r"^\| `(REPRO_\w+)` \|", text, flags=re.MULTILINE)
         assert sorted(rows) == sorted(env.KNOBS)
 
+    def test_docs_name_only_declared_knobs(self):
+        """README.md and every page under docs/ name no removed ``REPRO_*``
+        variable; a trailing ``_`` marks a family prefix (``REPRO_SERVE_*``)."""
+        from repro import env
+
+        pages = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").rglob("*.md"))]
+        undeclared = {
+            f"{page.relative_to(REPO_ROOT)}: {name}"
+            for page in pages
+            for name in re.findall(r"REPRO_[A-Z0-9_]*[A-Z0-9]\b", page.read_text())
+            if name not in env.KNOBS
+        }
+        assert undeclared == set()
+
 
 def _run_checker(root: Path, *flags: str):
     return subprocess.run(

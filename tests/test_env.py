@@ -54,9 +54,20 @@ class TestReader:
         monkeypatch.setenv("REPRO_FLEET_SEED", "9")
         assert env.read("REPRO_FLEET_SEED") == 9
 
-    # perfbench still pins the inert REPRO_BATCH_CHUNK_BUDGET; REPRO_SERVE_WORKERS
-    # is one of the per-subsystem executor names removed in 1.2.0.
-    @pytest.mark.parametrize("name", ["REPRO_BATCH_CHUNK_BUDGET", "REPRO_SERVE_WORKERS"])
+    # perfbench still pins the inert REPRO_BATCH_CHUNK_BUDGET; the others are
+    # the per-subsystem executor names removed in 1.2.0.
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "REPRO_BATCH_CHUNK_BUDGET",
+            "REPRO_FLEET_BACKEND",
+            "REPRO_FLEET_WORKERS",
+            "REPRO_OPT_BACKEND",
+            "REPRO_OPT_WORKERS",
+            "REPRO_SERVE_BACKEND",
+            "REPRO_SERVE_WORKERS",
+        ],
+    )
     def test_undeclared_names_are_never_read(self, name):
         with pytest.raises(KeyError, match=name):
             env.read(name, {name: "1"})

@@ -102,9 +102,14 @@ class TestEntryPoints:
         monkeypatch.setenv(ENV_WORKERS, "3")
         assert _quietly(ENTRY_POINTS[entry], monkeypatch) == ("auto", 3)
 
-    def test_removed_names_are_ignored(self, entry, monkeypatch):
+    # Each value once changed what its old name's subsystem ran on.
+    @pytest.mark.parametrize(
+        "suffix, value", [("BACKEND", "serial"), ("BACKEND", "processes"), ("WORKERS", "3")]
+    )
+    def test_removed_names_are_ignored(self, entry, suffix, value, monkeypatch):
         for name in REMOVED_NAMES:
-            monkeypatch.setenv(name, "serial" if name.endswith("BACKEND") else "4")
+            if name.endswith(suffix):
+                monkeypatch.setenv(name, value)
         assert _quietly(ENTRY_POINTS[entry], monkeypatch) == ("auto", 1)
 
 

@@ -20,19 +20,25 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.cache.store as store
+import repro.experiments.sweep as sweep_module
 from repro import api
 from repro.cache.store import ActivityCache, ExperimentCache
 from repro.errors import ExperimentError
 from repro.experiments.figures.common import FigureSettings
 from repro.experiments.sweep import RunStats, run_configs, sweep_configs
+from repro.fleet.__main__ import main as fleet_main
 from repro.parallel import get_executor, resolve_backend
 from repro.parallel.backends import SerialExecutor, ThreadExecutor
 from repro.util.bits import toggle_fraction_along_axis
 from repro.util.rng import derive_rng
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -280,10 +286,12 @@ class TestBackendResolution:
         with pytest.raises(ExperimentError, match=f"REPRO_PARALLEL_BACKEND must be .*'{name}'"):
             resolve_backend("auto", workers=4)
 
+    # A width never short-cuts the name check, not even the serial width 1.
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("name", UNKNOWN_BACKENDS)
-    def test_unknown_backend_rejected(self, name):
+    def test_unknown_backend_rejected(self, name, workers):
         with pytest.raises(ExperimentError, match=f"got '{name}'"):
-            resolve_backend(name, workers=2)
+            resolve_backend(name, workers=workers)
 
     @pytest.mark.parametrize("run", [run_configs, api.run_configs], ids=["sweep", "api"])
     @pytest.mark.parametrize("name", UNKNOWN_BACKENDS)
@@ -298,10 +306,46 @@ class TestBackendResolution:
             FigureSettings.quick(backend=name)
 
     @pytest.mark.parametrize("run", [run_configs, api.run_configs], ids=["sweep", "api"])
-    def test_chunksize_keyword_is_gone(self, sweep, run):
-        for chunksize in (3, None):
-            with pytest.raises(TypeError, match="chunksize"):
-                run(sweep, workers=2, chunksize=chunksize, cache=None, activity_cache=None)
+    @pytest.mark.parametrize("chunksize", [3, None])
+    def test_chunksize_keyword_is_gone(self, sweep, run, chunksize):
+        with pytest.raises(TypeError, match="chunksize"):
+            run(sweep, workers=2, chunksize=chunksize, cache=None, activity_cache=None)
+
+    @pytest.mark.parametrize("run", [run_configs, api.run_configs], ids=["sweep", "api"])
+    @pytest.mark.parametrize("name", ["serial", "threads"])
+    def test_env_backend_steers_a_run(self, sweep, run, name, monkeypatch):
+        reference = _as_dicts(run_configs(sweep, workers=1, cache=None, activity_cache=None))
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", name)
+        stats = RunStats()
+        results = run(sweep, workers=2, cache=None, activity_cache=None, stats=stats)
+        assert stats.backend == name
+        assert _as_dicts(results) == reference
+
+    def test_threads_cli_flag_replays_the_golden_summary(self, monkeypatch, capsys):
+        """The fleet CLI's golden replay under ``--backend threads``: it
+        must compute (no default cache tier) on threads and still match the
+        checked-in summary, which the serial replay reproduces."""
+        for name in ("REPRO_PARALLEL_BACKEND", "REPRO_PARALLEL_WORKERS"):
+            monkeypatch.delenv(name, raising=False)
+        for name in ("_default_cache", "_default_activity_cache"):
+            monkeypatch.setattr(store, name, None)
+        for name in ("_default_initialized", "_default_activity_initialized"):
+            monkeypatch.setattr(store, name, True)
+        built = []
+
+        def recording_executor(name, workers=1):
+            built.append(name)
+            return get_executor(name, workers)
+
+        monkeypatch.setattr(sweep_module, "get_executor", recording_executor)
+        argv = [
+            "simulate", str(DATA / "fleet_golden_trace.json"), "--gpus", "a100:2",
+            "--cap-at", "2:58", "--backend", "threads", "--workers", "2",
+            "--expect", str(DATA / "fleet_golden_summary.json"),
+        ]
+        assert fleet_main(argv) == 0
+        assert built == ["threads"]
+        assert "replay OK" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------- chunk budget
